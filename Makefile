@@ -52,7 +52,7 @@ FUZZ_TARGETS := \
 	FuzzLoadFleet:./internal/wrapper/ \
 	FuzzDecodeArtifact:./internal/extract/ \
 	FuzzStreamTwoPassEquiv:./internal/extract/ \
-	FuzzLazyEagerEquiv:./internal/machine/ \
+	FuzzDeterminizeEquiv:./internal/machine/ \
 	FuzzDecodeVersionRecord:./internal/cluster/ \
 	FuzzSpannerOracleEquiv:./internal/spanner/ \
 	FuzzAPISequence:./internal/seqfuzz/
@@ -123,7 +123,7 @@ metrics-lint:
 
 # godoc smoke: the serving-path APIs keep rendering documentation.
 doc-smoke:
-	$(GO) doc resilex/internal/machine LazyDFA >/dev/null
+	$(GO) doc resilex/internal/machine Dense >/dev/null
 	$(GO) doc resilex/internal/extract Cache >/dev/null
 	$(GO) doc resilex/internal/wrapper Fleet.ExtractBatch >/dev/null
 	$(GO) doc resilex/internal/extract StreamMatcher >/dev/null

@@ -378,6 +378,10 @@ func BenchmarkStreaming(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	sm, err := x.CompileStream()
+	if err != nil {
+		b.Fatal(err)
+	}
 	word := make([]symtab.Symbol, 10000)
 	for i := range word {
 		word[i] = q
@@ -390,12 +394,12 @@ func BenchmarkStreaming(b *testing.B) {
 	})
 	b.Run("stream", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			s, _ := m.Stream()
+			r := sm.Get(extract.FindLeftmost)
 			for _, sym := range word {
-				if _, found := s.Feed(sym); found {
-					break
-				}
+				r.Feed(sym)
 			}
+			r.Find()
+			sm.Put(r)
 		}
 	})
 }

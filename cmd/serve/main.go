@@ -77,7 +77,7 @@
 // background health loop probes each peer's /healthz every -health-interval
 // and routes around nodes that are down. See internal/cluster.
 //
-// The cache and the lazy automata keep expensive automaton construction off
+// The compiled-artifact cache keeps expensive automaton construction off
 // the request path: a wrapper's expression is compiled at most once per
 // content address, concurrent cold loads are collapsed by singleflight, and
 // every construction runs under the -max-states budget so no request can

@@ -130,13 +130,20 @@ func TestFacadeMaximizationAlgorithms(t *testing.T) {
 	if m, _ := c.Maximal(); !m {
 		t.Error("Compose output not maximal")
 	}
-	// Streaming through the facade-compiled matcher.
+	// The facade-compiled one-pass matcher agrees with the two-scan one.
 	mtr, err := lf.Compile()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := mtr.Stream(); !ok {
-		t.Error("maximized expression should stream")
+	sm, err := lf.CompileStream()
+	if err != nil {
+		t.Fatalf("maximized expression should stream: %v", err)
+	}
+	p, q := sigma3src[0], sigma3src[1]
+	word := []resilex.Symbol{q, p, p, q}
+	wantPos, wantOK := mtr.Find(word)
+	if pos, ok := sm.Find(word); !wantOK || pos != wantPos || ok != wantOK {
+		t.Errorf("stream Find = %d,%v; two-scan %d,%v", pos, ok, wantPos, wantOK)
 	}
 }
 

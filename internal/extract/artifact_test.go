@@ -76,7 +76,7 @@ func artifactWords(tab *symtab.Table, sigma symtab.Alphabet, seed int64) [][]sym
 
 // TestArtifactRoundTripFixtures is the round-trip property: for every
 // fixture expression, encode→decode→extract agrees token-for-token with the
-// freshly compiled matcher, on both the eager and the lazy path.
+// freshly compiled matcher, on both the two-scan and the one-pass path.
 func TestArtifactRoundTripFixtures(t *testing.T) {
 	for _, f := range artifactFixtures() {
 		f := f
@@ -103,24 +103,21 @@ func TestArtifactRoundTripFixtures(t *testing.T) {
 				!machine.StructurallyEqual(fresh.Expr.Right().DFA(), got.Expr.Right().DFA()) {
 				t.Fatal("decoded component DFAs differ structurally")
 			}
-			lazy, err := got.Expr.CompileLazy()
+			stream, err := got.Expr.CompileStream()
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, w := range artifactWords(got.Tab, got.Expr.Sigma(), 7) {
 				want := fresh.Matcher.All(w)
-				eager := got.Matcher.All(w)
-				viaLazy, err := lazy.All(w)
-				if err != nil {
-					t.Fatalf("decoded lazy All(%v): %v", w, err)
-				}
-				for _, pair := range [][2][]int{{want, eager}, {want, viaLazy}} {
+				twoScan := got.Matcher.All(w)
+				onePass := stream.All(w)
+				for _, pair := range [][2][]int{{want, twoScan}, {want, onePass}} {
 					if len(pair[0]) != len(pair[1]) {
-						t.Fatalf("on %v: decoded %v / %v, fresh %v", w, eager, viaLazy, want)
+						t.Fatalf("on %v: decoded %v / %v, fresh %v", w, twoScan, onePass, want)
 					}
 					for i := range pair[0] {
 						if pair[0][i] != pair[1][i] {
-							t.Fatalf("on %v: decoded %v / %v, fresh %v", w, eager, viaLazy, want)
+							t.Fatalf("on %v: decoded %v / %v, fresh %v", w, twoScan, onePass, want)
 						}
 					}
 				}

@@ -23,23 +23,24 @@ func ExampleCache() {
 	// Output: misses=1 hits=2 entries=1
 }
 
-// CompileLazy builds a matcher whose component DFAs materialize on demand,
-// so matching starts without paying the worst-case determinization.
-func ExampleExpr_CompileLazy() {
+// CompileStream builds the one-pass matcher: tokens are fed one at a time
+// and the split resolves online, whatever the suffix expression E2.
+func ExampleExpr_CompileStream() {
 	tab := symtab.NewTable()
 	p, q := tab.Intern("p"), tab.Intern("q")
-	x, err := extract.Parse("q* <p> .*", tab, symtab.NewAlphabet(p, q), machine.Options{})
+	x, err := extract.Parse("q* <p> q", tab, symtab.NewAlphabet(p, q), machine.Options{})
 	if err != nil {
 		panic(err)
 	}
-	m, err := x.CompileLazy()
+	sm, err := x.CompileStream()
 	if err != nil {
 		panic(err)
 	}
-	pos, ok, err := m.Find([]symtab.Symbol{q, q, p, q})
-	if err != nil {
-		panic(err)
+	run := sm.Get(extract.FindLeftmost)
+	defer sm.Put(run)
+	for _, sym := range []symtab.Symbol{q, q, p, q} {
+		run.Feed(sym)
 	}
-	fmt.Println(pos, ok)
+	fmt.Println(run.Find())
 	// Output: 2 true
 }

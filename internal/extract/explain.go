@@ -29,9 +29,6 @@ type Diagnosis struct {
 	// the maximum when bounded.
 	BoundedMarks bool
 	Bound        int
-	// Streamable reports whether the suffix is Σ*, enabling single-pass
-	// extraction.
-	Streamable bool
 }
 
 // Explain runs the full battery of decision procedures on the expression.
@@ -71,7 +68,6 @@ func (e Expr) Explain() (Diagnosis, error) {
 		}
 	}
 	d.Bound, d.BoundedMarks = e.left.MaxOccurrences(e.p)
-	d.Streamable = e.right.IsUniversal()
 	return d, nil
 }
 
@@ -96,6 +92,5 @@ func (d Diagnosis) Format(tab *symtab.Table) string {
 	} else {
 		b.WriteString("prefix matches unboundedly many marked symbols (pivot framework required)\n")
 	}
-	fmt.Fprintf(&b, "streamable (suffix = Σ*): %v\n", d.Streamable)
 	return b.String()
 }

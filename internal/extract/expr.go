@@ -7,19 +7,17 @@
 // left-filtering maximization (Algorithm 6.2), its mirror image, and the
 // pivot maximization framework (Propositions 6.6–6.8).
 //
-// Three runtime surfaces serve compiled expressions. Compile builds the
-// eager two-scan Matcher (forward E1-DFA plus one backward sweep, O(n) per
-// document); CompileLazy builds a LazyMatcher over on-the-fly DFAs for
-// expressions whose eager determinization would blow the state budget; and
-// Expr.CompileStream builds the one-pass StreamMatcher, which resolves the
-// suffix conjunct online with a bounded thread set so documents can be
-// matched token by token as they arrive, in O(1) memory beyond the match
-// region — provably equivalent to the two-scan Matcher (THEORY.md,
-// "One-pass streaming extraction ≡ the two-scan matcher"). For
-// high-throughput serving, Cache memoizes compiled artifacts under a
-// content address — a hash of the canonicalized expression and its
-// alphabet — with LRU eviction and singleflight deduplication of
-// concurrent cold compiles (see ExampleCache).
+// Two engines run compiled expressions. Compile builds the two-scan Matcher
+// (forward E1-DFA plus one backward sweep, O(n) per document), which serves
+// materialized pages and is the reference oracle; CompileStream builds the
+// one-pass StreamMatcher, which resolves the suffix conjunct online with a
+// bounded thread set so documents can be matched token by token as they
+// arrive, in O(1) memory beyond the match region — provably equivalent to
+// the two-scan Matcher (THEORY.md, "One-pass streaming extraction ≡ the
+// two-scan matcher"). For high-throughput serving, Cache memoizes compiled
+// artifacts under a content address — a hash of the canonicalized
+// expression and its alphabet — with LRU eviction and singleflight
+// deduplication of concurrent cold compiles (see ExampleCache).
 package extract
 
 import (
@@ -150,7 +148,7 @@ func (e Expr) Sigma() symtab.Alphabet { return e.sigma }
 func (e Expr) Options() machine.Options { return e.opt }
 
 // WithOptions returns a copy of the expression whose subsequent
-// construction work — Compile, CompileLazy, maximization — runs under opt.
+// construction work — Compile, maximization — runs under opt.
 // The copy shares the component languages and the compiled-matcher cache.
 func (e Expr) WithOptions(opt machine.Options) Expr {
 	e.opt = opt

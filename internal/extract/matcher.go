@@ -119,57 +119,6 @@ func (m *Matcher) Find(word []symtab.Symbol) (pos int, ok bool) {
 	return all[0], true
 }
 
-// Stream returns a constant-memory, single-pass extractor, available
-// exactly when the expression's suffix component is Σ* — the form every
-// output of the maximization algorithms has. For such expressions a
-// position is valid iff the prefix is in L(E1) and the symbol is p, so the
-// match can be emitted the moment it is seen, without ever holding the
-// document. ok=false when the suffix component is not universal.
-func (m *Matcher) Stream() (*Stream, bool) {
-	if !m.bwd.IsUniversal() {
-		return nil, false
-	}
-	return &Stream{m: m, state: m.fwd.Start}, true
-}
-
-// Stream consumes a document token-by-token; see Matcher.Stream.
-type Stream struct {
-	m     *Matcher
-	state int // current E1-DFA state; -1 after an out-of-Σ token
-	pos   int // tokens consumed
-	found int // extraction position, -1 until found
-	init  bool
-}
-
-// Feed consumes one token and reports whether the extraction position has
-// just been determined. After the first hit further tokens are ignored
-// (unambiguity guarantees there is no second one; defensively, none is
-// reported).
-func (s *Stream) Feed(sym symtab.Symbol) (pos int, found bool) {
-	if !s.init {
-		s.found = -1
-		s.init = true
-	}
-	if s.found < 0 && s.state >= 0 && sym == s.m.p && s.m.fwd.Accept[s.state] {
-		s.found = s.pos
-		s.pos++
-		return s.found, true
-	}
-	if s.state >= 0 {
-		s.state = s.m.fwd.Step(s.state, sym)
-	}
-	s.pos++
-	return -1, false
-}
-
-// Result returns the extraction position found so far, or ok=false.
-func (s *Stream) Result() (pos int, ok bool) {
-	if !s.init || s.found < 0 {
-		return -1, false
-	}
-	return s.found, true
-}
-
 // allNaive is the obvious O(n²) matcher — rerun the suffix DFA from scratch
 // at every candidate position. It exists as the ablation baseline for the
 // two-scan design (BenchmarkMatcherAblation) and as an independent oracle in

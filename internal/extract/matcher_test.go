@@ -88,71 +88,33 @@ func BenchmarkMatcherAblation(b *testing.B) {
 	}
 }
 
+// TestStreamMatchesBatch: the one-pass matcher agrees with the two-scan
+// matcher on Σ* suffixes and on a suffix that is not Σ*.
 func TestStreamMatchesBatch(t *testing.T) {
 	e := newTenv()
-	// Σ*-right expressions stream; results must equal the batch matcher.
-	exprs := []string{
-		"[^ p]* <p> .*",
-		"(q p)* <p> .*",
-		"q* p q* <p> .*",
-	}
 	words := allWords(e.sigma2, 7)
-	for _, src := range exprs {
-		x := e.expr(t, src, e.sigma2)
-		m, err := x.Compile()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, w := range words {
-			s, ok := m.Stream()
-			if !ok {
-				t.Fatalf("%q: Stream unavailable despite Σ* suffix", src)
-			}
-			streamPos := -1
-			for _, sym := range w {
-				if pos, found := s.Feed(sym); found {
-					streamPos = pos
-				}
-			}
-			if rp, rok := s.Result(); (rok && rp != streamPos) || (!rok && streamPos != -1) {
-				t.Fatalf("%q: Result inconsistent with Feed", src)
-			}
-			batchPos, batchOK := m.Find(w)
-			if batchOK != (streamPos >= 0) || (batchOK && batchPos != streamPos) {
-				t.Fatalf("%q on %q: stream %d, batch (%d, %v)",
-					src, e.tab.String(w), streamPos, batchPos, batchOK)
-			}
-		}
-	}
-	// Non-universal suffix: streaming refused.
-	x := e.expr(t, "q* <p> q", e.sigma2)
-	m, err := x.Compile()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := m.Stream(); ok {
-		t.Error("Stream available for non-Σ* suffix")
+	for _, src := range []string{"[^ p]* <p> .*", "(q p)* <p> .*", "q* p q* <p> .*", "q* <p> q"} {
+		checkStreamAgrees(t, e.expr(t, src, e.sigma2), words)
 	}
 }
 
+// TestStreamForeignSymbol: an out-of-Σ token kills the prefix automaton, so
+// no later p is a split point.
 func TestStreamForeignSymbol(t *testing.T) {
 	e := newTenv()
 	x := e.expr(t, "q* <p> .*", e.sigma2)
-	m, err := x.Compile()
+	sm, err := x.CompileStream()
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, ok := m.Stream()
-	if !ok {
-		t.Fatal("no stream")
-	}
-	// An out-of-Σ token kills the prefix; later p's must not match.
+	r := sm.Get(FindLeftmost)
+	defer sm.Put(r)
 	for _, sym := range []symtab.Symbol{e.q, e.r, e.p} {
-		if _, found := s.Feed(sym); found {
-			t.Fatal("matched through a foreign symbol")
+		if r.Feed(sym) {
+			t.Fatal("candidate born after a foreign symbol")
 		}
 	}
-	if _, ok := s.Result(); ok {
-		t.Error("Result ok after dead prefix")
+	if _, ok := r.Find(); ok {
+		t.Error("Find ok after dead prefix")
 	}
 }

@@ -167,12 +167,12 @@ func TestExplain(t *testing.T) {
 	if s := d.Format(e.tab); !strings.Contains(s, "witness") {
 		t.Errorf("format missing witness: %s", s)
 	}
-	// Unambiguous, not maximal: defect reported, bounded, streamable.
+	// Unambiguous, not maximal: defect reported, bounded.
 	d, err = e.expr(t, "q p <p> .*", e.sigma2).Explain()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !d.Unambiguous || d.Maximal || d.DefectSide == "" || !d.BoundedMarks || d.Bound != 1 || !d.Streamable {
+	if !d.Unambiguous || d.Maximal || d.DefectSide == "" || !d.BoundedMarks || d.Bound != 1 {
 		t.Errorf("diagnosis = %+v", d)
 	}
 	// Maximal with unbounded prefix marks... (Σ−p)* has bound 0; use the
@@ -192,15 +192,7 @@ func TestExplain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !d.Maximal || !d.Streamable {
+	if !d.Maximal {
 		t.Errorf("maximal diagnosis = %+v", d)
-	}
-	// Non-streamable suffix.
-	d, err = e.expr(t, "q <p> q", e.sigma2).Explain()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Streamable {
-		t.Error("q suffix reported streamable")
 	}
 }

@@ -22,7 +22,7 @@ import (
 // the two-pass scheme; the differential fuzz target FuzzStreamTwoPassEquiv
 // enforces it on every build.
 //
-// Both component automata are flattened to dense []uint16 transition tables
+// Both component automata are flattened to dense []uint32 transition tables
 // (machine.Dense), so the per-token work is two table loads and a bounded
 // merge sweep — no map walks, no binary symbol search, no allocation. A
 // StreamMatcher is immutable and safe for concurrent use; per-extraction
@@ -59,14 +59,12 @@ const (
 	CollectAll
 )
 
-// CompileStream builds the streaming matcher. It fails when a component
-// automaton exceeds the dense-table state limit (callers fall back to the
-// two-pass Matcher, which has no such bound) or when the expression's
-// deadline has expired.
+// CompileStream builds the streaming matcher for any expression. Like the
+// two-scan matcher's core it only flattens component DFAs that already
+// exist, so it does not poll the expression's deadline: an expression loaded
+// under a request context that has since ended still compiles. It fails only
+// when Σ holds a symbol id beyond the dense symbol-index bound.
 func (e Expr) CompileStream() (_ *StreamMatcher, err error) {
-	if err := e.opt.Err(); err != nil {
-		return nil, fmt.Errorf("%w: stream-matcher compilation", err)
-	}
 	_, ph := obs.StartPhase(e.opt.Ctx, "extract.stream_compile")
 	defer func() {
 		ph.Count("extract_stream_compiles_total", 1)
@@ -166,7 +164,7 @@ func (m *StreamMatcher) Find(word []symtab.Symbol) (pos int, ok bool) {
 // position (FindLeftmost) or the head/tail of an arena-linked candidate
 // list (CollectAll). head[q] < 0 means no thread in q.
 type threadSet struct {
-	live []uint16
+	live []uint32
 	head []int32
 	tail []int32
 }
@@ -204,8 +202,8 @@ type node struct{ pos, next int32 }
 type StreamRun struct {
 	sm   *StreamMatcher
 	mode StreamMode
-	f    int32 // E1 state; -1 once an out-of-Σ token is seen
-	pos  int32 // tokens consumed
+	f    uint32 // E1 state; machine.NoState once an out-of-Σ token is seen
+	pos  int32  // tokens consumed
 
 	cur, nxt threadSet
 
@@ -219,7 +217,7 @@ type StreamRun struct {
 
 func (r *StreamRun) reset(mode StreamMode) {
 	r.mode = mode
-	r.f = int32(r.sm.fwd.Start)
+	r.f = r.sm.fwd.Start
 	r.pos = 0
 	states := r.sm.sfx.NumStates()
 	// Clear before sizing: a pooled run still carries the previous
@@ -246,7 +244,7 @@ func (r *StreamRun) Feed(sym symtab.Symbol) bool {
 	sm := r.sm
 	j := r.pos
 	r.pos = j + 1
-	born := r.f >= 0 && sym == sm.p && sm.fwd.Accept[r.f]
+	born := r.f != machine.NoState && sym == sm.p && sm.fwd.Accept[r.f]
 	k := sm.idx.Index(sym)
 	if k < 0 {
 		// Out-of-Σ token: no suffix containing it is in L(E2) ⊆ Σ*, so every
@@ -256,11 +254,11 @@ func (r *StreamRun) Feed(sym symtab.Symbol) bool {
 		r.cur.clear()
 		r.arena = r.arena[:0]
 		r.liveNodes = 0
-		r.f = -1
+		r.f = machine.NoState
 		return false
 	}
-	if r.f >= 0 {
-		r.f = int32(sm.fwd.Step(uint16(r.f), k))
+	if r.f != machine.NoState {
+		r.f = sm.fwd.Step(r.f, k)
 	}
 	// Advance every live thread, merging threads that land on the same
 	// state and discarding threads that enter the doomed region.
@@ -313,7 +311,7 @@ func (r *StreamRun) Feed(sym symtab.Symbol) bool {
 // are strictly increasing, so in FindLeftmost mode an occupied start state
 // always already holds a smaller (better) candidate.
 func (r *StreamRun) inject(j int32) bool {
-	start := uint16(r.sm.sfx.Start)
+	start := r.sm.sfx.Start
 	if r.mode == FindLeftmost {
 		if r.nxt.head[start] >= 0 {
 			return false

@@ -9,6 +9,47 @@ import (
 	"resilex/internal/symtab"
 )
 
+// tokenFixtures are the E1–E12 fixture expressions over the small test
+// alphabets: every expression exercised by the experiment suite at the token
+// level — E1/E2 closed forms and Expression (10), the E5/E6 maximization
+// inputs and outputs (including the exact Algorithm 6.2 output of Example
+// 4.7), the E7 pivot family, the E11 middle-row expression, and the E12
+// factoring shapes.
+var tokenFixtures = []struct {
+	src   string
+	sigma int // 2 = {p,q}, 3 = {p,q,r}
+}{
+	{"q* <p> .*", 2},
+	{"<p> p*", 2},
+	{"p* <p> p*", 2},
+	{"(p q)* <p> .*", 2},
+	{"(q p)* <p> .*", 2},
+	{"(p | p p) <p> (p | p p)", 2},
+	{". . <p> q", 2},
+	{"[^ p]* <p> .*", 2},
+	{"q <p> q", 2},
+	{"p <p> p p p", 2},
+	{"p p <p> p p", 2},
+	{"q p <p> q*", 2},
+	{"q p <p> .*", 2},
+	{"[^ p]* p <p> .*", 2},
+	{"((q* - q) | q p q*) <p> .*", 2}, // Example 4.7, Algorithm 6.2 output
+	{"[^ p]* p [^ p]* <p> .*", 2},
+	{"(q p)* q <p> q*", 2},
+	{"[^ p]* <p> .*", 3},
+	{"(q | r)* <p> (q | r)*", 3},
+	{"q* r <p> r q*", 3},
+}
+
+// htmlFixtures are the E1/E2 fixtures over the Figure 1 tag alphabet.
+var htmlFixtures = []string{
+	"[^ FORM]* FORM [^ INPUT]* INPUT [^ INPUT]* <INPUT> .*", // Section 3 closed form
+	"P H1 /H1 P FORM INPUT <INPUT> P INPUT INPUT /FORM",     // rigid doc1 expression
+	"FORM INPUT <INPUT> .*",
+	"(TR | TR TR) <TR> (TR | TR TR)", // E11 middle row
+	"TR <TR> TR*",
+}
+
 // checkStreamAgrees feeds every word through the one-pass StreamMatcher in
 // both modes and demands agreement with the two-scan Matcher — the
 // differential oracle of the streaming refactor.
@@ -229,16 +270,23 @@ func TestStreamRunZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestStreamCompileErrors: expired deadlines and state-limit overflows are
-// reported, so callers can fall back to the two-pass matcher.
+// TestStreamCompileErrors: CompileStream only flattens DFAs that already
+// exist, so a stored context that has ended does not fail it; a Σ symbol id
+// beyond the dense symbol-index bound is still reported.
 func TestStreamCompileErrors(t *testing.T) {
 	e := newTenv()
 	x := e.expr(t, "q* <p> .*", e.sigma2)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	dead := x.WithOptions(machine.Options{Ctx: ctx})
-	if _, err := dead.CompileStream(); err == nil {
-		t.Error("CompileStream succeeded with a canceled context")
+	if _, err := x.WithOptions(machine.Options{Ctx: ctx}).CompileStream(); err != nil {
+		t.Errorf("CompileStream with a canceled stored context: %v", err)
+	}
+	far, err := Parse("q* <p> .*", e.tab, e.sigma2.With(symtab.Symbol(1<<20)), machine.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := far.CompileStream(); err == nil {
+		t.Error("CompileStream succeeded with a symbol id past the dense symbol-index bound")
 	}
 }
 

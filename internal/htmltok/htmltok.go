@@ -311,8 +311,23 @@ type Document struct {
 	Spans []Span
 }
 
-// Map tokenizes html and converts it to a Document.
-func (m *Mapper) Map(html string) Document {
+// Map tokenizes html and converts it to a Document, interning every name it
+// meets. Training and refresh use it: the names it interns widen Σ.
+func (m *Mapper) Map(html string) Document { return m.mapDoc(html, true) }
+
+// Resolve is Map without interning: a name the table has never seen becomes
+// symtab.None, as in StreamSym. Extraction uses it on live pages, so hostile
+// pages cannot grow a table that many wrappers share. Regions are the same as
+// under Map, because a fresh name is outside Σ either way.
+func (m *Mapper) Resolve(html string) Document { return m.mapDoc(html, false) }
+
+func (m *Mapper) mapDoc(html string, intern bool) Document {
+	sym := func(name string) symtab.Symbol {
+		if intern {
+			return m.tab.Intern(name)
+		}
+		return m.tab.Lookup(name)
+	}
 	raw := Scan(html)
 	doc := Document{HTML: html}
 	for _, t := range raw {
@@ -323,19 +338,19 @@ func (m *Mapper) Map(html string) Document {
 			if !m.KeepText {
 				continue
 			}
-			doc.Syms = append(doc.Syms, m.tab.Intern(TextSymbolName))
+			doc.Syms = append(doc.Syms, sym(TextSymbolName))
 			doc.Spans = append(doc.Spans, Span{t.Start, t.End})
 		case EndTag:
 			if !m.KeepEndTags || m.Skip[t.Name] {
 				continue
 			}
-			doc.Syms = append(doc.Syms, m.tab.Intern("/"+t.Name))
+			doc.Syms = append(doc.Syms, sym("/"+t.Name))
 			doc.Spans = append(doc.Spans, Span{t.Start, t.End})
 		case StartTag, SelfClosingTag:
 			if m.Skip[t.Name] {
 				continue
 			}
-			doc.Syms = append(doc.Syms, m.tab.Intern(m.symbolName(t)))
+			doc.Syms = append(doc.Syms, sym(m.symbolName(t)))
 			doc.Spans = append(doc.Spans, Span{t.Start, t.End})
 		}
 	}

@@ -2,17 +2,17 @@ package machine
 
 import (
 	"fmt"
+	"math"
 
 	"resilex/internal/symtab"
 )
 
-// denseMaxStates bounds a Dense table: state ids must fit uint16. The
-// sentinel 0xFFFF is reserved for "no state" by callers, so the usable range
-// is one short of the full uint16 space.
-const denseMaxStates = 0xFFFF - 1
+// NoState is never a Dense state id, so callers can use it as a "no state"
+// sentinel. It also bounds a Dense table at NoState states.
+const NoState = math.MaxUint32
 
 // Dense is a flattened transition table for a complete DFA: one contiguous
-// []uint16 row-major array replacing the per-state slice-of-slices walk (and
+// []uint32 row-major array replacing the per-state slice-of-slices walk (and
 // the per-step binary symbol search) of DFA.Step. It is the warm-path
 // representation behind the streaming matcher: a step is one multiply, one
 // add and one load, with no pointer chasing and no allocation.
@@ -20,31 +20,30 @@ const denseMaxStates = 0xFFFF - 1
 // A Dense is immutable after Compact and safe for concurrent readers.
 type Dense struct {
 	// Start is the start state.
-	Start uint16
+	Start uint32
 	// Stride is the number of symbols, the row length of Table.
 	Stride int
 	// Table holds the successor of state s on symbol index k at s*Stride+k.
-	Table []uint16
+	Table []uint32
 	// Accept marks accepting states.
 	Accept []bool
 
 	syms []symtab.Symbol // ascending, as in the source DFA
 }
 
-// Compact flattens the DFA into a Dense table. It fails when the automaton
-// has more states than fit a uint16 id — callers fall back to the pointered
-// representation in that case (the streaming matcher falls back to the
-// two-pass matcher).
+// Compact flattens the DFA into a Dense table. State ids are uint32, so every
+// automaton a construction budget admits fits; only an automaton of more than
+// NoState states fails.
 func (d *DFA) Compact() (*Dense, error) {
 	n := d.NumStates()
-	if n > denseMaxStates {
-		return nil, fmt.Errorf("machine: %d states exceed the dense-table limit %d", n, denseMaxStates)
+	if uint64(n) > NoState {
+		return nil, fmt.Errorf("machine: %d states exceed the dense-table limit %d", n, uint64(NoState))
 	}
 	stride := len(d.syms)
 	out := &Dense{
-		Start:  uint16(d.Start),
+		Start:  uint32(d.Start),
 		Stride: stride,
-		Table:  make([]uint16, n*stride),
+		Table:  make([]uint32, n*stride),
 		Accept: append([]bool(nil), d.Accept...),
 		syms:   d.syms,
 	}
@@ -52,7 +51,7 @@ func (d *DFA) Compact() (*Dense, error) {
 		row := d.Trans[s]
 		base := s * stride
 		for k := 0; k < stride; k++ {
-			out.Table[base+k] = uint16(row[k])
+			out.Table[base+k] = uint32(row[k])
 		}
 	}
 	return out, nil
@@ -67,7 +66,7 @@ func (d *Dense) Symbols() []symtab.Symbol { return d.syms }
 
 // Step returns the successor of state on symbol index k (not a Symbol — use
 // a SymbolIndex to translate). It is the inlinable hot-path step.
-func (d *Dense) Step(state uint16, k int) uint16 {
+func (d *Dense) Step(state uint32, k int) uint32 {
 	return d.Table[int(state)*d.Stride+k]
 }
 
@@ -78,33 +77,33 @@ func (d *Dense) Step(state uint16, k int) uint16 {
 func (d *Dense) Doomed() []bool {
 	n := d.NumStates()
 	// pred[t] lists states with an edge into t (deduplicated per source row).
-	counts := make([]int32, n)
+	counts := make([]int, n)
 	for s := 0; s < n; s++ {
 		base := s * d.Stride
 		for k := 0; k < d.Stride; k++ {
 			counts[d.Table[base+k]]++
 		}
 	}
-	starts := make([]int32, n+1)
+	starts := make([]int, n+1)
 	for t := 0; t < n; t++ {
 		starts[t+1] = starts[t] + counts[t]
 	}
-	pred := make([]uint16, starts[n])
-	fill := append([]int32(nil), starts[:n]...)
+	pred := make([]uint32, starts[n])
+	fill := append([]int(nil), starts[:n]...)
 	for s := 0; s < n; s++ {
 		base := s * d.Stride
 		for k := 0; k < d.Stride; k++ {
 			t := d.Table[base+k]
-			pred[fill[t]] = uint16(s)
+			pred[fill[t]] = uint32(s)
 			fill[t]++
 		}
 	}
 	alive := make([]bool, n)
-	var queue []uint16
+	var queue []uint32
 	for s := 0; s < n; s++ {
 		if d.Accept[s] {
 			alive[s] = true
-			queue = append(queue, uint16(s))
+			queue = append(queue, uint32(s))
 		}
 	}
 	for len(queue) > 0 {
@@ -128,7 +127,7 @@ func (d *Dense) Doomed() []bool {
 // a direct-indexed array over the symbol-id range of one alphabet. Ids
 // outside the alphabet (including symtab.None) map to -1.
 type SymbolIndex struct {
-	lookup []int16
+	lookup []int32
 }
 
 // symbolIndexMax bounds the direct-index array: symbol ids are dense
@@ -140,20 +139,16 @@ const symbolIndexMax = 1 << 20
 // ascending (dense) order — the same order DFA.Symbols uses, so the returned
 // indexes are valid against any Dense compacted from a DFA over sigma.
 func NewSymbolIndex(sigma symtab.Alphabet) (*SymbolIndex, error) {
-	syms := sigma.Symbols()
-	if len(syms) > 0x7FFF {
-		return nil, fmt.Errorf("machine: %d symbols exceed the dense symbol-index limit", len(syms))
-	}
 	max := sigma.Max()
 	if int(max) >= symbolIndexMax {
 		return nil, fmt.Errorf("machine: symbol id %d exceeds the dense symbol-index bound", max)
 	}
-	lookup := make([]int16, int(max)+1)
+	lookup := make([]int32, int(max)+1)
 	for i := range lookup {
 		lookup[i] = -1
 	}
-	for k, s := range syms {
-		lookup[s] = int16(k)
+	for k, s := range sigma.Symbols() {
+		lookup[s] = int32(k)
 	}
 	return &SymbolIndex{lookup: lookup}, nil
 }

@@ -125,3 +125,38 @@ func TestSymbolIndexOutOfRange(t *testing.T) {
 		t.Error("foreign id got an index")
 	}
 }
+
+// TestCompactWideTable: state ids are uint32, so an automaton past the old
+// 65,534-state uint16 limit compacts, steps and sweeps like a small one.
+func TestCompactWideTable(t *testing.T) {
+	const n = 1<<16 + 8
+	tab := symtab.NewTable()
+	p, q := tab.Intern("p"), tab.Intern("q")
+	d := newDFA(symtab.NewAlphabet(p, q))
+	for s := 0; s < n; s++ {
+		d.addState(s == n-2)
+	}
+	// p counts up a chain; q jumps to the last state, a non-accepting sink.
+	for s := 0; s < n; s++ {
+		d.Trans[s][0] = min(s+1, n-1)
+		d.Trans[s][1] = n - 1
+	}
+	dense, err := d.Compact()
+	if err != nil {
+		t.Fatalf("Compact of %d states: %v", n, err)
+	}
+	if dense.NumStates() != n {
+		t.Fatalf("dense has %d states, want %d", dense.NumStates(), n)
+	}
+	s := dense.Start
+	for i := 0; i < n-2; i++ {
+		s = dense.Step(s, 0)
+	}
+	if s != n-2 || !dense.Accept[s] {
+		t.Fatalf("after %d p steps: state %d (accepting %v), want %d accepting", n-2, s, dense.Accept[s], n-2)
+	}
+	doomed := dense.Doomed()
+	if doomed[0] || doomed[n-2] || !doomed[n-1] {
+		t.Fatalf("Doomed: start %v, accept %v, sink %v; want false, false, true", doomed[0], doomed[n-2], doomed[n-1])
+	}
+}

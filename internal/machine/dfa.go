@@ -76,6 +76,17 @@ func (d *DFA) addState(accept bool) int {
 	return len(d.Accept) - 1
 }
 
+// subsetKey packs a state bitset into a compact map key.
+func subsetKey(set []bool) string {
+	b := make([]byte, (len(set)+7)/8)
+	for i, in := range set {
+		if in {
+			b[i/8] |= 1 << (i % 8)
+		}
+	}
+	return string(b)
+}
+
 // Determinize converts an NFA to a complete DFA via subset construction.
 // It fails with ErrBudget if more than opt.MaxStates subset states are
 // created — the honest face of the PSPACE lower bound (Theorem 5.12).

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"resilex/internal/codec"
-	"resilex/internal/obs"
 	"resilex/internal/symtab"
 )
 
@@ -14,9 +13,8 @@ import (
 // checksum, structural invariant) is an error wrapping
 // codec.ErrMalformedInput, never a panic.
 const (
-	dfaMagic  = "RXDF"
-	nfaMagic  = "RXNF"
-	lazyMagic = "RXLZ"
+	dfaMagic = "RXDF"
+	nfaMagic = "RXNF"
 
 	automatonVersion = 1
 )
@@ -201,126 +199,4 @@ func DecodeNFA(blob []byte) (*NFA, error) {
 		}
 	}
 	return n, nil
-}
-
-// Encode snapshots the lazy automaton — its underlying NFA plus every subset
-// state materialized so far and the transitions between them — into a framed
-// binary blob. A decoded snapshot resumes with the same working set warm, so
-// a restarted server's first documents step through memoized states instead
-// of re-materializing them. Options are not persisted; DecodeLazy takes the
-// budget and deadline of the restoring process.
-func (l *LazyDFA) Encode() []byte {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	var w codec.Writer
-	w.Bytes2(l.nfa.Encode())
-	w.Uint(uint64(len(l.sets)))
-	for _, set := range l.sets {
-		w.Bools(set)
-	}
-	for _, row := range l.trans {
-		for _, t := range row {
-			w.Int(int64(t))
-		}
-	}
-	return codec.Seal(lazyMagic, automatonVersion, w.Bytes())
-}
-
-// DecodeLazy restores a lazy automaton snapshot under opt's budget and
-// deadline. Beyond the frame checksum it re-derives everything derivable —
-// subset ε-closures, the accept bits, the state index — and rejects any
-// snapshot whose stored sets are not ε-closed, are duplicated, or whose
-// first state is not the NFA's start closure, so a decoded LazyDFA is always
-// a snapshot some sequence of Step calls could have produced on the decoded
-// NFA. Corrupt input returns an error wrapping codec.ErrMalformedInput.
-func DecodeLazy(blob []byte, opt Options) (*LazyDFA, error) {
-	payload, err := codec.Open(lazyMagic, automatonVersion, blob)
-	if err != nil {
-		return nil, fmt.Errorf("machine: decoding lazy DFA: %w", err)
-	}
-	r := codec.NewReader(payload)
-	nfaBlob := r.Bytes2()
-	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("machine: decoding lazy DFA: %w", err)
-	}
-	n, err := DecodeNFA(nfaBlob)
-	if err != nil {
-		return nil, fmt.Errorf("machine: decoding lazy DFA: %w", err)
-	}
-	count := r.Len()
-	sets := make([][]bool, 0, min(count, 1024))
-	for i := 0; i < count && r.Err() == nil; i++ {
-		sets = append(sets, r.Bools())
-	}
-	trans := make([][]int, 0, min(count, 1024))
-	syms := n.Sigma.Symbols()
-	for s := 0; s < count && r.Err() == nil; s++ {
-		row := make([]int, len(syms))
-		for k := range row {
-			row[k] = int(r.Int())
-		}
-		trans = append(trans, row)
-	}
-	if err := r.Done(); err != nil {
-		return nil, fmt.Errorf("machine: decoding lazy DFA: %w", err)
-	}
-	if count == 0 {
-		return nil, fmt.Errorf("%w: lazy snapshot with no states", codec.ErrMalformedInput)
-	}
-	o := obs.FromContext(opt.Ctx)
-	l := &LazyDFA{
-		nfa:         n,
-		opt:         opt,
-		syms:        syms,
-		states:      o.Counter("machine_lazy_states_total"),
-		transitions: o.Counter("machine_lazy_transitions_total"),
-		index:       make(map[string]int, count),
-	}
-	for id, set := range sets {
-		if len(set) != n.NumStates() {
-			return nil, fmt.Errorf("%w: subset state %d over %d NFA states, want %d", codec.ErrMalformedInput, id, len(set), n.NumStates())
-		}
-		closed := append([]bool(nil), set...)
-		n.closure(closed)
-		for s := range set {
-			if set[s] != closed[s] {
-				return nil, fmt.Errorf("%w: subset state %d is not ε-closed", codec.ErrMalformedInput, id)
-			}
-		}
-		key := subsetKey(set)
-		if _, dup := l.index[key]; dup {
-			return nil, fmt.Errorf("%w: duplicate subset state %d", codec.ErrMalformedInput, id)
-		}
-		l.index[key] = id
-		l.sets = append(l.sets, set)
-		acc := false
-		for s, in := range set {
-			if in && n.Accept[s] {
-				acc = true
-				break
-			}
-		}
-		l.accept = append(l.accept, acc)
-	}
-	if start := subsetKey(n.startSet()); l.index[start] != 0 || subsetKey(l.sets[0]) != start {
-		return nil, fmt.Errorf("%w: lazy snapshot state 0 is not the start closure", codec.ErrMalformedInput)
-	}
-	for s, row := range trans {
-		for k, t := range row {
-			if t == unexplored {
-				continue
-			}
-			if t < 0 || t >= count {
-				return nil, fmt.Errorf("%w: lazy transition %d→%d out of range", codec.ErrMalformedInput, s, t)
-			}
-			// A stored transition must be the one Step would materialize:
-			// move(sets[s], sym) = sets[t]. Re-deriving it keeps a decoded
-			// snapshot behaviorally identical to a freshly warmed automaton.
-			if subsetKey(n.move(l.sets[s], syms[k])) != subsetKey(l.sets[t]) {
-				return nil, fmt.Errorf("%w: lazy transition %d→%d disagrees with subset construction", codec.ErrMalformedInput, s, t)
-			}
-		}
-	}
-	l.trans = trans
-	return l, nil
 }

@@ -30,7 +30,7 @@ func codecEnv(t *testing.T, src string) (*NFA, *DFA, []symtab.Symbol) {
 }
 
 func TestDFACodecRoundTrip(t *testing.T) {
-	for _, src := range lazyEquivCases {
+	for _, src := range equivCases {
 		src := src
 		t.Run(src, func(t *testing.T) {
 			_, d, syms := codecEnv(t, src)
@@ -51,7 +51,7 @@ func TestDFACodecRoundTrip(t *testing.T) {
 }
 
 func TestNFACodecRoundTrip(t *testing.T) {
-	for _, src := range lazyEquivCases {
+	for _, src := range equivCases {
 		src := src
 		t.Run(src, func(t *testing.T) {
 			n, d, syms := codecEnv(t, src)
@@ -71,90 +71,8 @@ func TestNFACodecRoundTrip(t *testing.T) {
 	}
 }
 
-func TestLazyCodecRoundTripWarm(t *testing.T) {
-	for _, src := range lazyEquivCases {
-		src := src
-		t.Run(src, func(t *testing.T) {
-			n, d, syms := codecEnv(t, src)
-			lazy := NewLazy(n, Options{})
-			words := enumWords(syms, 4)
-			// Warm a working set, snapshot, and restore.
-			for _, w := range words {
-				if _, err := lazy.Accepts(w); err != nil {
-					t.Fatal(err)
-				}
-			}
-			warm := lazy.NumStates()
-			got, err := DecodeLazy(lazy.Encode(), Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got.NumStates() != warm {
-				t.Fatalf("restored %d states, want %d warm", got.NumStates(), warm)
-			}
-			// The restored automaton must agree with the eager DFA both on the
-			// warmed words and on longer cold ones that force fresh
-			// materialization on top of the snapshot.
-			for _, w := range append(words, enumWords(syms, 5)...) {
-				acc, err := got.Accepts(w)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if acc != d.Accepts(w) {
-					t.Fatalf("restored lazy DFA disagrees on %v", w)
-				}
-			}
-		})
-	}
-}
-
-func TestLazyCodecColdSnapshot(t *testing.T) {
-	n, d, syms := codecEnv(t, "(p | q)* p (p | q)")
-	got, err := DecodeLazy(NewLazy(n, Options{}).Encode(), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.NumStates() != 1 {
-		t.Fatalf("cold snapshot restored %d states, want 1", got.NumStates())
-	}
-	for _, w := range enumWords(syms, 5) {
-		acc, err := got.Accepts(w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if acc != d.Accepts(w) {
-			t.Fatalf("disagrees on %v", w)
-		}
-	}
-}
-
-// TestLazyDecodeBudget: the restoring process's options govern further
-// materialization — a tiny budget makes a restored snapshot fail with
-// ErrBudget on cold states, exactly like a fresh LazyDFA.
-func TestLazyDecodeBudget(t *testing.T) {
-	n, _, syms := codecEnv(t, "(p | q)* p (p | q) (p | q) (p | q)")
-	lazy := NewLazy(n, Options{})
-	got, err := DecodeLazy(lazy.Encode(), Options{MaxStates: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var stepErr error
-	for _, w := range enumWords(syms, 6) {
-		if _, stepErr = got.Accepts(w); stepErr != nil {
-			break
-		}
-	}
-	if !errors.Is(stepErr, ErrBudget) {
-		t.Fatalf("err = %v, want ErrBudget", stepErr)
-	}
-}
-
 func TestAutomatonDecodeRejectsCorruption(t *testing.T) {
 	n, d, _ := codecEnv(t, "(p q | q p)* r")
-	lazy := NewLazy(n, Options{})
-	if _, err := lazy.Accepts(nil); err != nil {
-		t.Fatal(err)
-	}
 	cases := []struct {
 		name   string
 		blob   []byte
@@ -162,7 +80,6 @@ func TestAutomatonDecodeRejectsCorruption(t *testing.T) {
 	}{
 		{"dfa", d.Encode(), func(b []byte) error { _, err := DecodeDFA(b); return err }},
 		{"nfa", n.Encode(), func(b []byte) error { _, err := DecodeNFA(b); return err }},
-		{"lazy", lazy.Encode(), func(b []byte) error { _, err := DecodeLazy(b, Options{}); return err }},
 	}
 	for _, c := range cases {
 		c := c

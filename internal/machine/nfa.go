@@ -11,10 +11,9 @@
 // Determinization is worst-case exponential (this is exactly the PSPACE
 // obstruction of Theorem 5.12 in the paper), so every determinizing entry
 // point takes a state budget and fails with ErrBudget instead of diverging.
-// For serving paths that cannot afford the up-front blow-up, NewLazy builds
-// the subset construction on the fly: states materialize the first time a
-// scan reaches them, are memoized for every later scan, and count against
-// the same budget (see LazyDFA and ExampleNewLazy).
+// Compact flattens a finished DFA into a Dense table with uint32 state ids,
+// the representation the one-pass streaming matcher steps through; it
+// accepts every automaton the budget admits.
 package machine
 
 import (

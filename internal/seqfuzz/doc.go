@@ -1,6 +1,6 @@
 // Package seqfuzz is the API-sequence differential fuzz harness: a
 // deterministic interpreter that decodes fuzz bytes into a bounded sequence
-// of public-API operations — compile (eager/lazy/stream), wrapper rollout
+// of public-API operations — compile (eager/stream), wrapper rollout
 // mutations (put, canary-put, promote, rollback, delete), extraction
 // (materialized, streaming, batch), cache eviction, codec encode→decode
 // round trips, a server restart from disk, and a shard kill in an
@@ -12,12 +12,12 @@
 // plain wrapper.Load (no cache, no artifacts, no streaming), plus an
 // in-memory map mirroring the versioned registry's per-key state machine.
 // Everything the production stack layered on top of that — content-addressed
-// caching, disk artifacts, lazy subset construction, the one-pass streaming
-// matcher, canary routing, replication, restart recovery — is an
-// optimization that claims extensional equivalence; this harness is where
-// those claims are all checked against each other under *interleavings*
-// (evict during singleflight, restart mid-canary, promote after restart,
-// kill a shard under routed traffic) that no single-layer test reaches.
+// caching, disk artifacts, the one-pass streaming matcher, canary routing,
+// replication, restart recovery — is an optimization that claims extensional
+// equivalence; this harness is where those claims are all checked against
+// each other under *interleavings* (evict during singleflight, restart
+// mid-canary, promote after restart, kill a shard under routed traffic) that
+// no single-layer test reaches.
 //
 // Three invariant families are enforced after each step:
 //

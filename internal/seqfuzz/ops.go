@@ -17,9 +17,6 @@ const (
 	// and differentials its All/Find answers against the precompiled
 	// reference.
 	OpCompileEager OpKind = iota
-	// OpCompileLazy compiles the lazy on-the-fly matcher and differentials
-	// it against the eager reference.
-	OpCompileLazy
 	// OpCompileStream compiles the one-pass streaming matcher and
 	// differentials it against the eager reference.
 	OpCompileStream
@@ -81,7 +78,7 @@ const NumOpKinds = int(opCount)
 // metrics lint reserves for the obs registry.
 func (k OpKind) String() string {
 	names := [...]string{
-		"compile-eager", "compile-lazy", "compile-stream",
+		"compile-eager", "compile-stream",
 		"put", "canary-put", "promote", "rollback", "delete",
 		"extract", "extract-stream", "extract-batch",
 		"cache-evict", "codec-roundtrip", "restart",

@@ -88,8 +88,7 @@ type payloadSpec struct {
 	cfg      wrapper.Config
 	compiled *extract.Compiled // canonical eager artifact
 	ref      *wrapper.Wrapper  // reference: plain Load, no cache
-	streamOK bool
-	docs     []docRef // indexed like pool.docs
+	docs     []docRef          // indexed like pool.docs
 }
 
 // mapper builds the payload's tokenizer over tab — the same construction
@@ -259,8 +258,6 @@ func buildSpec(data []byte, docs []string) *payloadSpec {
 		panic(fmt.Sprintf("seqfuzz: loading pool reference wrapper: %v", err))
 	}
 	ps.ref = ref
-	_, serr := ref.Stream()
-	ps.streamOK = serr == nil
 
 	// Tokenize the reference documents against a second, identically
 	// compiled artifact: mapping interns out-of-Σ tag names into the table
@@ -298,8 +295,6 @@ func classOf(err error) string {
 		return "no_match"
 	case errors.Is(err, wrapper.ErrUnknownKey):
 		return "unknown_key"
-	case errors.Is(err, wrapper.ErrStreamUnavailable):
-		return "stream_unavailable"
 	case errors.Is(err, wrapper.ErrMalformedInput):
 		return "malformed"
 	case errors.Is(err, machine.ErrBudget):

@@ -110,8 +110,6 @@ func (w *World) step(t *testing.T, i int, op Op) {
 	switch op.Kind {
 	case OpCompileEager:
 		w.compileEager(t, i, op)
-	case OpCompileLazy:
-		w.compileLazy(t, i, op)
 	case OpCompileStream:
 		w.compileStream(t, i, op)
 
@@ -351,8 +349,7 @@ func (w *World) checkMaterialized(t *testing.T, i int, key string, docIdx int) {
 
 // checkStreaming cross-checks the one-pass streaming path against the same
 // reference. Streaming serves the active version only (canaries never see
-// streamed traffic), and an expression outside the dense-table bounds must
-// fail closed with the stream-unavailable class, never silently diverge.
+// streamed traffic), and every valid payload must stream.
 func (w *World) checkStreaming(t *testing.T, i int, key string, docIdx int) {
 	mk := w.model[key]
 	if mk == nil || mk.active == nil {
@@ -367,12 +364,6 @@ func (w *World) checkStreaming(t *testing.T, i int, key string, docIdx int) {
 		t.Fatalf("op %d: fleet lost %s (model active v%d)", i, key, mk.active.version)
 	}
 	se, err := wr.Stream()
-	if !spec.streamOK {
-		if c := classOf(err); c != "stream_unavailable" {
-			t.Fatalf("op %d: stream compile for %s: class %q, want stream_unavailable", i, key, c)
-		}
-		return
-	}
 	if err != nil {
 		t.Fatalf("op %d: stream compile for %s: %v", i, key, err)
 	}
@@ -454,31 +445,6 @@ func (w *World) compileEager(t *testing.T, i int, op Op) {
 	}
 }
 
-// compileLazy differentials the on-the-fly matcher against the eager
-// reference on one document.
-func (w *World) compileLazy(t *testing.T, i int, op Op) {
-	_, spec := w.validPayload(op.B)
-	ref := spec.docs[w.doc(op.C)]
-	lm, err := spec.compiled.Expr.CompileLazy()
-	if err != nil {
-		t.Fatalf("op %d: lazy compile: %v", i, err)
-	}
-	all, err := lm.All(ref.syms)
-	if err != nil {
-		t.Fatalf("op %d: lazy All: %v", i, err)
-	}
-	if !equalInts(all, ref.all) {
-		t.Fatalf("op %d: lazy All = %v, reference %v", i, all, ref.all)
-	}
-	pos, ok, err := lm.Find(ref.syms)
-	if err != nil {
-		t.Fatalf("op %d: lazy Find: %v", i, err)
-	}
-	if ok != ref.findOK || (ok && pos != ref.findPos) {
-		t.Fatalf("op %d: lazy Find = (%d,%v), reference (%d,%v)", i, pos, ok, ref.findPos, ref.findOK)
-	}
-}
-
 // compileStream differentials the one-pass streaming matcher against the
 // eager reference on one document.
 func (w *World) compileStream(t *testing.T, i int, op Op) {
@@ -486,10 +452,7 @@ func (w *World) compileStream(t *testing.T, i int, op Op) {
 	ref := spec.docs[w.doc(op.C)]
 	sm, err := spec.compiled.Expr.CompileStream()
 	if err != nil {
-		if spec.streamOK {
-			t.Fatalf("op %d: stream compile: %v", i, err)
-		}
-		return
+		t.Fatalf("op %d: stream compile: %v", i, err)
 	}
 	pos, ok := sm.Find(ref.syms)
 	if ok != ref.findOK || (ok && pos != ref.findPos) {

@@ -3,7 +3,6 @@ package serve
 import (
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"time"
 
@@ -17,14 +16,12 @@ import (
 // body straight through the wrapper's one-pass streaming extractor — the
 // page is tokenized and matched chunk by chunk as it arrives, memory stays
 // O(1) beyond the match region, and the warm path performs no allocations
-// (see ARCHITECTURE.md §8).
+// (see ARCHITECTURE.md §8). Every wrapper streams, so the route has no
+// materialized fallback.
 //
 // The route serves the key's active version only: canary routing needs the
 // request-counting stride bookkeeping of the batch path, and a staged
-// canary observes batch traffic regardless. Wrappers whose automata exceed
-// the dense-table bounds of the streaming matcher fall back to the
-// materialized path within the same request, counted in
-// extract_stream_fallback_total.
+// canary observes batch traffic regardless.
 func (s *Server) handleExtractStream(w http.ResponseWriter, r *http.Request) {
 	s.obs.Counter("serve_requests_total").Inc()
 	key := r.PathValue("key")
@@ -37,41 +34,24 @@ func (s *Server) handleExtractStream(w http.ResponseWriter, r *http.Request) {
 	ctx, sp := s.obs.StartSpan(ctx, "serve.stream")
 	sp.SetStr("key", key)
 	start := time.Now()
+	se, err := wr.Stream()
+	if err != nil {
+		sp.SetError(err)
+		sp.End()
+		writeError(w, http.StatusInternalServerError, err)
+		return
+	}
 	body := http.MaxBytesReader(w, r.Body, s.maxBody)
 
 	res := extractResult{Key: key}
-	bytesIn := int64(0)
-	mode := "stream"
-	var err error
-	if se, serr := wr.Stream(); serr == nil {
-		err = se.ExtractReaderTo(ctx, body, func(sr wrapper.StreamRegion) error {
-			res.OK = true
-			res.TokenIndex = sr.TokenIndex
-			res.Start = sr.Span.Start
-			res.End = sr.Span.End
-			res.Source = string(sr.Source)
-			return nil
-		})
-	} else {
-		// Dense-table overflow (or another stream-compile failure): serve the
-		// request materialized so the route never fails where POST /extract
-		// would succeed.
-		mode = "fallback"
-		s.obs.Counter("extract_stream_fallback_total").Inc()
-		var page []byte
-		if page, err = io.ReadAll(body); err == nil {
-			bytesIn = int64(len(page))
-			var reg wrapper.Region
-			if reg, err = wr.ExtractContext(ctx, string(page)); err == nil {
-				res.OK = true
-				res.TokenIndex = reg.TokenIndex
-				res.Start = reg.Span.Start
-				res.End = reg.Span.End
-				res.Source = reg.Source
-			}
-		}
-	}
-	sp.SetStr("mode", mode)
+	err = se.ExtractReaderTo(ctx, body, func(sr wrapper.StreamRegion) error {
+		res.OK = true
+		res.TokenIndex = sr.TokenIndex
+		res.Start = sr.Span.Start
+		res.End = sr.Span.End
+		res.Source = string(sr.Source)
+		return nil
+	})
 	switch {
 	case err == nil:
 	case errors.Is(err, wrapper.ErrNotExtracted):
@@ -101,8 +81,6 @@ func (s *Server) handleExtractStream(w http.ResponseWriter, r *http.Request) {
 	s.wideEvent("serve.stream_request",
 		"trace", tc.TraceID,
 		"key", key,
-		"mode", mode,
-		"doc_bytes", bytesIn,
 		"ok", res.OK,
 		"duration_us", elapsed.Microseconds(),
 	)

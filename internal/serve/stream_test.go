@@ -127,7 +127,4 @@ func TestServeExtractStreamMetrics(t *testing.T) {
 	if v := s.obs.Counter("extract_stream_chunks_total").Value(); v < 5 {
 		t.Errorf("extract_stream_chunks_total = %d, want several at 11-byte chunks", v)
 	}
-	if v := s.obs.Counter("extract_stream_fallback_total").Value(); v != 0 {
-		t.Errorf("extract_stream_fallback_total = %d, want 0", v)
-	}
 }

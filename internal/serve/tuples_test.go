@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"strings"
@@ -214,5 +215,48 @@ func TestServeTuplesWrapperKindStable(t *testing.T) {
 	}
 	if !wrapper.IsTuplePayload(tuplePayload(t)) {
 		t.Fatal("tuple payload not recognized")
+	}
+}
+
+// TestExtractDoesNotGrowSymbolTable: extraction resolves page tokens by
+// lookup, so pages full of unseen tag names leave the symbol tables, which
+// every wrapper loaded from a cached artifact shares, exactly as they were.
+func TestExtractDoesNotGrowSymbolTable(t *testing.T) {
+	s, _ := testServer(t)
+	payload := tuplePayload(t)
+	if rec := do(t, s, "PUT", "/wrappers/parts", payload); rec.Code != http.StatusCreated {
+		t.Fatalf("register tuple wrapper: %d: %s", rec.Code, rec.Body)
+	}
+	var p struct {
+		Expr  string   `json:"expr"`
+		Sigma []string `json:"sigma"`
+	}
+	if err := json.Unmarshal(payload, &p); err != nil {
+		t.Fatal(err)
+	}
+	comp, err := s.cache.LoadTuple(p.Expr, p.Sigma, s.opt) // the cached artifact "parts" shares
+	if err != nil {
+		t.Fatal(err)
+	}
+	single, tuple := s.Fleet().Get("vs").Table(), comp.Tab
+	singleLen, tupleLen := single.Len(), tuple.Len()
+	for i := 0; i < 50; i++ {
+		page := fmt.Sprintf("<novel%d><table><tr><td>a</td><td>b</td></tr></table></novel%d>", i, i)
+		body, err := json.Marshal(extractRequest{Docs: []wrapper.BatchDoc{{Key: "vs", HTML: page}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec := do(t, s, "POST", "/extract", body); rec.Code != http.StatusOK {
+			t.Fatalf("extract: %d: %s", rec.Code, rec.Body)
+		}
+		if rec := do(t, s, "POST", "/extract/tuples/parts", []byte(page)); rec.Code != http.StatusOK {
+			t.Fatalf("tuples: %d: %s", rec.Code, rec.Body)
+		}
+	}
+	if n := single.Len(); n != singleLen {
+		t.Errorf("POST /extract grew the single-pivot table from %d to %d names", singleLen, n)
+	}
+	if n := tuple.Len(); n != tupleLen {
+		t.Errorf("POST /extract/tuples grew the tuple table from %d to %d names", tupleLen, n)
 	}
 }

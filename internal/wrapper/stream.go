@@ -2,7 +2,6 @@ package wrapper
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"sync"
@@ -19,12 +18,6 @@ import (
 // stay cheap.
 const streamChunkSize = 32 << 10
 
-// ErrStreamUnavailable wraps CompileStream failures: the expression's
-// automata exceed the dense-table bounds of the one-pass matcher. Callers
-// fall back to the materialized Extract path (and should count the
-// fallback).
-var ErrStreamUnavailable = errors.New("wrapper: streaming matcher unavailable")
-
 // streamBox lazily compiles the wrapper's one-pass streaming matcher, shared
 // by all copies of the wrapper.
 type streamBox struct {
@@ -35,13 +28,14 @@ type streamBox struct {
 
 // Stream returns the wrapper's streaming extractor, compiling the one-pass
 // matcher (extract.StreamMatcher) on first use and caching it for the
-// wrapper's lifetime. Errors wrap ErrStreamUnavailable; callers then fall
-// back to the materialized Extract path.
+// wrapper's lifetime. The compile does not depend on the context the wrapper
+// was loaded under; its only error is a Σ symbol id past the dense
+// symbol-index bound.
 func (w *Wrapper) Stream() (*StreamExtractor, error) {
 	w.sbox.once.Do(func() {
 		sm, err := w.expr.CompileStream()
 		if err != nil {
-			w.sbox.err = fmt.Errorf("%w: %v", ErrStreamUnavailable, err)
+			w.sbox.err = fmt.Errorf("wrapper: stream: %w", err)
 			return
 		}
 		w.sbox.se = &StreamExtractor{w: w, sm: sm}

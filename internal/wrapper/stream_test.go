@@ -3,11 +3,14 @@ package wrapper
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"io"
+	"math/rand"
 	"strings"
 	"testing"
 
+	"resilex/internal/machine"
 	"resilex/internal/obs"
 )
 
@@ -216,5 +219,75 @@ func TestStreamContextCancel(t *testing.T) {
 	cancel()
 	if _, err := se.ExtractReader(ctx, strings.NewReader(fig1Top)); err == nil {
 		t.Fatal("extraction succeeded under a canceled context")
+	}
+}
+
+// TestStreamAfterLoadContextEnds: the stream compile does not poll the
+// context the wrapper was loaded under, so a wrapper loaded inside a request
+// still streams once that request is over.
+func TestStreamAfterLoadContextEnds(t *testing.T) {
+	data, err := trainFig1(t).MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	w, err := Load(data, machine.Options{Ctx: ctx})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cancel()
+	se, err := w.Stream()
+	if err != nil {
+		t.Fatalf("Stream after the load context ended: %v", err)
+	}
+	want, err := w.Extract(fig1Top)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := se.ExtractReader(context.Background(), strings.NewReader(fig1Top))
+	if err != nil || got != want {
+		t.Fatalf("stream %+v, %v; materialized %+v", got, err, want)
+	}
+}
+
+// TestStreamWideAutomaton: a wrapper whose prefix DFA has 2^16 = 65,536
+// states, past the old uint16 dense-table limit, streams, and the one-pass
+// answers equal Extract's on seeded random pages.
+func TestStreamWideAutomaton(t *testing.T) {
+	const n = 16 // the witness (P|Q)* P (P|Q)^(n-1): its minimal DFA has 2^n states
+	expr := "(P | Q)* P" + strings.Repeat(" (P | Q)", n-1) + " <P> .*"
+	data, err := json.Marshal(persisted{Version: 1, Expr: expr, Sigma: []string{"P", "Q"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := Load(data, machine.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := w.Expr().Left().States(); got != 1<<n {
+		t.Fatalf("prefix DFA has %d states, want %d", got, 1<<n)
+	}
+	se, err := w.Stream()
+	if err != nil {
+		t.Fatalf("Stream: %v", err)
+	}
+	rng := rand.New(rand.NewSource(16))
+	for i := 0; i < 200; i++ {
+		var page strings.Builder
+		for j := 10 + rng.Intn(60); j > 0; j-- {
+			switch r := rng.Intn(50); {
+			case r == 0:
+				page.WriteString("<b>") // outside Σ
+			case r%2 == 0:
+				page.WriteString("<p>")
+			default:
+				page.WriteString("<q>")
+			}
+		}
+		want, werr := w.Extract(page.String())
+		got, serr := se.ExtractReader(context.Background(), strings.NewReader(page.String()))
+		if (werr == nil) != (serr == nil) || got != want {
+			t.Fatalf("page %q: stream %+v, %v; materialized %+v, %v", page.String(), got, serr, want, werr)
+		}
 	}
 }

@@ -137,7 +137,7 @@ func markedIndices(doc htmltok.Document, html string) ([]int, error) {
 
 // Extract runs the tuple wrapper on a page, returning one region per slot.
 func (w *TupleWrapper) Extract(html string) ([]Region, error) {
-	doc := w.mapper.Map(html)
+	doc := w.mapper.Resolve(html)
 	vector, ok, err := w.tuple.Extract(doc.Syms)
 	if err != nil {
 		return nil, err

@@ -88,7 +88,7 @@ func (w *TupleWrapper) ExtractAllContext(ctx context.Context, html string) ([][]
 	if err != nil {
 		return nil, err
 	}
-	doc := w.mapper.Map(html)
+	doc := w.mapper.Resolve(html)
 	m, err := prog.RunContext(ctx, doc.Syms)
 	if err != nil {
 		return nil, err
