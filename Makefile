@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build fmt-check vet test race cover fuzz fuzz-smoke fuzz-lint check bench microbench experiments examples metrics-smoke metrics-lint doc-smoke cache-smoke cluster-smoke refresh-smoke alloc-gate spanner-gate clean
+.PHONY: all build fmt-check vet test race cover fuzz fuzz-smoke fuzz-lint check bench microbench experiments examples metrics-smoke metrics-lint doc-smoke cache-smoke cluster-smoke refresh-smoke alloc-gate spanner-gate benchmark-check clean
 
 all: build vet test
 
@@ -170,6 +170,13 @@ spanner-gate:
 # and confirm the bad canary rolls back — with every request answered.
 refresh-smoke:
 	sh scripts/refresh_smoke.sh
+
+# Benchmark module check: the serving benchmark (benchmark/) is its own Go
+# module, so `go test ./...` from the root never builds it, yet it compiles
+# against the extract, wrapper and serve APIs. Vet and test it; its tests
+# create scratch directories under .bench_build, so make that first.
+benchmark-check:
+	mkdir -p .bench_build && cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 examples:
 	$(GO) run ./examples/quickstart

@@ -25,8 +25,10 @@
 //	                       page is the request body and is piped chunk by chunk
 //	                       through the one-pass matcher without ever being
 //	                       materialized — memory stays O(1) beyond the match
-//	                       region and the warm path allocates nothing (see the
-//	                       README's "Streaming extraction" walkthrough)
+//	                       region and the warm path allocates nothing; a tuple
+//	                       key answers 422 (serve_rejected_total{reason="arity"}),
+//	                       an unknown key 404 (see the README's "Streaming
+//	                       extraction" walkthrough)
 //	POST   /extract/tuples/{key}  single-document record extraction for a key
 //	                       registered with a tuple (k-ary) wrapper: the raw page
 //	                       is the request body, the response enumerates every
@@ -35,9 +37,10 @@
 //	                       spanner; a single-pivot key answers 422 (counted under
 //	                       serve_rejected_total{reason="arity"}), an unknown key
 //	                       404 (see the README's "Extracting records" walkthrough)
-//	PUT    /wrappers/{key} register or replace a site wrapper from its persisted
-//	                       JSON; compilation is cached and deduplicated, and with
-//	                       -cache-dir the registration survives restarts
+//	PUT    /wrappers/{key} register or replace a site wrapper of either kind from
+//	                       its persisted JSON; compilation is cached and
+//	                       deduplicated, and with -cache-dir the registration
+//	                       survives restarts
 //	DELETE /wrappers/{key} remove a site wrapper; with -cache-dir the deletion
 //	                       persists as a versioned tombstone, so restarts don't
 //	                       resurrect it (a later re-PUT does, at a higher version)
@@ -134,7 +137,7 @@ func run() int {
 	listen := flag.String("listen", ":8093", "address to serve on")
 	workers := flag.Int("workers", 0, "extraction worker-pool size (0 = GOMAXPROCS)")
 	docTimeout := flag.Duration("doc-timeout", 0, "per-document extraction deadline (0 = none)")
-	cacheCap := flag.Int("cache", 256, "in-memory compiled-artifact cache capacity")
+	cacheCap := flag.Int("cache", 256, "in-memory compiled-artifact cache capacity (single-pivot and tuple artifacts together)")
 	cacheDir := flag.String("cache-dir", "", "directory for the persistent tier: compiled artifacts and PUT wrappers survive restarts (empty = memory only)")
 	diskCap := flag.Int("disk-cache", -1, "on-disk compiled-artifact capacity (-1 = unbounded, 0 = store nothing)")
 	maxStates := flag.Int("max-states", 0, "state budget for wrapper compilation (0 = default)")

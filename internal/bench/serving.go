@@ -92,7 +92,7 @@ func E16Throughput(docs, workers int, seed int64) Table {
 	baseline := row("load/doc", durs, time.Since(start), -1, 0)
 
 	// Mode 2 — cached load per document: one miss, then hits.
-	cache := extract.NewCache(16, DefaultObserver)
+	cache := extract.NewTieredCache(extract.NewCache(16, DefaultObserver), nil)
 	start = time.Now()
 	for i, page := range pages {
 		s := time.Now()

@@ -53,7 +53,7 @@ func E20TracingOverhead(docs, workers int, seed int64) Table {
 	// One warmed fleet shared by both modes: the compile happens once here,
 	// so neither mode pays a cold-start artifact.
 	o := obs.New()
-	cache := extract.NewCache(16, o)
+	cache := extract.NewTieredCache(extract.NewCache(16, o), nil)
 	fw, err := wrapper.LoadCached(payload, DefaultOptions, cache)
 	if err != nil {
 		panic(err)

@@ -5,7 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -40,13 +40,7 @@ type Compiled struct {
 // or the symbol tables they were written from therefore share one key — and
 // one compilation.
 func Key(src string, sigmaNames []string) (string, error) {
-	names := append([]string(nil), sigmaNames...)
-	sort.Strings(names)
-	names = dedupSorted(names)
-	// Interning the sorted names into a fresh table makes symbol ids — and
-	// with them rx.Fingerprint — a pure function of the name set.
-	tab := symtab.NewTable()
-	sigma := symtab.NewAlphabet(tab.InternAll(names...)...)
+	names, tab, sigma := canonicalSigma(sigmaNames)
 	m, err := rx.ParseMarked(src, tab, sigma)
 	if err != nil {
 		return "", fmt.Errorf("extract: cache key: %w", err)
@@ -57,14 +51,16 @@ func Key(src string, sigmaNames []string) (string, error) {
 	return hex.EncodeToString(h.Sum(nil)), nil
 }
 
-func dedupSorted(names []string) []string {
-	out := names[:0]
-	for i, n := range names {
-		if i == 0 || n != names[i-1] {
-			out = append(out, n)
-		}
-	}
-	return out
+// canonicalSigma sorts and deduplicates the alphabet names and interns them
+// into a fresh table: symbol ids — and with them rx.Fingerprint — become a
+// pure function of the name set, which is what makes Key and KeyTuple
+// content addresses.
+func canonicalSigma(sigmaNames []string) ([]string, *symtab.Table, symtab.Alphabet) {
+	names := slices.Clone(sigmaNames)
+	slices.Sort(names)
+	names = slices.Compact(names)
+	tab := symtab.NewTable()
+	return names, tab, symtab.NewAlphabet(tab.InternAll(names...)...)
 }
 
 // CacheStats is a point-in-time view of cache effectiveness. HitRate is in
@@ -82,12 +78,16 @@ func (s CacheStats) HitRate() float64 {
 	return float64(s.Hits) / float64(s.Hits+s.Misses)
 }
 
-// Cache is a content-addressed LRU of compiled extraction artifacts with
-// singleflight admission: concurrent misses on one key block on a single
-// compilation instead of compiling in parallel, so a thundering herd of
-// requests for a cold wrapper costs one determinization, not N.
+// Cache is the memory tier of the compiled-artifact cache: a
+// content-addressed LRU holding artifacts of both kinds — single-pivot
+// *Compiled and k-ary *CompiledTuple, whose keys (Key, KeyTuple) are
+// domain-separated — under one capacity, with singleflight admission:
+// concurrent misses on one key block on a single compilation instead of
+// compiling in parallel, so a thundering herd of requests for a cold wrapper
+// costs one determinization, not N. Artifacts are loaded through a
+// TieredCache, the only loading front door.
 //
-// Lookups maintain the counters extract_cache_hits_total,
+// Lookups of either kind maintain the counters extract_cache_hits_total,
 // extract_cache_misses_total and extract_cache_evictions_total and the gauge
 // extract_cache_entries on the observer given to NewCache (nil-safe no-ops
 // without one); Stats reads the same numbers without an observer. A Cache is
@@ -108,18 +108,18 @@ type Cache struct {
 
 type cacheEntry struct {
 	key string
-	val *Compiled
+	val any // *Compiled or *CompiledTuple
 }
 
 type flight struct {
 	done chan struct{}
-	val  *Compiled
+	val  any
 	err  error
 }
 
 // NewCache returns an empty cache holding at most capacity compiled
-// artifacts (minimum 1). The observer receives the hit/miss/eviction
-// counters and entry gauge; pass nil to run unobserved.
+// artifacts of either kind together (minimum 1). The observer receives the
+// hit/miss/eviction counters and entry gauge; pass nil to run unobserved.
 func NewCache(capacity int, o *obs.Observer) *Cache {
 	if capacity < 1 {
 		capacity = 1
@@ -136,46 +136,33 @@ func NewCache(capacity int, o *obs.Observer) *Cache {
 	}
 }
 
-// Get returns the artifact cached under key, refreshing its recency, or
-// ok=false on a miss. Get never blocks on an in-flight compilation.
-func (c *Cache) Get(key string) (*Compiled, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.entries[key]
-	if !ok {
-		c.misses.Add(1)
-		c.obsMisses.Inc()
-		return nil, false
-	}
-	c.ll.MoveToFront(el)
+func (c *Cache) hit() {
 	c.hits.Add(1)
 	c.obsHits.Inc()
-	return el.Value.(*cacheEntry).val, true
 }
 
-// GetOrCompile returns the artifact cached under key, compiling and
+// getOrCompile returns the artifact cached under key, compiling and
 // admitting it via compile on a miss. Concurrent callers that miss on the
 // same key share one compile call (singleflight): the first caller runs it,
 // the rest block and receive its result — including its error. Errors are
-// not cached; the next miss retries.
-func (c *Cache) GetOrCompile(key string, compile func() (*Compiled, error)) (*Compiled, error) {
+// not cached; the next miss retries. Key and KeyTuple never collide, so the
+// artifact under a key always has the kind its caller asks for.
+func getOrCompile[T any](c *Cache, key string, compile func() (T, error)) (T, error) {
 	c.mu.Lock()
 	if el, ok := c.entries[key]; ok {
 		c.ll.MoveToFront(el)
-		c.hits.Add(1)
-		c.obsHits.Inc()
+		c.hit()
 		v := el.Value.(*cacheEntry).val
 		c.mu.Unlock()
-		return v, nil
+		return v.(T), nil
 	}
 	if f, ok := c.inflight[key]; ok {
 		// Someone else is compiling this key; joining their flight counts as
 		// a hit — no compilation work happens on this call.
-		c.hits.Add(1)
-		c.obsHits.Inc()
+		c.hit()
 		c.mu.Unlock()
 		<-f.done
-		return f.val, f.err
+		return f.val.(T), f.err
 	}
 	f := &flight{done: make(chan struct{})}
 	c.inflight[key] = f
@@ -183,20 +170,21 @@ func (c *Cache) GetOrCompile(key string, compile func() (*Compiled, error)) (*Co
 	c.obsMisses.Inc()
 	c.mu.Unlock()
 
-	f.val, f.err = compile()
+	v, err := compile()
+	f.val, f.err = v, err
 
 	c.mu.Lock()
 	delete(c.inflight, key)
-	if f.err == nil {
-		c.addLocked(key, f.val)
+	if err == nil {
+		c.addLocked(key, v)
 	}
 	c.mu.Unlock()
 	close(f.done)
-	return f.val, f.err
+	return v, err
 }
 
 // addLocked admits one artifact, evicting from the LRU tail past capacity.
-func (c *Cache) addLocked(key string, val *Compiled) {
+func (c *Cache) addLocked(key string, val any) {
 	if el, ok := c.entries[key]; ok {
 		c.ll.MoveToFront(el)
 		el.Value.(*cacheEntry).val = val
@@ -216,7 +204,7 @@ func (c *Cache) addLocked(key string, val *Compiled) {
 // Evict removes the artifact cached under key, counting it as an eviction.
 // It reports whether the key was resident. An in-flight compilation of the
 // same key is unaffected: it completes and re-admits its result. Borrowers
-// that already hold the *Compiled keep a valid value — eviction only drops
+// that already hold the artifact keep a valid value — eviction only drops
 // the cache's reference.
 func (c *Cache) Evict(key string) bool {
 	c.mu.Lock()
@@ -248,21 +236,6 @@ func (c *Cache) Flush() int {
 	c.obsEvictions.Add(int64(n))
 	c.obsEntries.Set(0)
 	return n
-}
-
-// Load is the serving-path entry point: the artifact for the persisted
-// expression src over the alphabet sigmaNames, compiled at most once per
-// content address. opt bounds the compilation of this call only — the cached
-// artifact is stored with any deadline stripped, so one request's context
-// never expires another request's cache entry.
-func (c *Cache) Load(src string, sigmaNames []string, opt machine.Options) (*Compiled, error) {
-	key, err := Key(src, sigmaNames)
-	if err != nil {
-		return nil, err
-	}
-	return c.GetOrCompile(key, func() (*Compiled, error) {
-		return CompileArtifact(src, sigmaNames, opt)
-	})
 }
 
 // Len returns the number of cached artifacts.

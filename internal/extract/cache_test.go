@@ -60,12 +60,13 @@ func TestKeyCanonical(t *testing.T) {
 func TestCacheLRUAndStats(t *testing.T) {
 	o := obs.New()
 	c := NewCache(2, o)
+	tc := NewTieredCache(c, nil)
 	load := func(i int) {
 		t.Helper()
 		// Syntactically distinct prefixes — ".*" vs "(q|p)*" would collide,
 		// which is the cache working, not three artifacts.
 		src := fmt.Sprintf("%s <p> .*", []string{"q*", "(q q)*", "q? q*"}[i])
-		if _, err := c.Load(src, []string{"p", "q"}, machine.Options{}); err != nil {
+		if _, err := tc.Load(src, []string{"p", "q"}, machine.Options{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -101,6 +102,37 @@ func TestCacheLRUAndStats(t *testing.T) {
 	}
 }
 
+// TestCacheBoundsBothKinds: the memory tier is one LRU for both artifact
+// kinds — one capacity bounds them together, and tuple loads move the same
+// counters as single-pivot ones.
+func TestCacheBoundsBothKinds(t *testing.T) {
+	o := obs.New()
+	tc := NewTieredCache(NewCache(1, o), nil)
+	if _, err := tc.Load("q* <p> q*", []string{"p", "q"}, machine.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tc.LoadTuple("q* <p> q* <p> q*", []string{"p", "q"}, machine.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tc.LoadTuple("q* <p> q* <p> q*", []string{"p", "q"}, machine.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	want := CacheStats{Hits: 1, Misses: 2, Evictions: 1, Entries: 1}
+	if s := tc.Stats(); s != want {
+		t.Errorf("Stats() = %+v, want %+v", s, want)
+	}
+	snap := o.Metrics.Snapshot()
+	if n := snap.Counters["extract_cache_misses_total"]; n != 2 {
+		t.Errorf("extract_cache_misses_total = %d, want 2", n)
+	}
+	if n := snap.Gauges["extract_cache_entries"]; n != 1 {
+		t.Errorf("extract_cache_entries = %d, want 1", n)
+	}
+	if n := tc.FlushMem(); n != 1 {
+		t.Errorf("FlushMem() = %d, want 1: a capacity-1 tier held more than one artifact", n)
+	}
+}
+
 // TestCacheSingleflight hammers one cold key from many goroutines: the
 // compile function must run exactly once, and every caller must receive the
 // same artifact. Run under -race by make race.
@@ -119,7 +151,7 @@ func TestCacheSingleflight(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			<-gate
-			comp, err := c.GetOrCompile(key, func() (*Compiled, error) {
+			comp, err := getOrCompile(c, key, func() (*Compiled, error) {
 				compiles.Add(1)
 				return CompileArtifact("q* <p> .*", []string{"p", "q"}, machine.Options{})
 			})
@@ -151,10 +183,10 @@ func TestCacheErrorsNotCached(t *testing.T) {
 	boom := errors.New("boom")
 	calls := 0
 	fail := func() (*Compiled, error) { calls++; return nil, boom }
-	if _, err := c.GetOrCompile("k", fail); !errors.Is(err, boom) {
+	if _, err := getOrCompile(c, "k", fail); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
 	}
-	if _, err := c.GetOrCompile("k", fail); !errors.Is(err, boom) {
+	if _, err := getOrCompile(c, "k", fail); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom on retry", err)
 	}
 	if calls != 2 {
@@ -168,9 +200,9 @@ func TestCacheErrorsNotCached(t *testing.T) {
 // TestCachedArtifactDropsDeadline: a cache entry compiled under a request
 // context must stay usable after that request's deadline passes.
 func TestCachedArtifactDropsDeadline(t *testing.T) {
-	c := NewCache(4, nil)
+	tc := NewTieredCache(NewCache(4, nil), nil)
 	ctx, cancel := context.WithCancel(context.Background())
-	comp, err := c.Load("q* <p> .*", []string{"p", "q"}, machine.Options{Ctx: ctx})
+	comp, err := tc.Load("q* <p> .*", []string{"p", "q"}, machine.Options{Ctx: ctx})
 	if err != nil {
 		t.Fatal(err)
 	}

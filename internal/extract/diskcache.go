@@ -28,9 +28,9 @@ type DiskStats struct {
 }
 
 // DiskCache is the second tier of the compiled-artifact cache: a directory
-// of EncodeArtifact blobs under the same content-addressed keys as the
-// in-memory tier, so compiled wrappers survive process restarts and can be
-// shared between processes on one host.
+// of EncodeArtifact and EncodeTupleArtifact blobs under the same
+// content-addressed keys as the in-memory tier, so compiled wrappers
+// survive process restarts and can be shared between processes on one host.
 //
 // Capacity counts artifacts on disk: capacity < 0 is unbounded, capacity 0
 // stores nothing (every Put is dropped, every Get misses), and otherwise the
@@ -103,32 +103,38 @@ func (d *DiskCache) miss() {
 	d.obsMisses.Inc()
 }
 
-// Get loads and decodes the artifact stored under key, refreshing its
-// recency, or reports ok=false on a miss. Undecodable blobs are discarded
-// (counted under Corrupt and as a miss); a blob whose content re-hashes to a
-// different key — a renamed or cross-wired file — is treated the same way,
-// so a disk hit is always the artifact the key names.
+// Get loads and decodes the single-pivot artifact stored under key,
+// refreshing its recency, or reports ok=false on a miss. Undecodable blobs
+// are discarded (counted under Corrupt and as a miss); a blob whose content
+// re-hashes to a different key — a renamed or cross-wired file — is treated
+// the same way, so a disk hit is always the artifact the key names.
 func (d *DiskCache) Get(key string, opt machine.Options) (*Compiled, bool) {
+	return diskGet(d, singleKind, key, opt)
+}
+
+// diskGet is the one disk-read path, shared by both artifact kinds.
+func diskGet[T artifact](d *DiskCache, k kind[T], key string, opt machine.Options) (T, bool) {
+	var zero T
 	path, err := d.keyPath(key)
 	if err != nil {
 		d.miss()
-		return nil, false
+		return zero, false
 	}
 	blob, err := os.ReadFile(path)
 	if err != nil {
 		d.miss()
-		return nil, false
+		return zero, false
 	}
-	c, err := DecodeArtifact(blob, opt)
-	if err == nil {
+	c, err := k.decode(blob, opt)
+	ok := err == nil
+	if ok {
 		// Content addressing is the integrity contract of the tier: the
 		// decoded source must hash back to the key that named the file.
-		rekey, kerr := Key(c.Src, c.SigmaNames)
-		if kerr != nil || rekey != key {
-			err = fmt.Errorf("extract: disk cache: artifact content does not match key %s", key)
-		}
+		src, names := c.persisted()
+		rekey, kerr := k.key(src, names)
+		ok = kerr == nil && rekey == key
 	}
-	if err != nil {
+	if !ok {
 		d.mu.Lock()
 		os.Remove(path)
 		d.mu.Unlock()
@@ -136,7 +142,7 @@ func (d *DiskCache) Get(key string, opt machine.Options) (*Compiled, bool) {
 		d.obsCorrupt.Inc()
 		d.miss()
 		d.obsEntries.Set(int64(d.countEntries()))
-		return nil, false
+		return zero, false
 	}
 	now := time.Now()
 	os.Chtimes(path, now, now) // best-effort LRU recency bump
@@ -145,26 +151,28 @@ func (d *DiskCache) Get(key string, opt machine.Options) (*Compiled, bool) {
 	return c, true
 }
 
-// Put encodes the artifact and stores it under key, evicting the
-// least-recently-used artifacts past capacity. Artifacts that cannot encode
-// (no persisted source) and capacity-0 caches drop the write without error;
-// I/O failures are returned.
+// Put encodes the single-pivot artifact and stores it under key, evicting
+// the least-recently-used artifacts past capacity. Artifacts that cannot
+// encode (no persisted source) and capacity-0 caches drop the write without
+// error; I/O failures are returned.
 func (d *DiskCache) Put(key string, c *Compiled) error {
-	if d.capacity == 0 {
-		return nil
-	}
-	blob, err := EncodeArtifact(c)
-	if err != nil {
-		return err
-	}
-	return d.putBlob(key, blob)
+	return diskPut(d, singleKind, key, c)
 }
 
-// putBlob atomically writes one already-encoded artifact blob under key —
-// the shared body of Put and PutTuple.
-func (d *DiskCache) putBlob(key string, blob []byte) error {
+// PutTuple is Put for a k-ary tuple artifact; tuple blobs count against the
+// same capacity as single-pivot ones.
+func (d *DiskCache) PutTuple(key string, c *CompiledTuple) error {
+	return diskPut(d, tupleKind, key, c)
+}
+
+// diskPut atomically writes one artifact of either kind under key.
+func diskPut[T artifact](d *DiskCache, k kind[T], key string, c T) error {
 	if d.capacity == 0 {
 		return nil
+	}
+	blob, err := k.encode(c)
+	if err != nil {
+		return err
 	}
 	path, err := d.keyPath(key)
 	if err != nil {

@@ -10,9 +10,10 @@ import (
 
 // A content-addressed cache compiles each distinct expression once; later
 // loads of the same source — whatever the Σ-name order — are hits sharing
-// one compiled artifact.
+// one compiled artifact. Loads go through a TieredCache; a nil disk tier
+// keeps it memory-only.
 func ExampleCache() {
-	cache := extract.NewCache(64, nil)
+	cache := extract.NewTieredCache(extract.NewCache(64, nil), nil)
 	for _, sigma := range [][]string{{"p", "q"}, {"q", "p"}, {"q", "p", "p"}} {
 		if _, err := cache.Load("q* <p> .*", sigma, machine.Options{}); err != nil {
 			panic(err)

@@ -14,10 +14,16 @@
 // bounded thread set so documents can be matched token by token as they
 // arrive, in O(1) memory beyond the match region — provably equivalent to
 // the two-scan Matcher (THEORY.md, "One-pass streaming extraction ≡ the
-// two-scan matcher"). For high-throughput serving, Cache memoizes compiled
-// artifacts under a content address — a hash of the canonicalized
-// expression and its alphabet — with LRU eviction and singleflight
-// deduplication of concurrent cold compiles (see ExampleCache).
+// two-scan matcher"). Tuple generalizes E1⟨p⟩E2 to k marks,
+// E0⟨p1⟩E1…⟨pk⟩Ek.
+//
+// For high-throughput serving, TieredCache memoizes compiled artifacts of
+// both kinds — single-pivot (Compiled) and tuple (CompiledTuple) — under a
+// content address, a hash of the canonicalized expression and its alphabet
+// (Key, KeyTuple). One load path serves both kinds: one memory tier (Cache:
+// LRU eviction and singleflight deduplication of concurrent cold compiles
+// under one capacity) over an optional disk tier (DiskCache) (see
+// ExampleCache).
 package extract
 
 import (

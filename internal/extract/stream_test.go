@@ -226,6 +226,15 @@ func TestStreamRunIncremental(t *testing.T) {
 		t.Errorf("recycled run Find = %d,%v, want 0,true", pos, ok)
 	}
 	sm.Put(r2)
+	// The race detector makes sync.Pool.Put drop items at random, so one
+	// Put→Get cycle may miss; there, repeat the cycle a bounded number of
+	// times and still require a hit.
+	for i := 0; raceEnabled && i < 64; i++ {
+		if hits, _ := sm.PoolStats(); hits > 0 {
+			break
+		}
+		sm.Put(sm.Get(FindLeftmost))
+	}
 	hits, misses := sm.PoolStats()
 	if hits < 1 || misses < 1 {
 		t.Errorf("PoolStats = %d,%d, want at least one of each", hits, misses)

@@ -2,6 +2,8 @@ package extract
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -144,5 +146,121 @@ func TestTieredEvictionRacesSingleflight(t *testing.T) {
 	wg.Wait()
 	if n := disk.Len(); n > 1 {
 		t.Fatalf("capacity-1 disk tier holds %d entries", n)
+	}
+}
+
+func TestTieredTupleLoad(t *testing.T) {
+	disk, err := NewDiskCache(t.TempDir(), -1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tc := NewTieredCache(NewCache(4, nil), disk)
+	src, names := "q* <p> q* <r> .*", []string{"p", "q", "r"}
+
+	c1, err := tc.LoadTuple(src, names, machine.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if disk.Len() != 1 {
+		t.Fatalf("disk entries after cold load = %d, want 1 (write-through)", disk.Len())
+	}
+	c2, err := tc.LoadTuple(src, names, machine.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c1 != c2 {
+		t.Fatal("second load did not hit the memory tier")
+	}
+
+	// Flushing memory forces the next load through the disk tier.
+	if n := tc.FlushMem(); n < 1 {
+		t.Fatalf("FlushMem dropped %d entries, want ≥ 1", n)
+	}
+	before := disk.Stats().Hits
+	c3, err := tc.LoadTuple(src, names, machine.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if disk.Stats().Hits != before+1 {
+		t.Fatal("post-flush load did not hit the disk tier")
+	}
+	for j := 0; j <= c1.Tuple.Arity(); j++ {
+		if !machine.StructurallyEqual(c3.Tuple.Segment(j).DFA(), c1.Tuple.Segment(j).DFA()) {
+			t.Fatalf("disk-decoded segment %d disagrees with the compiled original", j)
+		}
+	}
+
+	// Eviction by content address only drops memory residency.
+	key, err := KeyTuple(src, names)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !tc.Mem().Evict(key) {
+		t.Fatal("Evict missed a resident tuple key")
+	}
+	if tc.Mem().Evict(key) {
+		t.Fatal("Evict hit after eviction")
+	}
+	if disk.Len() != 1 {
+		t.Fatalf("disk entries after eviction = %d, want 1", disk.Len())
+	}
+}
+
+// TestTupleDiskCorruption: a damaged tuple blob is discarded and recompiled
+// rather than served.
+func TestTupleDiskCorruption(t *testing.T) {
+	dir := t.TempDir()
+	disk, err := NewDiskCache(dir, -1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tc := NewTieredCache(NewCache(4, nil), disk)
+	src, names := ".* <p> .* <p> .*", []string{"p", "q"}
+	if _, err := tc.LoadTuple(src, names, machine.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	files, err := filepath.Glob(filepath.Join(dir, "*"+artifactExt))
+	if err != nil || len(files) != 1 {
+		t.Fatalf("glob = %v, %v", files, err)
+	}
+	if err := os.WriteFile(files[0], []byte("garbage"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	tc.FlushMem()
+	if _, err := tc.LoadTuple(src, names, machine.Options{}); err != nil {
+		t.Fatalf("load over a corrupt blob should recompile, got %v", err)
+	}
+	if disk.Stats().Corrupt != 1 {
+		t.Fatalf("corrupt count = %d, want 1", disk.Stats().Corrupt)
+	}
+}
+
+// TestTupleAndSingleShareDiskDir: the two artifact kinds coexist under one
+// directory without aliasing each other's keys.
+func TestTupleAndSingleShareDiskDir(t *testing.T) {
+	disk, err := NewDiskCache(t.TempDir(), -1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tc := NewTieredCache(NewCache(4, nil), disk)
+	src, names := "q* <p> q*", []string{"p", "q"} // parses under both grammars
+	if _, err := tc.Load(src, names, machine.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tc.LoadTuple(src, names, machine.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if disk.Len() != 2 {
+		t.Fatalf("disk entries = %d, want 2 (domain-separated keys)", disk.Len())
+	}
+	tc.FlushMem()
+	if _, err := tc.Load(src, names, machine.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tc.LoadTuple(src, names, machine.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if disk.Stats().Corrupt != 0 {
+		t.Fatalf("corrupt = %d, want 0", disk.Stats().Corrupt)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"sort"
 	"strings"
 
 	"resilex/internal/codec"
@@ -31,11 +30,7 @@ type CompiledTuple struct {
 // single-pivot expression can never collide. Like Key it is a pure function
 // of the sorted alphabet name set and the canonical segment fingerprints.
 func KeyTuple(src string, sigmaNames []string) (string, error) {
-	names := append([]string(nil), sigmaNames...)
-	sort.Strings(names)
-	names = dedupSorted(names)
-	tab := symtab.NewTable()
-	sigma := symtab.NewAlphabet(tab.InternAll(names...)...)
+	names, tab, sigma := canonicalSigma(sigmaNames)
 	m, err := rx.ParseMultiMarked(src, tab, sigma)
 	if err != nil {
 		return "", fmt.Errorf("extract: tuple cache key: %w", err)

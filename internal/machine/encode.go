@@ -7,14 +7,12 @@ import (
 	"resilex/internal/symtab"
 )
 
-// Framed formats for persisted automata. Each automaton kind carries its own
-// magic so a blob can never be decoded as the wrong kind; all share the
-// corruption policy of internal/codec — any mismatch (magic, version,
-// checksum, structural invariant) is an error wrapping
-// codec.ErrMalformedInput, never a panic.
+// The framed format for persisted minimal DFAs — the component automata
+// inside compiled artifacts. It shares the corruption policy of
+// internal/codec: any mismatch (magic, version, checksum, structural
+// invariant) is an error wrapping codec.ErrMalformedInput, never a panic.
 const (
 	dfaMagic = "RXDF"
-	nfaMagic = "RXNF"
 
 	automatonVersion = 1
 )
@@ -111,92 +109,4 @@ func DecodeDFA(blob []byte) (*DFA, error) {
 		}
 	}
 	return d, nil
-}
-
-// Encode serializes the NFA — alphabet, start set, accept set, ε-edges and
-// labeled edges — into a framed binary blob.
-func (n *NFA) Encode() []byte {
-	var w codec.Writer
-	encodeAlphabet(&w, n.Sigma)
-	w.Uint(uint64(n.NumStates()))
-	w.Ints(n.Start)
-	w.Bools(n.Accept)
-	for _, eps := range n.Eps {
-		w.Ints(eps)
-	}
-	for _, edges := range n.Edges {
-		w.Uint(uint64(len(edges)))
-		for _, e := range edges {
-			encodeAlphabet(&w, e.On)
-			w.Int(int64(e.To))
-		}
-	}
-	return codec.Seal(nfaMagic, automatonVersion, w.Bytes())
-}
-
-// DecodeNFA restores an NFA from Encode's output, validating that every
-// state reference — start states, ε-targets, edge targets — is in range and
-// every edge label is a subset of Σ. Corrupt input returns an error wrapping
-// codec.ErrMalformedInput, never a panic.
-func DecodeNFA(blob []byte) (*NFA, error) {
-	payload, err := codec.Open(nfaMagic, automatonVersion, blob)
-	if err != nil {
-		return nil, fmt.Errorf("machine: decoding NFA: %w", err)
-	}
-	r := codec.NewReader(payload)
-	sigma, err := decodeAlphabet(r)
-	if err != nil {
-		return nil, fmt.Errorf("machine: decoding NFA: %w", err)
-	}
-	states := r.Len()
-	n := &NFA{
-		Sigma:  sigma,
-		Start:  r.Ints(),
-		Accept: r.Bools(),
-	}
-	for s := 0; s < states && r.Err() == nil; s++ {
-		n.Eps = append(n.Eps, r.Ints())
-	}
-	for s := 0; s < states && r.Err() == nil; s++ {
-		count := r.Len()
-		var edges []Edge
-		for i := 0; i < count && r.Err() == nil; i++ {
-			on, err := decodeAlphabet(r)
-			if err != nil {
-				return nil, fmt.Errorf("machine: decoding NFA: %w", err)
-			}
-			edges = append(edges, Edge{On: on, To: int(r.Int())})
-		}
-		n.Edges = append(n.Edges, edges)
-	}
-	if err := r.Done(); err != nil {
-		return nil, fmt.Errorf("machine: decoding NFA: %w", err)
-	}
-	if len(n.Accept) != states || states == 0 {
-		return nil, fmt.Errorf("%w: NFA with %d accept bits for %d states", codec.ErrMalformedInput, len(n.Accept), states)
-	}
-	inRange := func(s int) bool { return s >= 0 && s < states }
-	for _, s := range n.Start {
-		if !inRange(s) {
-			return nil, fmt.Errorf("%w: NFA start state %d out of range", codec.ErrMalformedInput, s)
-		}
-	}
-	for _, eps := range n.Eps {
-		for _, t := range eps {
-			if !inRange(t) {
-				return nil, fmt.Errorf("%w: NFA ε-target %d out of range", codec.ErrMalformedInput, t)
-			}
-		}
-	}
-	for _, edges := range n.Edges {
-		for _, e := range edges {
-			if !inRange(e.To) {
-				return nil, fmt.Errorf("%w: NFA edge target %d out of range", codec.ErrMalformedInput, e.To)
-			}
-			if !e.On.SubsetOf(sigma) {
-				return nil, fmt.Errorf("%w: NFA edge label outside Σ", codec.ErrMalformedInput)
-			}
-		}
-	}
-	return n, nil
 }

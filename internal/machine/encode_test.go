@@ -9,8 +9,8 @@ import (
 	"resilex/internal/symtab"
 )
 
-// codecEnv compiles src over {p,q,r} into an NFA plus its minimal DFA.
-func codecEnv(t *testing.T, src string) (*NFA, *DFA, []symtab.Symbol) {
+// codecEnv compiles src over {p,q,r} into its minimal DFA.
+func codecEnv(t *testing.T, src string) (*DFA, []symtab.Symbol) {
 	t.Helper()
 	tab := symtab.NewTable()
 	sigma := symtab.NewAlphabet(tab.InternAll("p", "q", "r")...)
@@ -26,14 +26,14 @@ func codecEnv(t *testing.T, src string) (*NFA, *DFA, []symtab.Symbol) {
 	if err != nil {
 		t.Fatalf("determinize %q: %v", src, err)
 	}
-	return n, Minimize(d), sigma.Symbols()
+	return Minimize(d), sigma.Symbols()
 }
 
 func TestDFACodecRoundTrip(t *testing.T) {
 	for _, src := range equivCases {
 		src := src
 		t.Run(src, func(t *testing.T) {
-			_, d, syms := codecEnv(t, src)
+			d, syms := codecEnv(t, src)
 			got, err := DecodeDFA(d.Encode())
 			if err != nil {
 				t.Fatal(err)
@@ -50,36 +50,14 @@ func TestDFACodecRoundTrip(t *testing.T) {
 	}
 }
 
-func TestNFACodecRoundTrip(t *testing.T) {
-	for _, src := range equivCases {
-		src := src
-		t.Run(src, func(t *testing.T) {
-			n, d, syms := codecEnv(t, src)
-			got, err := DecodeNFA(n.Encode())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got.NumStates() != n.NumStates() {
-				t.Fatalf("decoded NFA has %d states, want %d", got.NumStates(), n.NumStates())
-			}
-			for _, w := range enumWords(syms, 5) {
-				if got.Accepts(w) != d.Accepts(w) {
-					t.Fatalf("decoded NFA disagrees on %v", w)
-				}
-			}
-		})
-	}
-}
-
 func TestAutomatonDecodeRejectsCorruption(t *testing.T) {
-	n, d, _ := codecEnv(t, "(p q | q p)* r")
+	d, _ := codecEnv(t, "(p q | q p)* r")
 	cases := []struct {
 		name   string
 		blob   []byte
 		decode func([]byte) error
 	}{
 		{"dfa", d.Encode(), func(b []byte) error { _, err := DecodeDFA(b); return err }},
-		{"nfa", n.Encode(), func(b []byte) error { _, err := DecodeNFA(b); return err }},
 	}
 	for _, c := range cases {
 		c := c
@@ -97,14 +75,10 @@ func TestAutomatonDecodeRejectsCorruption(t *testing.T) {
 					t.Fatalf("bit flip at %d: err = %v, want ErrMalformedInput", i, err)
 				}
 			}
-			// Wrong-kind decode: a DFA blob is not an NFA and vice versa.
-			for _, other := range cases {
-				if other.name == c.name {
-					continue
-				}
-				if err := c.decode(other.blob); !errors.Is(err, codec.ErrMalformedInput) {
-					t.Errorf("decoding %s blob as %s: err = %v", other.name, c.name, err)
-				}
+			// Wrong-kind decode: an intact frame of another format (here the
+			// compiled-artifact magic) is not an automaton.
+			if err := c.decode(codec.Seal("RXAR", automatonVersion, c.blob)); !errors.Is(err, codec.ErrMalformedInput) {
+				t.Errorf("foreign-magic frame: err = %v", err)
 			}
 		})
 	}

@@ -1,9 +1,12 @@
 // Package serve is the embeddable core of cmd/serve: the HTTP serving path
-// over a compiled-wrapper fleet — batch extraction on a worker pool, wrapper
-// registration through the tiered compiled-artifact cache, a persistent
-// registry so registrations (and deletions) survive restarts, and the
-// cluster apply endpoint that lets a shard receive replicated wrapper
-// operations from a cluster router.
+// over a compiled-wrapper fleet holding one wrapper of either kind
+// (single-pivot or k-ary tuple) per key — batch extraction on a worker
+// pool, the stream and tuples page routes (one key lookup: 404 for an
+// unknown key, 422 for a key of the other kind), wrapper registration
+// through the tiered compiled-artifact cache, a persistent registry so
+// registrations (and deletions) survive restarts, and the cluster apply
+// endpoint that lets a shard receive replicated wrapper operations from a
+// cluster router.
 //
 // It exists as a library so the cluster benchmark and tests can boot real
 // in-process shards; cmd/serve is a thin flag-parsing wrapper around it.
@@ -44,7 +47,8 @@ type Config struct {
 	// under CacheDir/artifacts and the wrapper registry under
 	// CacheDir/wrappers, both restored at startup.
 	CacheDir string
-	// CacheCap is the in-memory compiled-artifact cache capacity.
+	// CacheCap is the in-memory compiled-artifact cache capacity, bounding
+	// single-pivot and tuple artifacts together.
 	CacheCap int
 	// DiskCap is the on-disk artifact capacity (-1 = unbounded, 0 = none).
 	DiskCap int
@@ -80,6 +84,12 @@ type Config struct {
 // restarts, and the observer all request work reports into. It is
 // constructed once and shared by every request goroutine; Fleet, cache and
 // registry are concurrency-safe, the rest is read-only.
+//
+// Each key holds one wrapper of either kind — single-pivot or k-ary tuple —
+// and both kinds share the registry, version state machine and replication
+// path; only the serving surface differs (POST /extract and
+// /extract/stream/{key} for single-pivot keys, POST /extract/tuples/{key}
+// for tuple keys).
 type Server struct {
 	fleet    *wrapper.Fleet
 	cache    *extract.TieredCache
@@ -88,14 +98,6 @@ type Server struct {
 	opt      machine.Options
 	batch    wrapper.BatchOptions
 	maxBody  int64
-
-	// k-ary record wrappers live in their own fleets (a key serves one kind
-	// at a time; registration of one kind removes the other). They share the
-	// registry, version state machine, and replication path with the
-	// single-pivot fleets — only the serving surface differs (POST
-	// /extract/tuples/{key} instead of the batch/stream routes).
-	tupleFleet       *wrapper.TupleFleet
-	canaryTupleFleet *wrapper.TupleFleet
 
 	// The versioned-rollout state: compiled canary wrappers live in their
 	// own fleet so the serving fleet stays the active-versions-only view,
@@ -142,19 +144,17 @@ func New(cfg Config) (*Server, error) {
 		}
 	}
 	s := &Server{
-		fleet:            fleet,
-		cache:            cache,
-		registry:         reg,
-		obs:              cfg.Observer,
-		opt:              cfg.Options,
-		batch:            cfg.Batch,
-		maxBody:          cfg.MaxBodyBytes,
-		tupleFleet:       wrapper.NewTupleFleet(),
-		canaryTupleFleet: wrapper.NewTupleFleet(),
-		canaryFleet:      wrapper.NewFleet(),
-		stride:           canaryStride(cfg.CanaryFraction),
-		versions:         map[string]*keyVersions{},
-		wideEvery:        uint64(max(cfg.WideEventSample, 1)),
+		fleet:       fleet,
+		cache:       cache,
+		registry:    reg,
+		obs:         cfg.Observer,
+		opt:         cfg.Options,
+		batch:       cfg.Batch,
+		maxBody:     cfg.MaxBodyBytes,
+		canaryFleet: wrapper.NewFleet(),
+		stride:      canaryStride(cfg.CanaryFraction),
+		versions:    map[string]*keyVersions{},
+		wideEvery:   uint64(max(cfg.WideEventSample, 1)),
 	}
 	restored, deleted, skipped := s.restoreRegistry()
 	if restored+deleted+skipped > 0 {
@@ -168,12 +168,12 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// restoreRegistry replays the persisted version state: active versions load
-// into the serving fleet (overriding same-key entries from the deploy-time
-// fleet file), an in-flight canary is re-staged into the canary fleet with
-// its observation window reset, and tombstones remove the key while keeping
-// its monotone version counter. Entries whose payload no longer compiles
-// are skipped and counted, not fatal.
+// restoreRegistry replays the persisted version state: active versions of
+// either kind load into the serving fleet (overriding same-key entries from
+// the deploy-time fleet file), an in-flight canary is re-staged into the
+// canary fleet with its observation window reset, and tombstones remove the
+// key while keeping its monotone version counter. Entries whose payload no
+// longer compiles are skipped and counted, not fatal.
 func (s *Server) restoreRegistry() (restored, deleted, skipped int) {
 	entries, unreadable := s.registry.load()
 	skipped = unreadable
@@ -186,24 +186,23 @@ func (s *Server) restoreRegistry() (restored, deleted, skipped int) {
 		}
 		if ent.Deleted {
 			s.fleet.Remove(ent.Key)
-			s.tupleFleet.Remove(ent.Key)
 			s.versions[ent.Key] = kv
 			deleted++
 			continue
 		}
 		if ent.Active != nil {
-			lw, err := s.loadAny(context.Background(), ent.Active.Payload)
+			lw, err := wrapper.LoadAny(context.Background(), ent.Active.Payload, s.opt, s.cache)
 			if err != nil {
 				skipped++
 				continue
 			}
 			kv.active = ent.Active
-			s.addActive(ent.Key, lw)
+			s.fleet.Set(ent.Key, lw)
 		}
 		if ent.Canary != nil {
-			if lw, err := s.loadAny(context.Background(), ent.Canary.Payload); err == nil {
+			if lw, err := wrapper.LoadAny(context.Background(), ent.Canary.Payload, s.opt, s.cache); err == nil {
 				kv.canary = ent.Canary
-				s.addCanary(ent.Key, lw)
+				s.canaryFleet.Set(ent.Key, lw)
 			} else {
 				skipped++
 			}
@@ -287,6 +286,29 @@ type extractResult struct {
 func (s *Server) reject(w http.ResponseWriter, status int, reason string, err error) {
 	s.obs.Counter(obs.WithLabels("serve_rejected_total", "reason", reason)).Inc()
 	writeError(w, status, err)
+}
+
+// lookupPage resolves a page route's key (stream or tuples) to the key's
+// active wrapper of kind W with one fleet lookup. An unregistered key is a
+// 404 naming the route's noun; a key holding the other kind is a 422,
+// counted under serve_rejected_total{reason="arity"} — so a client that
+// mixes up its routes learns which mistake it made. ok=false means the
+// response has been written.
+func lookupPage[W wrapper.Any](s *Server, w http.ResponseWriter, key, noun string) (W, bool) {
+	lw := s.fleet.Lookup(key)
+	wr, ok := lw.(W)
+	switch {
+	case ok:
+	case lw == nil:
+		writeError(w, http.StatusNotFound, fmt.Errorf("no %s registered for %q", noun, key))
+	default:
+		err := fmt.Errorf("wrapper %q is single-pivot; use POST /extract or /extract/stream/%s", key, key)
+		if _, tuple := lw.(*wrapper.TupleWrapper); tuple {
+			err = fmt.Errorf("wrapper %q is a k-ary tuple wrapper; use POST /extract/tuples/%s", key, key)
+		}
+		s.reject(w, http.StatusUnprocessableEntity, "arity", err)
+	}
+	return wr, ok
 }
 
 // readBody drains a size-bounded request body after checking the declared
@@ -543,8 +565,9 @@ func (s *Server) extractBatch(ctx context.Context, docs []wrapper.BatchDoc) ([]w
 	return results, outcome
 }
 
-// putWrapper registers (or replaces) a site wrapper from its persisted
-// JSON, shared by the direct PUT route and the replicated cluster apply.
+// putWrapper registers (or replaces) a site wrapper of either kind from its
+// persisted JSON, decoded once, shared by the direct PUT route and the
+// replicated cluster apply.
 // Compilation goes through the shared cache, so re-registering a known
 // expression — or registering the same wrapper under many keys — costs a
 // lookup, and a deploy that PUTs a whole fleet compiles each distinct
@@ -555,7 +578,7 @@ func (s *Server) extractBatch(ctx context.Context, docs []wrapper.BatchDoc) ([]w
 // drops any staged canary: a direct PUT supersedes an in-flight rollout.
 func (s *Server) putWrapper(ctx context.Context, key string, body []byte, version uint64) (status int, resp map[string]any, err error) {
 	ctx, tier := extract.WithTierNote(ctx)
-	lw, err := s.loadAny(ctx, body)
+	lw, err := wrapper.LoadAny(ctx, body, s.opt, s.cache)
 	if err != nil {
 		status := http.StatusBadRequest
 		if errors.Is(err, machine.ErrBudget) || errors.Is(err, machine.ErrDeadline) {
@@ -570,11 +593,10 @@ func (s *Server) putWrapper(ctx context.Context, key string, body []byte, versio
 	kv.active = &versionedWrapper{Version: v, Payload: append(json.RawMessage(nil), body...)}
 	kv.canary = nil
 	kv.deleted = false
-	s.addActive(key, lw)
+	s.fleet.Set(key, lw)
 	s.canaryFleet.Remove(key)
-	s.canaryTupleFleet.Remove(key)
 	s.gaugeVersions(key, kv)
-	resp = map[string]any{"key": key, "sites": s.siteCount(), "version": v}
+	resp = map[string]any{"key": key, "sites": s.fleet.Len(), "version": v}
 	if s.registry != nil {
 		// The registration is live either way; persisted reports whether it
 		// will also survive a restart, so a deploy can alarm on false.
@@ -598,7 +620,7 @@ func (s *Server) putWrapper(ctx context.Context, key string, body []byte, versio
 // later re-PUT resurrects the key with a strictly higher version. Unknown
 // keys report false.
 func (s *Server) deleteWrapper(key string) (resp map[string]any, known bool) {
-	if s.fleet.Get(key) == nil && s.tupleFleet.Get(key) == nil {
+	if s.fleet.Lookup(key) == nil {
 		return nil, false
 	}
 	s.vmu.Lock()
@@ -607,11 +629,9 @@ func (s *Server) deleteWrapper(key string) (resp map[string]any, known bool) {
 	kv.active, kv.canary, kv.prior = nil, nil, nil
 	kv.deleted = true
 	s.fleet.Remove(key)
-	s.tupleFleet.Remove(key)
 	s.canaryFleet.Remove(key)
-	s.canaryTupleFleet.Remove(key)
 	s.gaugeVersions(key, kv)
-	resp = map[string]any{"key": key, "sites": s.siteCount()}
+	resp = map[string]any{"key": key, "sites": s.fleet.Len()}
 	if s.registry != nil {
 		resp["persisted"] = s.registry.writeState(key, kv) == nil
 	}
@@ -807,7 +827,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	st := s.cache.Stats()
 	body := map[string]any{
 		"status": "ok",
-		"sites":  s.siteCount(),
+		"sites":  s.fleet.Len(),
 		"cache": map[string]any{
 			"entries":   st.Entries,
 			"hits":      st.Hits,

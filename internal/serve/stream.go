@@ -21,13 +21,14 @@ import (
 //
 // The route serves the key's active version only: canary routing needs the
 // request-counting stride bookkeeping of the batch path, and a staged
-// canary observes batch traffic regardless.
+// canary observes batch traffic regardless. A key registered with a k-ary
+// tuple wrapper is a 422, distinct from the 404 of an unregistered key (see
+// lookupPage).
 func (s *Server) handleExtractStream(w http.ResponseWriter, r *http.Request) {
 	s.obs.Counter("serve_requests_total").Inc()
 	key := r.PathValue("key")
-	wr := s.fleet.Get(key)
-	if wr == nil {
-		writeError(w, http.StatusNotFound, fmt.Errorf("no wrapper registered for %q", key))
+	wr, ok := lookupPage[*wrapper.Wrapper](s, w, key, "wrapper")
+	if !ok {
 		return
 	}
 	ctx, tc := s.traceContext(w, r)

@@ -1,63 +1,13 @@
 package serve
 
 import (
-	"context"
 	"errors"
-	"fmt"
 	"net/http"
 	"time"
 
 	"resilex/internal/machine"
 	"resilex/internal/wrapper"
 )
-
-// loadedWrapper is a compiled wrapper of either kind — exactly one field is
-// non-nil. The registration, replication, and rollout paths are
-// kind-agnostic (they move persisted payloads); loadedWrapper is where the
-// kind is resolved, once, at compile time.
-type loadedWrapper struct {
-	single *wrapper.Wrapper
-	tuple  *wrapper.TupleWrapper
-}
-
-// loadAny compiles a persisted wrapper payload of either kind through the
-// shared tiered cache (single-pivot and tuple artifacts are
-// domain-separated by key, so the kinds never alias).
-func (s *Server) loadAny(ctx context.Context, body []byte) (loadedWrapper, error) {
-	if wrapper.IsTuplePayload(body) {
-		tw, err := wrapper.LoadTupleCachedCtx(ctx, body, s.opt, s.cache)
-		return loadedWrapper{tuple: tw}, err
-	}
-	w, err := wrapper.LoadCachedCtx(ctx, body, s.opt, s.cache)
-	return loadedWrapper{single: w}, err
-}
-
-// addActive installs lw as the key's active wrapper, removing the key from
-// the other kind's fleet — a key serves one kind at a time. Caller holds vmu
-// (or is still single-threaded in New).
-func (s *Server) addActive(key string, lw loadedWrapper) {
-	if lw.tuple != nil {
-		s.tupleFleet.Add(key, lw.tuple)
-		s.fleet.Remove(key)
-		return
-	}
-	s.fleet.Add(key, lw.single)
-	s.tupleFleet.Remove(key)
-}
-
-// addCanary stages lw as the key's canary, same one-kind-per-key rule.
-func (s *Server) addCanary(key string, lw loadedWrapper) {
-	if lw.tuple != nil {
-		s.canaryTupleFleet.Add(key, lw.tuple)
-		s.canaryFleet.Remove(key)
-		return
-	}
-	s.canaryFleet.Add(key, lw.single)
-	s.canaryTupleFleet.Remove(key)
-}
-
-// siteCount is the total number of registered sites across both kinds.
-func (s *Server) siteCount() int { return s.fleet.Len() + s.tupleFleet.Len() }
 
 // tupleRegion is one extracted slot of one record in the tuples response.
 type tupleRegion struct {
@@ -74,22 +24,13 @@ type tupleRegion struct {
 // (internal/spanner) rather than k single-pivot passes.
 //
 // The route serves the key's active version only, like the streaming
-// surface. A key registered with a single-pivot wrapper is a 422 (the key
-// exists but cannot answer records; counted under
-// serve_rejected_total{reason="arity"}), distinct from the 404 of an
-// unregistered key — so a client that mixes up its fleets learns which
-// mistake it made.
+// surface. A key registered with a single-pivot wrapper is a 422, distinct
+// from the 404 of an unregistered key (see lookupPage).
 func (s *Server) handleExtractTuples(w http.ResponseWriter, r *http.Request) {
 	s.obs.Counter("serve_requests_total").Inc()
 	key := r.PathValue("key")
-	tw := s.tupleFleet.Get(key)
-	if tw == nil {
-		if s.fleet.Get(key) != nil {
-			s.reject(w, http.StatusUnprocessableEntity, "arity",
-				fmt.Errorf("wrapper %q is single-pivot; use POST /extract or /extract/stream/%s", key, key))
-			return
-		}
-		writeError(w, http.StatusNotFound, fmt.Errorf("no tuple wrapper registered for %q", key))
+	tw, ok := lookupPage[*wrapper.TupleWrapper](s, w, key, "tuple wrapper")
+	if !ok {
 		return
 	}
 	body, ok := s.readBody(w, r, "text/html")

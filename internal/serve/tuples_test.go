@@ -91,6 +91,21 @@ func TestServeExtractTuples(t *testing.T) {
 	if s.fleet.Get("parts") != nil {
 		t.Fatal("tuple registration leaked into the single-pivot fleet")
 	}
+	// The tuple registration loaded through the same memory tier as the
+	// single-pivot "vs": both show in the /healthz cache block.
+	var h struct {
+		Sites int `json:"sites"`
+		Cache struct {
+			Entries int   `json:"entries"`
+			Misses  int64 `json:"misses"`
+		} `json:"cache"`
+	}
+	if err := json.Unmarshal(do(t, s, "GET", "/healthz", nil).Body.Bytes(), &h); err != nil {
+		t.Fatal(err)
+	}
+	if h.Sites != 2 || h.Cache.Entries != 2 || h.Cache.Misses != 2 {
+		t.Errorf("healthz = %+v, want 2 sites and 2 cached artifacts from 2 misses", h)
+	}
 }
 
 func TestServeTuples404vs422(t *testing.T) {
@@ -112,12 +127,27 @@ func TestServeTuples404vs422(t *testing.T) {
 	if n := snap.Counters[obs.WithLabels("serve_rejected_total", "reason", "arity")]; n != 1 {
 		t.Errorf("serve_rejected_total{reason=arity} = %d, want 1", n)
 	}
-	// And the converse: the tuple key rejects on the batch surface with a
-	// per-document unknown-key error (it is not in the single-pivot fleet),
-	// keeping the surfaces honestly separated.
+	// And the converse: the tuple key is a 422 on the stream route, counted
+	// the same way, while an unknown key stays a 404 there.
 	if rec := do(t, s, "PUT", "/wrappers/parts", tuplePayload(t)); rec.Code != http.StatusCreated {
 		t.Fatalf("register tuple wrapper: %d", rec.Code)
 	}
+	rec = do(t, s, "POST", "/extract/stream/parts", []byte(tuplesPage))
+	if rec.Code != http.StatusUnprocessableEntity {
+		t.Fatalf("stream route on a tuple key: %d, want 422: %s", rec.Code, rec.Body)
+	}
+	if !strings.Contains(rec.Body.String(), "/extract/tuples/parts") {
+		t.Errorf("422 body does not point at the tuples route: %s", rec.Body)
+	}
+	snap = o.Metrics.Snapshot()
+	if n := snap.Counters[obs.WithLabels("serve_rejected_total", "reason", "arity")]; n != 2 {
+		t.Errorf("serve_rejected_total{reason=arity} = %d, want 2", n)
+	}
+	if rec := do(t, s, "POST", "/extract/stream/nosuch", []byte(tuplesPage)); rec.Code != http.StatusNotFound {
+		t.Fatalf("stream route on an unknown key: %d, want 404", rec.Code)
+	}
+	// The batch surface keeps its per-document unknown-key error for a tuple
+	// key, keeping the surfaces honestly separated.
 	res := extractOne(t, s, "parts", tuplesPage)
 	if res.OK || !strings.Contains(res.Error, "no wrapper registered") {
 		t.Errorf("batch surface served a tuple key: %+v", res)
@@ -140,13 +170,13 @@ func TestServeTuplesRollout(t *testing.T) {
 	if rec := doFrame(t, s, cluster.EncodeOp(cluster.Op{Kind: cluster.OpCanary, Key: "parts", Version: 9, Payload: tp})); rec.Code != http.StatusCreated {
 		t.Fatalf("replicated tuple canary: %d: %s", rec.Code, rec.Body)
 	}
-	if s.canaryTupleFleet.Get("parts") == nil {
-		t.Fatal("tuple canary not staged in the tuple canary fleet")
+	if s.canaryFleet.GetTuple("parts") == nil {
+		t.Fatal("tuple canary not staged in the canary fleet")
 	}
 	if rec := do(t, s, "POST", "/wrappers/parts/promote", nil); rec.Code != http.StatusOK {
 		t.Fatalf("promote tuple canary: %d", rec.Code)
 	}
-	if s.canaryTupleFleet.Get("parts") != nil {
+	if s.canaryFleet.Lookup("parts") != nil {
 		t.Fatal("promoted canary still staged")
 	}
 	body := decodeVersions(t, s, "parts")
@@ -156,13 +186,12 @@ func TestServeTuplesRollout(t *testing.T) {
 	if rec := do(t, s, "POST", "/extract/tuples/parts", []byte(tuplesPage)); rec.Code != http.StatusOK {
 		t.Fatalf("tuples after promote: %d", rec.Code)
 	}
-	// A single-pivot PUT over the tuple key flips the kind and frees the
-	// tuple fleet slot.
+	// A single-pivot PUT over the tuple key flips the kind.
 	single := trainedPayload(t)
 	if rec := do(t, s, "PUT", "/wrappers/parts", single); rec.Code != http.StatusCreated {
 		t.Fatalf("kind-flip put: %d", rec.Code)
 	}
-	if s.tupleFleet.Get("parts") != nil {
+	if s.fleet.GetTuple("parts") != nil || s.fleet.Get("parts") == nil {
 		t.Fatal("kind flip left the tuple wrapper registered")
 	}
 	if rec := do(t, s, "POST", "/extract/tuples/parts", []byte(tuplesPage)); rec.Code != http.StatusUnprocessableEntity {
@@ -179,7 +208,7 @@ func TestServeTuplesRollout(t *testing.T) {
 
 // TestServeTuplesRestart registers a tuple wrapper on a disk-backed server
 // and confirms a restarted server restores it — registry replay through
-// loadAny, artifact decode through the shared disk tier.
+// wrapper.LoadAny, artifact decode through the shared disk tier.
 func TestServeTuplesRestart(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config{CacheDir: dir, CacheCap: 8, DiskCap: -1, Observer: obs.New(), RestoreLog: io.Discard}

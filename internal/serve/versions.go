@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"math"
 	"net/http"
-	"sort"
 	"sync/atomic"
 
 	"resilex/internal/machine"
@@ -127,7 +126,7 @@ func (s *Server) gaugeVersions(key string, kv *keyVersions) {
 // a first registration. version, when non-zero, is the version the
 // originating node assigned (replication); zero assigns locally.
 func (s *Server) canaryWrapper(ctx context.Context, key string, body []byte, version uint64) (status int, resp map[string]any, err error) {
-	lw, err := s.loadAny(ctx, body)
+	lw, err := wrapper.LoadAny(ctx, body, s.opt, s.cache)
 	if err != nil {
 		status := http.StatusBadRequest
 		if errors.Is(err, machine.ErrBudget) || errors.Is(err, machine.ErrDeadline) {
@@ -144,7 +143,7 @@ func (s *Server) canaryWrapper(ctx context.Context, key string, body []byte, ver
 	v := kv.nextVersion(version)
 	kv.canary = &versionedWrapper{Version: v, Payload: append(json.RawMessage(nil), body...)}
 	kv.stats = canaryStats{} // fresh observation window
-	s.addCanary(key, lw)
+	s.canaryFleet.Set(key, lw)
 	s.obs.Counter(obs.WithLabels("refresh_canary_deploy_total", "site", key)).Inc()
 	s.gaugeVersions(key, kv)
 	resp = map[string]any{"key": key, "version": v}
@@ -168,11 +167,11 @@ func (s *Server) promoteWrapper(key string, version uint64) (status int, resp ma
 		return http.StatusConflict, nil, fmt.Errorf("%w: promote names version %d, staged canary is %d",
 			errVersionConflict, version, kv.canary.Version)
 	}
-	lw := loadedWrapper{single: s.canaryFleet.Get(key), tuple: s.canaryTupleFleet.Get(key)}
-	if lw.single == nil && lw.tuple == nil {
+	lw := s.canaryFleet.Lookup(key)
+	if lw == nil {
 		// The compiled canary should be resident; recompile from the payload
 		// if it is not (e.g. a replica that restarted between ops).
-		if lw, err = s.loadAny(context.Background(), kv.canary.Payload); err != nil {
+		if lw, err = wrapper.LoadAny(context.Background(), kv.canary.Payload, s.opt, s.cache); err != nil {
 			return http.StatusInternalServerError, nil, fmt.Errorf("recompiling canary for promote: %w", err)
 		}
 	}
@@ -180,9 +179,8 @@ func (s *Server) promoteWrapper(key string, version uint64) (status int, resp ma
 	kv.active = kv.canary
 	kv.canary = nil
 	kv.lastOutcome = "promoted"
-	s.addActive(key, lw)
+	s.fleet.Set(key, lw)
 	s.canaryFleet.Remove(key)
-	s.canaryTupleFleet.Remove(key)
 	s.obs.Counter(obs.WithLabels("refresh_promote_total", "site", key)).Inc()
 	s.gaugeVersions(key, kv)
 	resp = map[string]any{"key": key, "version": kv.active.Version, "outcome": "promoted"}
@@ -213,7 +211,6 @@ func (s *Server) rollbackWrapper(key string, version uint64) (status int, resp m
 		kv.canary = nil
 		kv.lastOutcome = "rolled-back"
 		s.canaryFleet.Remove(key)
-		s.canaryTupleFleet.Remove(key)
 		s.obs.Counter(obs.WithLabels("refresh_rollback_total", "site", key)).Inc()
 		s.gaugeVersions(key, kv)
 		resp = map[string]any{"key": key, "version": rolled, "outcome": "rolled-back"}
@@ -222,7 +219,7 @@ func (s *Server) rollbackWrapper(key string, version uint64) (status int, resp m
 			return http.StatusConflict, nil, fmt.Errorf("%w: rollback names version %d, active is %d",
 				errVersionConflict, version, kv.active.Version)
 		}
-		lw, err := s.loadAny(context.Background(), kv.prior.Payload)
+		lw, err := wrapper.LoadAny(context.Background(), kv.prior.Payload, s.opt, s.cache)
 		if err != nil {
 			return http.StatusInternalServerError, nil, fmt.Errorf("recompiling prior version for rollback: %w", err)
 		}
@@ -230,7 +227,7 @@ func (s *Server) rollbackWrapper(key string, version uint64) (status int, resp m
 		kv.active = kv.prior
 		kv.prior = nil
 		kv.lastOutcome = "rolled-back"
-		s.addActive(key, lw)
+		s.fleet.Set(key, lw)
 		s.obs.Counter(obs.WithLabels("refresh_rollback_total", "site", key)).Inc()
 		s.gaugeVersions(key, kv)
 		resp = map[string]any{"key": key, "version": rolled, "restored": kv.active.Version, "outcome": "rolled-back"}
@@ -280,12 +277,8 @@ func (s *Server) versionsStatus(key string) (map[string]any, bool) {
 // Deployment surface for the refresh controller (refresh.Deployment is
 // satisfied structurally — serve does not import refresh).
 
-// Sites lists every key with an active wrapper, either kind.
-func (s *Server) Sites() []string {
-	keys := append(s.fleet.Keys(), s.tupleFleet.Keys()...)
-	sort.Strings(keys)
-	return keys
-}
+// Sites lists every key with an active wrapper, either kind, sorted.
+func (s *Server) Sites() []string { return s.fleet.Keys() }
 
 // ActivePayload returns the persisted JSON of the key's active version (nil
 // when the key has none recorded — e.g. it came from a deploy-time fleet
@@ -347,20 +340,16 @@ func (s *Server) Rollback(key string, version uint64) error {
 // controller scores sampled pages with. Tuple keys probe as record
 // extraction: a page yielding no records is a miss.
 func (s *Server) Extract(key, html string) error {
-	if tw := s.tupleFleet.Get(key); tw != nil {
-		records, err := tw.ExtractAll(html)
-		if err != nil {
-			return err
+	switch wr := s.fleet.Lookup(key).(type) {
+	case *wrapper.Wrapper:
+		_, err := wr.Extract(html)
+		return err
+	case *wrapper.TupleWrapper:
+		records, err := wr.ExtractAll(html)
+		if err == nil && len(records) == 0 {
+			err = wrapper.ErrNotExtracted
 		}
-		if len(records) == 0 {
-			return wrapper.ErrNotExtracted
-		}
-		return nil
+		return err
 	}
-	wr := s.fleet.Get(key)
-	if wr == nil {
-		return fmt.Errorf("no wrapper registered for %q", key)
-	}
-	_, err := wr.Extract(html)
-	return err
+	return fmt.Errorf("no wrapper registered for %q", key)
 }

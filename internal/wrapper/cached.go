@@ -2,92 +2,114 @@ package wrapper
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
-	"fmt"
 
 	"resilex/internal/extract"
 	"resilex/internal/machine"
 )
 
-// LoadCached is Load backed by a compiled-artifact cache: the expensive part
-// of restoring a persisted wrapper — reparsing the expression and
+// LoadCached is Load backed by the compiled-artifact cache: the expensive
+// part of restoring a persisted wrapper — reparsing the expression and
 // determinizing its components — is looked up by content address and
 // compiled at most once per distinct expression, no matter how many
-// concurrent requests carry it (see extract.Cache). The returned wrapper
-// shares the cached symbol table, expression and matcher (all safe for
-// concurrent use) and owns only its tokenizer configuration.
+// concurrent requests carry it (see extract.TieredCache). The returned
+// wrapper shares the cached symbol table, expression and matcher (all safe
+// for concurrent use) and owns only its tokenizer configuration.
 //
-// The cache may be any ArtifactCache tier stack — the in-memory
-// *extract.Cache or an *extract.TieredCache whose disk tier makes restored
-// wrappers survive process restarts. A nil cache degrades to plain Load.
-// Error classification matches Load: undecodable payloads are
-// ErrMalformedInput; budget and deadline exhaustion during a cold compile
-// pass through wrapping machine.ErrBudget and machine.ErrDeadline.
-func LoadCached(data []byte, opt machine.Options, cache extract.ArtifactCache) (*Wrapper, error) {
+// A TieredCache with a disk tier makes restored wrappers survive process
+// restarts; one without is memory only. A nil cache degrades to plain Load.
+// Error classification matches Load: undecodable, wrong-version and
+// wrong-kind payloads are ErrMalformedInput; budget and deadline exhaustion
+// during a cold compile pass through wrapping machine.ErrBudget and
+// machine.ErrDeadline.
+func LoadCached(data []byte, opt machine.Options, cache *extract.TieredCache) (*Wrapper, error) {
 	return LoadCachedCtx(context.Background(), data, opt, cache)
 }
 
-// ctxArtifactCache is the optional context-aware load surface of a cache
-// tier stack (extract.TieredCache.LoadCtx): the lookup joins the request's
-// trace and attributes the satisfying tier.
-type ctxArtifactCache interface {
-	LoadCtx(ctx context.Context, src string, sigmaNames []string, opt machine.Options) (*extract.Compiled, error)
+// LoadCachedCtx is LoadCached with the caller's context threaded through to
+// the cache, so the lookup (tier, trace span) is recorded against the
+// request that triggered it.
+func LoadCachedCtx(ctx context.Context, data []byte, opt machine.Options, cache *extract.TieredCache) (*Wrapper, error) {
+	p, err := decodePersisted(data, "")
+	if err != nil {
+		return nil, err
+	}
+	return p.single(ctx, opt, cache)
 }
 
-// LoadCachedCtx is LoadCached with the caller's context threaded through to
-// the cache, so tier stacks that implement a context-aware load record the
-// lookup (tier, trace span) against the request that triggered it.
-func LoadCachedCtx(ctx context.Context, data []byte, opt machine.Options, cache extract.ArtifactCache) (*Wrapper, error) {
-	if cache == nil {
-		return Load(data, opt)
+// LoadTupleCached is LoadTuple backed by the compiled-artifact cache, with
+// LoadCached's sharing, nil-cache and error contracts; tuple artifacts are
+// addressed by extract.KeyTuple, domain-separated from single-pivot keys.
+func LoadTupleCached(data []byte, opt machine.Options, cache *extract.TieredCache) (*TupleWrapper, error) {
+	return LoadTupleCachedCtx(context.Background(), data, opt, cache)
+}
+
+// LoadTupleCachedCtx is LoadTupleCached with the caller's context threaded
+// through to the cache, mirroring LoadCachedCtx.
+func LoadTupleCachedCtx(ctx context.Context, data []byte, opt machine.Options, cache *extract.TieredCache) (*TupleWrapper, error) {
+	p, err := decodePersisted(data, kindTuple)
+	if err != nil {
+		return nil, err
 	}
-	var p persisted
-	if err := json.Unmarshal(data, &p); err != nil {
-		return nil, fmt.Errorf("%w: decoding wrapper: %v", ErrMalformedInput, err)
+	return p.tuple(ctx, opt, cache)
+}
+
+// LoadAny restores a persisted wrapper of either kind — whichever its JSON
+// names — through the cache (nil: plain compilation), decoding the payload
+// once. Errors are classified as in LoadCached.
+func LoadAny(ctx context.Context, data []byte, opt machine.Options, cache *extract.TieredCache) (Any, error) {
+	p, err := decodePersisted(data, "", kindTuple)
+	if err != nil {
+		return nil, err
 	}
-	if p.Version != 1 {
-		return nil, fmt.Errorf("%w: unsupported wrapper version %d", ErrMalformedInput, p.Version)
+	if p.Kind == kindTuple {
+		tw, err := p.tuple(ctx, opt, cache)
+		if err != nil {
+			return nil, err
+		}
+		return tw, nil
 	}
+	w, err := p.single(ctx, opt, cache)
+	if err != nil {
+		return nil, err
+	}
+	return w, nil
+}
+
+// single restores the envelope as a single-pivot wrapper.
+func (p persisted) single(ctx context.Context, opt machine.Options, cache *extract.TieredCache) (*Wrapper, error) {
 	var comp *extract.Compiled
 	var err error
-	if cc, ok := cache.(ctxArtifactCache); ok {
-		comp, err = cc.LoadCtx(ctx, p.Expr, p.Sigma, opt)
+	if cache != nil {
+		comp, err = cache.LoadCtx(ctx, p.Expr, p.Sigma, opt)
 	} else {
-		comp, err = cache.Load(p.Expr, p.Sigma, opt)
+		comp, err = extract.CompileArtifact(p.Expr, p.Sigma, opt)
 	}
 	if err != nil {
-		if errors.Is(err, machine.ErrBudget) || errors.Is(err, machine.ErrDeadline) {
-			return nil, fmt.Errorf("wrapper: reparsing expression: %w", err)
-		}
-		return nil, fmt.Errorf("%w: reparsing expression: %v", ErrMalformedInput, err)
+		return nil, reparseError(err)
 	}
-	cfg := Config{DropEndTags: p.DropEndTags, KeepText: p.KeepText, AttrKeys: p.AttrKeys, Skip: p.Skip, Options: opt}
-	return &Wrapper{
+	cfg := p.config(opt)
+	w := &Wrapper{
 		sbox: &streamBox{},
-		tab:  comp.Tab, mapper: cfg.mapper(comp.Tab), expr: comp.Expr, matcher: comp.Matcher,
-		strategy: p.Strategy, cfg: cfg,
-	}, nil
+		tab:  comp.Tab, mapper: cfg.mapper(comp.Tab), expr: comp.Expr, matcher: comp.Matcher, cfg: cfg,
+	}
+	if p.Strategy != nil {
+		w.strategy = *p.Strategy
+	}
+	return w, nil
 }
 
-// LoadFleetCached is LoadFleet with every member restored through LoadCached,
-// so fleets that share expressions across sites — or fleets reloaded on every
-// deploy — compile each distinct expression once.
-func LoadFleetCached(data []byte, opt machine.Options, cache extract.ArtifactCache) (*Fleet, error) {
-	var p fleetPersisted
-	if err := json.Unmarshal(data, &p); err != nil {
-		return nil, fmt.Errorf("%w: decoding fleet: %v", ErrMalformedInput, err)
+// tuple restores the envelope as a k-ary tuple wrapper.
+func (p persisted) tuple(ctx context.Context, opt machine.Options, cache *extract.TieredCache) (*TupleWrapper, error) {
+	var comp *extract.CompiledTuple
+	var err error
+	if cache != nil {
+		comp, err = cache.LoadTupleCtx(ctx, p.Expr, p.Sigma, opt)
+	} else {
+		comp, err = extract.CompileTupleArtifact(p.Expr, p.Sigma, opt)
 	}
-	if p.Version != 1 || p.Kind != "fleet" {
-		return nil, fmt.Errorf("%w: not a version-1 fleet (version %d, kind %q)", ErrMalformedInput, p.Version, p.Kind)
+	if err != nil {
+		return nil, reparseError(err)
 	}
-	f := NewFleet()
-	for key, raw := range p.Wrappers {
-		w, err := LoadCached(raw, opt, cache)
-		if err != nil {
-			return nil, fmt.Errorf("wrapper: fleet entry %q: %w", key, err)
-		}
-		f.Add(key, w)
-	}
-	return f, nil
+	cfg := p.config(opt)
+	return &TupleWrapper{tab: comp.Tab, mapper: cfg.mapper(comp.Tab), tuple: comp.Tuple, cfg: cfg}, nil
 }

@@ -1,6 +1,7 @@
 package wrapper
 
 import (
+	"context"
 	"errors"
 	"sync"
 	"testing"
@@ -33,7 +34,7 @@ func TestLoadCachedAgreesWithLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache := extract.NewCache(8, nil)
+	cache := extract.NewTieredCache(extract.NewCache(8, nil), nil)
 	var wrappers []*Wrapper
 	for i := 0; i < 3; i++ {
 		w, err := LoadCached(data, machine.Options{}, cache)
@@ -62,7 +63,7 @@ func TestLoadCachedAgreesWithLoad(t *testing.T) {
 
 // TestLoadCachedErrorClassification mirrors the Load contract.
 func TestLoadCachedErrorClassification(t *testing.T) {
-	cache := extract.NewCache(8, nil)
+	cache := extract.NewTieredCache(extract.NewCache(8, nil), nil)
 	for _, bad := range []string{`{`, `{"version":9}`, `{"version":1,"expr":"(((","sigma":["P"]}`} {
 		if _, err := LoadCached([]byte(bad), machine.Options{}, cache); !errors.Is(err, ErrMalformedInput) {
 			t.Errorf("payload %q: err = %v, want ErrMalformedInput", bad, err)
@@ -84,7 +85,7 @@ func TestLoadCachedErrorClassification(t *testing.T) {
 // race): the shared table/expression/matcher must tolerate this.
 func TestLoadCachedConcurrent(t *testing.T) {
 	data := trainedPayload(t)
-	cache := extract.NewCache(8, nil)
+	cache := extract.NewTieredCache(extract.NewCache(8, nil), nil)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -122,7 +123,7 @@ func TestLoadFleetCached(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache := extract.NewCache(8, nil)
+	cache := extract.NewTieredCache(extract.NewCache(8, nil), nil)
 	g, err := LoadFleetCached(blob, machine.Options{}, cache)
 	if err != nil {
 		t.Fatal(err)
@@ -140,4 +141,128 @@ func TestLoadFleetCached(t *testing.T) {
 	if _, err := LoadFleetCached([]byte(`{"version":1,"kind":"pod"}`), machine.Options{}, cache); !errors.Is(err, ErrMalformedInput) {
 		t.Errorf("bad kind: err = %v, want ErrMalformedInput", err)
 	}
+}
+
+func TestLoadTupleCachedAgreesWithLoadTuple(t *testing.T) {
+	data := recordsPayload(t)
+	plain, err := LoadTuple(data, machine.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	disk, err := extract.NewDiskCache(t.TempDir(), -1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tc := extract.NewTieredCache(extract.NewCache(8, nil), disk)
+
+	cached, err := LoadTupleCached(data, machine.Options{}, tc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cached.Arity() != plain.Arity() {
+		t.Fatalf("arity %d vs %d", cached.Arity(), plain.Arity())
+	}
+	r1, err1 := plain.ExtractAll(recordsPage)
+	r2, err2 := cached.ExtractAll(recordsPage)
+	if err1 != nil || err2 != nil {
+		t.Fatalf("errs: %v, %v", err1, err2)
+	}
+	if len(r1) != len(r2) {
+		t.Fatalf("record counts differ: %d vs %d", len(r1), len(r2))
+	}
+	for i := range r1 {
+		for j := range r1[i] {
+			if r1[i][j] != r2[i][j] {
+				t.Errorf("record %d slot %d differs", i, j)
+			}
+		}
+	}
+	// The compile was written through to disk; a second load shares the
+	// cached tuple.
+	if disk.Len() != 1 {
+		t.Fatalf("disk entries = %d, want 1", disk.Len())
+	}
+	again, err := LoadTupleCachedCtx(context.Background(), data, machine.Options{}, tc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.Tuple() != cached.Tuple() {
+		t.Error("second cached load compiled a fresh tuple")
+	}
+	// A nil cache degrades to LoadTuple.
+	if _, err := LoadTupleCached(data, machine.Options{}, nil); err != nil {
+		t.Fatalf("nil-cache load: %v", err)
+	}
+}
+
+func TestLoadTupleCachedErrorClassification(t *testing.T) {
+	tc := extract.NewTieredCache(extract.NewCache(2, nil), nil)
+	if _, err := LoadTupleCached([]byte("{"), machine.Options{}, tc); !errors.Is(err, ErrMalformedInput) {
+		t.Errorf("bad JSON: %v", err)
+	}
+	// A single-pivot payload is not a tuple wrapper.
+	plain, err := Train([]Sample{{HTML: `<form><input data-target></form>`}}, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pd, err := plain.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadTupleCached(pd, machine.Options{}, tc); !errors.Is(err, ErrMalformedInput) {
+		t.Errorf("plain payload: %v", err)
+	}
+	// Budget exhaustion during the compile keeps its sentinel.
+	if _, err := LoadTupleCached(recordsPayload(t), machine.Options{MaxStates: 1}, tc); !errors.Is(err, machine.ErrBudget) {
+		t.Errorf("budget: %v", err)
+	}
+}
+
+// TestLoadsRespectKind: every loader goes through one envelope decoder, so
+// a tuple payload never restores as a single-pivot wrapper (nor the
+// converse), unknown kinds are rejected, and the fleet loaders restore each
+// entry as its own kind.
+func TestLoadsRespectKind(t *testing.T) {
+	tuple := `{"version":1,"kind":"tuple","expr":"q* <p> q*","sigma":["p","q"]}`
+	single := string(trainedPayload(t))
+	tc := extract.NewTieredCache(extract.NewCache(8, nil), nil)
+	var none machine.Options
+	if _, err := Load([]byte(tuple), none); !errors.Is(err, ErrMalformedInput) {
+		t.Errorf("Load(tuple payload): err = %v, want ErrMalformedInput", err)
+	}
+	if _, err := LoadCached([]byte(tuple), none, tc); !errors.Is(err, ErrMalformedInput) {
+		t.Errorf("LoadCached(tuple payload): err = %v, want ErrMalformedInput", err)
+	}
+	if _, err := LoadTuple([]byte(single), none); !errors.Is(err, ErrMalformedInput) {
+		t.Errorf("LoadTuple(single-pivot payload): err = %v, want ErrMalformedInput", err)
+	}
+	pod := `{"version":1,"kind":"pod","expr":"q* <p> q*","sigma":["p","q"]}`
+	if _, err := LoadAny(context.Background(), []byte(pod), none, tc); !errors.Is(err, ErrMalformedInput) {
+		t.Errorf("LoadAny(unknown kind): err = %v, want ErrMalformedInput", err)
+	}
+
+	fleet := []byte(`{"version":1,"kind":"fleet","wrappers":{"parts":` + tuple + `,"site":` + single + `}}`)
+	check := func(name string, f *Fleet, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if f.GetTuple("parts") == nil || f.Get("parts") != nil {
+			t.Errorf("%s: tuple entry not restored as a tuple wrapper", name)
+		}
+		if f.Get("site") == nil || f.GetTuple("site") != nil {
+			t.Errorf("%s: single-pivot entry not restored as a single-pivot wrapper", name)
+		}
+	}
+	f, err := LoadFleet(fleet, none)
+	check("LoadFleet", f, err)
+	g, err := LoadFleetCached(fleet, none, tc)
+	check("LoadFleetCached", g, err)
+	// A mixed fleet persists and restores both kinds.
+	data, err := f.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := LoadFleet(data, none)
+	check("LoadFleet(MarshalJSON)", h, err)
 }

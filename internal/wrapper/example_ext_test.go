@@ -54,13 +54,14 @@ func ExampleFleet_ExtractBatch() {
 
 // LoadCached restores persisted wrappers through the compiled-artifact
 // cache: the first restore compiles, every further restore of the same
-// expression is a cache hit sharing the compiled automata.
+// expression is a cache hit sharing the compiled automata. A nil disk tier
+// keeps the cache memory-only.
 func ExampleLoadCached() {
 	payload, err := exampleWrapper().MarshalJSON()
 	if err != nil {
 		panic(err)
 	}
-	cache := extract.NewCache(16, nil)
+	cache := extract.NewTieredCache(extract.NewCache(16, nil), nil)
 	for i := 0; i < 3; i++ {
 		if _, err := wrapper.LoadCached(payload, machine.Options{}, cache); err != nil {
 			panic(err)

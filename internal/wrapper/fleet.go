@@ -7,43 +7,77 @@ import (
 	"sort"
 	"sync"
 
+	"resilex/internal/extract"
 	"resilex/internal/machine"
 )
 
+// Any is a wrapper of either kind: a single-pivot *Wrapper or a k-ary
+// *TupleWrapper. A Fleet holds one Any per key; LoadAny restores one from
+// persisted JSON of either kind.
+type Any interface {
+	json.Marshaler
+}
+
 // Fleet is a registry of named wrappers — one per site — with shared
 // persistence: the operating unit of a shopbot that harvests many vendors.
-// A Fleet maps a site key (e.g. the vendor's hostname) to its trained
-// wrapper; ExtractFrom dispatches by key and Probe tries every wrapper when
-// the key is unknown.
+// A Fleet maps a site key (e.g. the vendor's hostname) to one trained
+// wrapper of either kind; ExtractFrom dispatches by key and Probe tries
+// every single-pivot wrapper when the key is unknown. Tuple wrappers are
+// held, persisted and listed like single-pivot ones, but ExtractFrom, Probe
+// and ExtractBatch see only single-pivot entries (a tuple key is unknown
+// there); GetTuple reaches them.
 //
 // A Fleet is safe for concurrent use: lookups and extractions take a read
 // lock, Add/Remove take the write lock. Wrappers themselves are immutable
 // once trained, so extraction never blocks extraction.
 type Fleet struct {
 	mu       sync.RWMutex
-	wrappers map[string]*Wrapper
+	wrappers map[string]Any
 }
 
 // NewFleet returns an empty fleet.
 func NewFleet() *Fleet {
-	return &Fleet{wrappers: make(map[string]*Wrapper)}
+	return &Fleet{wrappers: make(map[string]Any)}
 }
 
-// Add registers (or replaces) the wrapper for a site key.
-func (f *Fleet) Add(key string, w *Wrapper) {
+// Add registers the single-pivot wrapper for a site key, replacing whatever
+// the key held.
+func (f *Fleet) Add(key string, w *Wrapper) { f.Set(key, w) }
+
+// AddTuple registers the tuple wrapper for a site key, replacing whatever
+// the key held.
+func (f *Fleet) AddTuple(key string, w *TupleWrapper) { f.Set(key, w) }
+
+// Set registers a wrapper of either kind for a site key, replacing whatever
+// the key held.
+func (f *Fleet) Set(key string, w Any) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.wrappers[key] = w
 }
 
-// Get returns the wrapper for the key, or nil.
-func (f *Fleet) Get(key string) *Wrapper {
+// Lookup returns the key's wrapper of either kind, or nil.
+func (f *Fleet) Lookup(key string) Any {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
 	return f.wrappers[key]
 }
 
-// Remove deletes a site's wrapper.
+// Get returns the key's single-pivot wrapper, or nil when the key is
+// unregistered or holds a tuple wrapper.
+func (f *Fleet) Get(key string) *Wrapper {
+	w, _ := f.Lookup(key).(*Wrapper)
+	return w
+}
+
+// GetTuple returns the key's tuple wrapper, or nil when the key is
+// unregistered or holds a single-pivot wrapper.
+func (f *Fleet) GetTuple(key string) *TupleWrapper {
+	w, _ := f.Lookup(key).(*TupleWrapper)
+	return w
+}
+
+// Remove deletes a site's wrapper, whatever its kind.
 func (f *Fleet) Remove(key string) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -102,20 +136,25 @@ func (f *Fleet) Probe(html string) map[string]Region {
 // once the context expires and reports the partial claims alongside an error
 // wrapping machine.ErrDeadline.
 func (f *Fleet) ProbeContext(ctx context.Context, html string) (map[string]Region, error) {
+	type entry struct {
+		key string
+		w   *Wrapper
+	}
+	var snapshot []entry
 	f.mu.RLock()
-	keys := f.keysLocked()
-	snapshot := make(map[string]*Wrapper, len(keys))
-	for _, k := range keys {
-		snapshot[k] = f.wrappers[k]
+	for _, k := range f.keysLocked() {
+		if w, ok := f.wrappers[k].(*Wrapper); ok {
+			snapshot = append(snapshot, entry{k, w})
+		}
 	}
 	f.mu.RUnlock()
 	out := map[string]Region{}
-	for _, key := range keys {
+	for _, e := range snapshot {
 		if err := (machine.Options{Ctx: ctx}).Err(); err != nil {
 			return out, fmt.Errorf("wrapper: probe: %w", err)
 		}
-		if r, err := snapshot[key].ExtractContext(ctx, html); err == nil {
-			out[key] = r
+		if r, err := e.w.ExtractContext(ctx, html); err == nil {
+			out[e.key] = r
 		}
 	}
 	return out, nil
@@ -128,7 +167,7 @@ type fleetPersisted struct {
 	Wrappers map[string]json.RawMessage `json:"wrappers"`
 }
 
-// MarshalJSON persists every wrapper in the fleet.
+// MarshalJSON persists every wrapper in the fleet, either kind.
 func (f *Fleet) MarshalJSON() ([]byte, error) {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
@@ -143,9 +182,17 @@ func (f *Fleet) MarshalJSON() ([]byte, error) {
 	return json.Marshal(out)
 }
 
-// LoadFleet restores a fleet persisted with MarshalJSON. Undecodable
-// payloads are classified under ErrMalformedInput.
+// LoadFleet restores a fleet persisted with MarshalJSON, each entry as its
+// own kind. Undecodable payloads are classified under ErrMalformedInput.
 func LoadFleet(data []byte, opt machine.Options) (*Fleet, error) {
+	return LoadFleetCached(data, opt, nil)
+}
+
+// LoadFleetCached is LoadFleet with every member restored through the
+// compiled-artifact cache (see LoadAny), so fleets that share expressions
+// across sites — or fleets reloaded on every deploy — compile each distinct
+// expression once.
+func LoadFleetCached(data []byte, opt machine.Options, cache *extract.TieredCache) (*Fleet, error) {
 	var p fleetPersisted
 	if err := json.Unmarshal(data, &p); err != nil {
 		return nil, fmt.Errorf("%w: decoding fleet: %v", ErrMalformedInput, err)
@@ -155,11 +202,11 @@ func LoadFleet(data []byte, opt machine.Options) (*Fleet, error) {
 	}
 	f := NewFleet()
 	for key, raw := range p.Wrappers {
-		w, err := Load(raw, opt)
+		w, err := LoadAny(context.Background(), raw, opt, cache)
 		if err != nil {
 			return nil, fmt.Errorf("wrapper: fleet entry %q: %w", key, err)
 		}
-		f.Add(key, w)
+		f.Set(key, w)
 	}
 	return f, nil
 }

@@ -1,6 +1,7 @@
 package wrapper
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -106,5 +107,58 @@ func TestFleetRemove(t *testing.T) {
 	f.Remove("acme")
 	if f.Len() != 1 || f.Get("acme") != nil {
 		t.Error("remove failed")
+	}
+}
+
+// TestTupleFleet: a Fleet holds tuple wrappers next to single-pivot ones,
+// one wrapper of either kind per key; Get and GetTuple each see only their
+// own kind, and ExtractFrom and Probe only single-pivot entries.
+func TestTupleFleet(t *testing.T) {
+	f := NewFleet()
+	w, err := LoadTuple(recordsPayload(t), machine.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.AddTuple("parts", w)
+	f.AddTuple("other", w)
+	if f.Len() != 2 {
+		t.Fatalf("len = %d", f.Len())
+	}
+	if f.GetTuple("parts") != w {
+		t.Error("GetTuple missed a registered wrapper")
+	}
+	if f.GetTuple("absent") != nil {
+		t.Error("GetTuple invented a wrapper")
+	}
+	if f.Get("parts") != nil {
+		t.Error("Get returned a tuple key as single-pivot")
+	}
+	if _, err := f.ExtractFrom("parts", recordsPage); !errors.Is(err, ErrUnknownKey) {
+		t.Errorf("ExtractFrom on a tuple key: err = %v, want ErrUnknownKey", err)
+	}
+	if claims := f.Probe(recordsPage); len(claims) != 0 {
+		t.Errorf("Probe tried tuple wrappers: %v", claims)
+	}
+	keys := f.Keys()
+	if len(keys) != 2 || keys[0] != "other" || keys[1] != "parts" {
+		t.Errorf("keys = %v", keys)
+	}
+	f.Remove("other")
+	if f.Len() != 1 || f.GetTuple("other") != nil {
+		t.Error("Remove left the wrapper behind")
+	}
+	// Add replaces the key's tuple wrapper with a single-pivot one, and
+	// AddTuple the converse.
+	single, err := Load(trainedPayload(t), machine.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Add("parts", single)
+	if f.Len() != 1 || f.Get("parts") != single || f.GetTuple("parts") != nil {
+		t.Error("Add did not replace the tuple wrapper")
+	}
+	f.AddTuple("parts", w)
+	if f.Len() != 1 || f.GetTuple("parts") != w || f.Get("parts") != nil {
+		t.Error("AddTuple did not replace the single-pivot wrapper")
 	}
 }

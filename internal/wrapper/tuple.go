@@ -1,8 +1,8 @@
 package wrapper
 
 import (
+	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"sync"
 
@@ -29,8 +29,7 @@ type TupleWrapper struct {
 	examples []learn.TupleExample
 	sigma    symtab.Alphabet
 
-	// Lazily compiled multi-split spanner program backing ExtractAll; see
-	// tuplecached.go.
+	// Lazily compiled multi-split spanner program backing ExtractAll.
 	prog struct {
 		once sync.Once
 		p    *spanner.Program
@@ -155,58 +154,16 @@ func (w *TupleWrapper) Extract(html string) ([]Region, error) {
 // Arity returns the number of extracted slots.
 func (w *TupleWrapper) Arity() int { return w.tuple.Arity() }
 
-// tuplePersisted is the JSON schema of a saved tuple wrapper.
-type tuplePersisted struct {
-	Version     int      `json:"version"`
-	Kind        string   `json:"kind"` // always "tuple"
-	Expr        string   `json:"expr"`
-	Sigma       []string `json:"sigma"`
-	DropEndTags bool     `json:"dropEndTags,omitempty"`
-	KeepText    bool     `json:"keepText,omitempty"`
-	AttrKeys    []string `json:"attrKeys,omitempty"`
-	Skip        []string `json:"skip,omitempty"`
-}
-
 // MarshalJSON persists the tuple wrapper; restore with LoadTuple.
 func (w *TupleWrapper) MarshalJSON() ([]byte, error) {
-	names := make([]string, 0, w.tuple.Sigma().Len())
-	for _, s := range w.tuple.Sigma().Symbols() {
-		names = append(names, w.tab.Name(s))
-	}
-	return json.Marshal(tuplePersisted{
-		Version:     1,
-		Kind:        "tuple",
-		Expr:        w.tuple.String(w.tab),
-		Sigma:       names,
-		DropEndTags: w.cfg.DropEndTags,
-		KeepText:    w.cfg.KeepText,
-		AttrKeys:    w.cfg.AttrKeys,
-		Skip:        w.cfg.Skip,
-	})
+	return json.Marshal(persist(kindTuple, w.tuple.String(w.tab), w.tuple.Sigma(), w.tab, w.cfg))
 }
 
-// LoadTuple restores a tuple wrapper persisted with MarshalJSON.
+// LoadTuple restores a tuple wrapper persisted with MarshalJSON. Undecodable,
+// wrong-version and wrong-kind payloads (a single-pivot wrapper's JSON) are
+// classified under ErrMalformedInput.
 func LoadTuple(data []byte, opt machine.Options) (*TupleWrapper, error) {
-	var p tuplePersisted
-	if err := json.Unmarshal(data, &p); err != nil {
-		return nil, fmt.Errorf("%w: decoding tuple wrapper: %v", ErrMalformedInput, err)
-	}
-	if p.Version != 1 || p.Kind != "tuple" {
-		return nil, fmt.Errorf("%w: not a version-1 tuple wrapper (version %d, kind %q)", ErrMalformedInput, p.Version, p.Kind)
-	}
-	tab := symtab.NewTable()
-	sigma := symtab.NewAlphabet(tab.InternAll(p.Sigma...)...)
-	tuple, err := extract.ParseTuple(p.Expr, tab, sigma, opt)
-	if err != nil {
-		// Exhaustion during reparse is the caller's budget/deadline, not a
-		// corrupt payload — keep those sentinels detectable.
-		if errors.Is(err, machine.ErrBudget) || errors.Is(err, machine.ErrDeadline) {
-			return nil, fmt.Errorf("wrapper: reparsing tuple expression: %w", err)
-		}
-		return nil, fmt.Errorf("%w: reparsing tuple expression: %v", ErrMalformedInput, err)
-	}
-	cfg := Config{DropEndTags: p.DropEndTags, KeepText: p.KeepText, AttrKeys: p.AttrKeys, Skip: p.Skip, Options: opt}
-	return &TupleWrapper{tab: tab, mapper: cfg.mapper(tab), tuple: tuple, cfg: cfg}, nil
+	return LoadTupleCachedCtx(context.Background(), data, opt, nil)
 }
 
 // IsTuplePayload reports whether the persisted wrapper JSON is a tuple
@@ -218,7 +175,7 @@ func IsTuplePayload(data []byte) bool {
 	if err := json.Unmarshal(data, &probe); err != nil {
 		return false
 	}
-	return probe.Kind == "tuple"
+	return probe.Kind == kindTuple
 }
 
 // Tuple exposes the underlying expression.
@@ -226,3 +183,53 @@ func (w *TupleWrapper) Tuple() *extract.Tuple { return w.tuple }
 
 // String renders the tuple expression.
 func (w *TupleWrapper) String() string { return w.tuple.String(w.tab) }
+
+// program returns the wrapper's compiled multi-split spanner program,
+// building it on first use. The program is immutable and shared by every
+// subsequent ExtractAll; compile failure is sticky only for this wrapper
+// instance.
+func (w *TupleWrapper) program() (*spanner.Program, error) {
+	w.prog.once.Do(func() {
+		w.prog.p, w.prog.err = spanner.Compile(w.tuple, w.cfg.Options)
+	})
+	return w.prog.p, w.prog.err
+}
+
+// ExtractAll runs the tuple wrapper as a document spanner: every extraction
+// vector on the page, one []Region per record, in document order. Where
+// Extract demands the unique vector (and errors on ambiguity), ExtractAll
+// embraces multiplicity — the record workload. A page with no records
+// returns an empty slice and no error; budget and deadline exhaustion
+// return errors wrapping machine.ErrBudget / machine.ErrDeadline.
+func (w *TupleWrapper) ExtractAll(html string) ([][]Region, error) {
+	return w.ExtractAllContext(context.Background(), html)
+}
+
+// ExtractAllContext is ExtractAll bounded by ctx in addition to the
+// wrapper's own training options.
+func (w *TupleWrapper) ExtractAllContext(ctx context.Context, html string) ([][]Region, error) {
+	prog, err := w.program()
+	if err != nil {
+		return nil, err
+	}
+	doc := w.mapper.Resolve(html)
+	m, err := prog.RunContext(ctx, doc.Syms)
+	if err != nil {
+		return nil, err
+	}
+	records := [][]Region{}
+	for {
+		vec, ok, err := m.Next()
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			return records, nil
+		}
+		rec := make([]Region, len(vec))
+		for j, pos := range vec {
+			rec[j] = Region{TokenIndex: pos, Span: doc.SpanOf(pos), Source: doc.Source(pos)}
+		}
+		records = append(records, rec)
+	}
+}

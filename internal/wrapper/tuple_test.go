@@ -1,6 +1,8 @@
 package wrapper
 
 import (
+	"context"
+	"encoding/json"
 	"errors"
 	"strings"
 	"testing"
@@ -171,5 +173,111 @@ func TestTupleRefresh(t *testing.T) {
 	// Arity mismatch in the new sample.
 	if _, err := w2.Refresh(Sample{HTML: `<td data-target>x</td>`}); err == nil {
 		t.Error("arity-mismatched refresh accepted")
+	}
+}
+
+// recordsPayload persists a hand-written record-shaped tuple wrapper: one
+// (name cell, price cell) pair per table row, the gap between the pivots
+// being exactly the closing tag of the first cell.
+func recordsPayload(t *testing.T) []byte {
+	t.Helper()
+	data, err := json.Marshal(persisted{
+		Version: 1,
+		Kind:    kindTuple,
+		Expr:    ".* <TD> /TD <TD> .*",
+		Sigma:   []string{"TABLE", "/TABLE", "TR", "/TR", "TD", "/TD", "H1", "/H1", "P", "/P"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+const recordsPage = `<h1>Parts List</h1>
+<table>
+<tr><td>bolt M4</td><td>$0.10</td></tr>
+<tr><td>nut M4</td><td>$0.08</td></tr>
+<tr><td>washer M4</td><td>$0.02</td></tr>
+</table>`
+
+func TestExtractAllRecords(t *testing.T) {
+	w, err := LoadTuple(recordsPayload(t), machine.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	records, err := w.ExtractAll(recordsPage)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(records) != 3 {
+		t.Fatalf("records = %d, want 3", len(records))
+	}
+	wantNames := []string{"bolt M4", "nut M4", "washer M4"}
+	for i, rec := range records {
+		if len(rec) != 2 {
+			t.Fatalf("record %d has %d slots", i, len(rec))
+		}
+		if rec[0].Span.Start >= rec[1].Span.Start {
+			t.Errorf("record %d slots out of order", i)
+		}
+		// The name cell's start tag immediately precedes the wanted text.
+		rest := recordsPage[rec[0].Span.End:]
+		if got := rest[:len(wantNames[i])]; got != wantNames[i] {
+			t.Errorf("record %d name = %q, want %q", i, got, wantNames[i])
+		}
+	}
+	// Records come out in document order.
+	for i := 1; i < len(records); i++ {
+		if records[i-1][0].Span.Start >= records[i][0].Span.Start {
+			t.Error("records not in document order")
+		}
+	}
+	// A page without records is empty, not an error.
+	empty, err := w.ExtractAll(`<h1>nothing here</h1>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(empty) != 0 {
+		t.Fatalf("empty page produced %d records", len(empty))
+	}
+}
+
+func TestExtractAllAgreesWithExtract(t *testing.T) {
+	// On an unambiguous single-record page, ExtractAll returns exactly the
+	// vector Extract does.
+	w, err := TrainTuple([]Sample{
+		{HTML: tupleSample1},
+		{HTML: tupleSample2},
+	}, Config{KeepText: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	single, err := w.Extract(tupleLive)
+	if err != nil {
+		t.Fatal(err)
+	}
+	all, err := w.ExtractAll(tupleLive)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(all) != 1 {
+		t.Fatalf("ExtractAll found %d records on an unambiguous page", len(all))
+	}
+	for j := range single {
+		if single[j] != all[0][j] {
+			t.Errorf("slot %d: Extract %+v vs ExtractAll %+v", j, single[j], all[0][j])
+		}
+	}
+}
+
+func TestExtractAllContextCancel(t *testing.T) {
+	w, err := LoadTuple(recordsPayload(t), machine.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := w.ExtractAllContext(ctx, recordsPage); !errors.Is(err, machine.ErrDeadline) {
+		t.Fatalf("cancelled ExtractAll: %v", err)
 	}
 }

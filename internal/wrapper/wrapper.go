@@ -5,14 +5,20 @@
 // 6), and compile a matcher that maps extraction results back to byte
 // regions of the live page.
 //
-// Around the single trained Wrapper sit the operational layers: Fleet
-// keys wrappers by site and extracts in parallel batches on a worker pool
-// (ExtractBatch, deterministic result ordering); LoadCached and
-// LoadFleetCached restore persisted wrappers through the shared
-// extract.Cache so identical expressions compile once per process; and
-// Supervisor is the self-healing runtime — a per-request degradation
-// ladder (wrapper → refresh → probe → miss) behind per-site circuit
-// breakers, with its decisions observable via Telemetry.
+// TupleWrapper is the k-ary counterpart of the single-pivot Wrapper: it
+// extracts a fixed-arity tuple of elements, or every such record on a page
+// (ExtractAll).
+//
+// Around the trained wrappers sit the operational layers: Fleet keys one
+// wrapper of either kind by site and extracts in parallel batches on a
+// worker pool (ExtractBatch, deterministic result ordering, single-pivot
+// entries only); every loader — Load, LoadTuple, their Cached variants,
+// LoadAny and the fleet loaders — goes through one envelope decoder and,
+// given an extract.TieredCache, restores through the shared artifact cache
+// so identical expressions compile once per process; and Supervisor is the
+// self-healing runtime — a per-request degradation ladder (wrapper →
+// refresh → probe → miss) behind per-site circuit breakers, with its
+// decisions observable via Telemetry.
 package wrapper
 
 import (
@@ -20,6 +26,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 
 	"resilex/internal/extract"
 	"resilex/internal/htmltok"
@@ -273,66 +280,82 @@ func (w *Wrapper) Strategy() string { return w.strategy }
 // String renders the underlying extraction expression.
 func (w *Wrapper) String() string { return w.expr.String(w.tab) }
 
-// persisted is the JSON schema of a saved wrapper.
+// kindTuple is the envelope kind of a persisted k-ary tuple wrapper;
+// single-pivot payloads carry no kind.
+const kindTuple = "tuple"
+
+// persisted is the JSON envelope of a saved wrapper of either kind. Only
+// single-pivot wrappers record a Strategy; it is a pointer so a tuple
+// wrapper's JSON omits the field while a single-pivot one always has it.
 type persisted struct {
 	Version     int      `json:"version"`
+	Kind        string   `json:"kind,omitempty"`
 	Expr        string   `json:"expr"`
 	Sigma       []string `json:"sigma"`
-	Strategy    string   `json:"strategy"`
+	Strategy    *string  `json:"strategy,omitempty"`
 	DropEndTags bool     `json:"dropEndTags,omitempty"`
 	KeepText    bool     `json:"keepText,omitempty"`
 	AttrKeys    []string `json:"attrKeys,omitempty"`
 	Skip        []string `json:"skip,omitempty"`
 }
 
+// persist builds the envelope of a wrapper of the given kind from its
+// expression, alphabet and tokenizer configuration.
+func persist(kind, expr string, sigma symtab.Alphabet, tab *symtab.Table, cfg Config) persisted {
+	names := make([]string, 0, sigma.Len())
+	for _, s := range sigma.Symbols() {
+		names = append(names, tab.Name(s))
+	}
+	return persisted{
+		Version: 1, Kind: kind, Expr: expr, Sigma: names,
+		DropEndTags: cfg.DropEndTags, KeepText: cfg.KeepText, AttrKeys: cfg.AttrKeys, Skip: cfg.Skip,
+	}
+}
+
+// decodePersisted is the one envelope decoder behind every loader: it
+// parses the JSON and checks the version and that the payload's kind is one
+// of kinds. Every failure is ErrMalformedInput.
+func decodePersisted(data []byte, kinds ...string) (persisted, error) {
+	var p persisted
+	if err := json.Unmarshal(data, &p); err != nil {
+		return p, fmt.Errorf("%w: decoding wrapper: %v", ErrMalformedInput, err)
+	}
+	if p.Version != 1 {
+		return p, fmt.Errorf("%w: unsupported wrapper version %d", ErrMalformedInput, p.Version)
+	}
+	if !slices.Contains(kinds, p.Kind) {
+		return p, fmt.Errorf("%w: wrong wrapper kind %q (single-pivot payloads carry no kind, tuple payloads kind %q)",
+			ErrMalformedInput, p.Kind, kindTuple)
+	}
+	return p, nil
+}
+
+// config is the tokenizer configuration the envelope records, bound to opt.
+func (p persisted) config(opt machine.Options) Config {
+	return Config{DropEndTags: p.DropEndTags, KeepText: p.KeepText, AttrKeys: p.AttrKeys, Skip: p.Skip, Options: opt}
+}
+
+// reparseError classifies a failed restore compile: budget and deadline
+// exhaustion are the caller's limits, not a corrupt payload, so they keep
+// their sentinels; everything else is ErrMalformedInput.
+func reparseError(err error) error {
+	if errors.Is(err, machine.ErrBudget) || errors.Is(err, machine.ErrDeadline) {
+		return fmt.Errorf("wrapper: reparsing expression: %w", err)
+	}
+	return fmt.Errorf("%w: reparsing expression: %v", ErrMalformedInput, err)
+}
+
 // MarshalJSON persists the wrapper: the expression in concrete syntax plus
 // the alphabet and tokenizer configuration.
 func (w *Wrapper) MarshalJSON() ([]byte, error) {
-	names := make([]string, 0, w.expr.Sigma().Len())
-	for _, s := range w.expr.Sigma().Symbols() {
-		names = append(names, w.tab.Name(s))
-	}
-	return json.Marshal(persisted{
-		Version:     1,
-		Expr:        w.expr.String(w.tab),
-		Sigma:       names,
-		Strategy:    w.strategy,
-		DropEndTags: w.cfg.DropEndTags,
-		KeepText:    w.cfg.KeepText,
-		AttrKeys:    w.cfg.AttrKeys,
-		Skip:        w.cfg.Skip,
-	})
+	p := persist("", w.expr.String(w.tab), w.expr.Sigma(), w.tab, w.cfg)
+	p.Strategy = &w.strategy
+	return json.Marshal(p)
 }
 
-// Load restores a wrapper persisted with MarshalJSON. Undecodable or
-// wrong-version payloads are classified under ErrMalformedInput.
+// Load restores a wrapper persisted with MarshalJSON. Undecodable,
+// wrong-version and wrong-kind payloads (a tuple wrapper's JSON) are
+// classified under ErrMalformedInput.
 func Load(data []byte, opt machine.Options) (*Wrapper, error) {
-	var p persisted
-	if err := json.Unmarshal(data, &p); err != nil {
-		return nil, fmt.Errorf("%w: decoding wrapper: %v", ErrMalformedInput, err)
-	}
-	if p.Version != 1 {
-		return nil, fmt.Errorf("%w: unsupported wrapper version %d", ErrMalformedInput, p.Version)
-	}
-	tab := symtab.NewTable()
-	sigma := symtab.NewAlphabet(tab.InternAll(p.Sigma...)...)
-	expr, err := extract.Parse(p.Expr, tab, sigma, opt)
-	if err != nil {
-		// Exhaustion during reparse is the caller's budget/deadline, not a
-		// corrupt payload — keep those sentinels detectable.
-		if errors.Is(err, machine.ErrBudget) || errors.Is(err, machine.ErrDeadline) {
-			return nil, fmt.Errorf("wrapper: reparsing expression: %w", err)
-		}
-		return nil, fmt.Errorf("%w: reparsing expression: %v", ErrMalformedInput, err)
-	}
-	m, err := expr.Compile()
-	if err != nil {
-		return nil, err
-	}
-	cfg := Config{DropEndTags: p.DropEndTags, KeepText: p.KeepText, AttrKeys: p.AttrKeys, Skip: p.Skip, Options: opt}
-	return &Wrapper{
-		sbox: &streamBox{},
-		tab:  tab, mapper: cfg.mapper(tab), expr: expr, matcher: m,
-		strategy: p.Strategy, cfg: cfg,
-	}, nil
+	return LoadCachedCtx(context.Background(), data, opt, nil)
 }

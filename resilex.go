@@ -327,7 +327,8 @@ func TrainTokens(tab *Table, examples []Example, sigma Alphabet, cfg Config) (w 
 	return wrapper.TrainTokens(tab, examples, sigma, cfg)
 }
 
-// LoadWrapper restores a wrapper persisted with Wrapper.MarshalJSON.
+// LoadWrapper restores a wrapper persisted with Wrapper.MarshalJSON; a
+// tuple wrapper's JSON is ErrMalformedInput (use LoadTupleWrapper).
 func LoadWrapper(data []byte, opt Options) (w *Wrapper, err error) {
 	defer guard(&err)
 	return wrapper.Load(data, opt)

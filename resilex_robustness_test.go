@@ -47,6 +47,12 @@ func TestFacadeErrorTaxonomy(t *testing.T) {
 	if _, err := LoadWrapper([]byte(`{`), Options{}); !errors.Is(err, ErrMalformedInput) {
 		t.Errorf("LoadWrapper: %v", err)
 	}
+	// A tuple wrapper's JSON is not a single-pivot wrapper, even when its
+	// expression happens to parse as one.
+	tuple := []byte(`{"version":1,"kind":"tuple","expr":"q* <p> q*","sigma":["p","q"]}`)
+	if _, err := LoadWrapper(tuple, Options{}); !errors.Is(err, ErrMalformedInput) {
+		t.Errorf("LoadWrapper(tuple payload): %v", err)
+	}
 	if _, err := LoadFleet([]byte(`[]`), Options{}); !errors.Is(err, ErrMalformedInput) {
 		t.Errorf("LoadFleet: %v", err)
 	}
