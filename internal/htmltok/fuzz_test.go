@@ -1,13 +1,15 @@
 package htmltok
 
 import (
+	"reflect"
 	"testing"
 
 	"resilex/internal/symtab"
 )
 
 // FuzzScan asserts the tokenizer never panics on arbitrary bytes and always
-// produces tokens with sane, in-bounds, non-decreasing spans.
+// produces tokens with sane, in-bounds, non-decreasing spans, and that Map
+// and Resolve equal mapReference under every mix of mapper settings.
 func FuzzScan(f *testing.F) {
 	seeds := []string{
 		"<p>x</p>",
@@ -17,7 +19,7 @@ func FuzzScan(f *testing.F) {
 		"< p", "<<>>", "</", "<a b=c d>", "\x00<\xff>", "<style>",
 		"<p", "a<b>c</b", "<input type=\">",
 	}
-	for _, s := range seeds {
+	for _, s := range append(seeds, streamerDocs...) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
@@ -32,13 +34,49 @@ func FuzzScan(f *testing.F) {
 			}
 			last = tok.Start
 		}
-		// Mapping never panics either and yields parallel arrays.
-		tab := symtab.NewTable()
-		m := NewMapper(tab)
-		m.KeepText = true
-		doc := m.Map(src)
-		if len(doc.Syms) != len(doc.Spans) {
-			t.Fatal("Syms and Spans length mismatch")
+		for mix := 0; mix < 16; mix++ {
+			checkMapMatchesReference(t, src, mix)
 		}
 	})
+}
+
+// checkMapMatchesReference compares Map and Resolve with mapReference on
+// src under one mix of mapper settings (bit 0 KeepText, bit 1 end tags
+// dropped, bit 2 Skip, bit 3 AttrKeys): the symbols, the spans and the
+// table's names in interning order must all agree.
+func checkMapMatchesReference(t *testing.T, src string, mix int) {
+	t.Helper()
+	mapper := func(tab *symtab.Table) *Mapper {
+		m := NewMapper(tab)
+		m.KeepText = mix&1 != 0
+		m.KeepEndTags = mix&2 == 0
+		if mix&4 != 0 {
+			m.Skip = map[string]bool{"BR": true, "P": true, "SCRIPT": true}
+		}
+		if mix&8 != 0 {
+			m.AttrKeys = []string{"type", "name"}
+		}
+		return m
+	}
+	same := func(op string, got, want Document, gotTab, wantTab *symtab.Table) {
+		t.Helper()
+		if !reflect.DeepEqual(got.Syms, want.Syms) || !reflect.DeepEqual(got.Spans, want.Spans) {
+			t.Fatalf("mix %d: %s(%q):\n got %v %v\nwant %v %v", mix, op, src, got.Syms, got.Spans, want.Syms, want.Spans)
+		}
+		if g, w := gotTab.Names(), wantTab.Names(); !reflect.DeepEqual(g, w) {
+			t.Fatalf("mix %d: %s(%q) interned %q, want %q", mix, op, src, g, w)
+		}
+	}
+	wantTab, gotTab := symtab.NewTable(), symtab.NewTable()
+	want := mapReference(mapper(wantTab), src, true)
+	same("Map", mapper(gotTab).Map(src), want, gotTab, wantTab)
+
+	// Resolve against a table that knows only the first half's names, so
+	// both known and fresh (None) names occur.
+	half := symtab.NewTable()
+	mapReference(mapper(half), src[:len(src)/2], true)
+	names := symtab.NewTable()
+	names.InternAll(half.Names()...)
+	want = mapReference(mapper(half), src, false)
+	same("Resolve", mapper(half).Resolve(src), want, half, names)
 }

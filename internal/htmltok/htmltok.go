@@ -8,7 +8,10 @@
 // quoted and unquoted attributes, and self-closing tags. It never fails on
 // malformed input — stray '<' characters degrade to text, in the spirit of
 // browser error recovery — because wrappers must tokenize whatever a web
-// server returns.
+// server returns. Every extraction route tokenizes with the resumable,
+// allocation-free Streamer: Mapper.Map and Mapper.Resolve feed it a whole
+// page, the stream route feeds it request chunks. Scan, its materialized
+// twin, serves callers that want Token values with attributes.
 package htmltok
 
 import (
@@ -146,20 +149,23 @@ func Scan(html string) []Token {
 		i = next
 		// Raw-text element: consume everything up to the matching close.
 		if tok.Kind == StartTag && rawTextElements[tok.Name] {
-			closeSeq := "</" + strings.ToLower(tok.Name)
-			// ASCII-only fold: strings.ToLower would rewrite invalid UTF-8
-			// bytes as 3-byte replacement runes, desynchronizing the found
-			// index from offsets into html.
-			rest := asciiLower(html[i:])
-			at := strings.Index(rest, closeSeq)
-			if at < 0 {
+			// Search in place with an ASCII-only fold: a lowered copy of the
+			// rest of the page per raw-text element would make Scan
+			// quadratic, and strings.ToLower would rewrite invalid UTF-8
+			// bytes as 3-byte replacement runes, desynchronizing offsets.
+			closeSeq := []byte("</" + strings.ToLower(tok.Name))
+			at := i
+			for at < n && !foldHasPrefix(html[at:], closeSeq) {
+				at++
+			}
+			if at == n {
 				i = n
 				continue
 			}
-			if strings.TrimSpace(html[i:i+at]) != "" {
-				out = append(out, Token{Kind: Text, Start: i, End: i + at})
+			if strings.TrimSpace(html[i:at]) != "" {
+				out = append(out, Token{Kind: Text, Start: i, End: at})
 			}
-			i += at
+			i = at
 		}
 	}
 	flushText(n)
@@ -168,19 +174,6 @@ func Scan(html string) []Token {
 
 func isAlpha(c byte) bool {
 	return ('a' <= c && c <= 'z') || ('A' <= c && c <= 'Z')
-}
-
-// asciiLower lowercases ASCII letters byte-for-byte, leaving every other
-// byte (including invalid UTF-8) untouched, so indexes into the result are
-// valid indexes into s.
-func asciiLower(s string) string {
-	b := []byte(s)
-	for i, c := range b {
-		if 'A' <= c && c <= 'Z' {
-			b[i] = c + 'a' - 'A'
-		}
-	}
-	return string(b)
 }
 
 func isSpace(c byte) bool {
@@ -289,8 +282,8 @@ type Mapper struct {
 	Skip map[string]bool
 
 	// endBuf is StreamSym's end-tag scratch ("/NAME"). It makes StreamSym
-	// single-goroutine state, unlike Map; streaming callers hold one Mapper
-	// per in-flight extraction.
+	// single-goroutine state, unlike Map and Resolve; streaming callers hold
+	// one Mapper per in-flight extraction.
 	endBuf []byte
 }
 
@@ -311,49 +304,34 @@ type Document struct {
 	Spans []Span
 }
 
-// Map tokenizes html and converts it to a Document, interning every name it
-// meets. Training and refresh use it: the names it interns widen Σ.
+// Map tokenizes html with a Streamer and converts it to a Document,
+// interning every name it meets. Training and refresh use it: the names it
+// interns widen Σ.
 func (m *Mapper) Map(html string) Document { return m.mapDoc(html, true) }
 
 // Resolve is Map without interning: a name the table has never seen becomes
 // symtab.None, as in StreamSym. Extraction uses it on live pages, so hostile
 // pages cannot grow a table that many wrappers share. Regions are the same as
-// under Map, because a fresh name is outside Σ either way.
+// under Map, because a fresh name is outside Σ either way. Like Map, it runs
+// the page through a Streamer and StreamSym's resolver, so the in-memory and
+// streaming routes tokenize with the same code.
 func (m *Mapper) Resolve(html string) Document { return m.mapDoc(html, false) }
 
+// mapDoc feeds html to a Streamer in one chunk and keeps each token resolve
+// does not drop. The streamer and the end-tag scratch are local to the call,
+// so one Mapper serves concurrent calls.
 func (m *Mapper) mapDoc(html string, intern bool) Document {
-	sym := func(name string) symtab.Symbol {
-		if intern {
-			return m.tab.Intern(name)
-		}
-		return m.tab.Lookup(name)
-	}
-	raw := Scan(html)
 	doc := Document{HTML: html}
-	for _, t := range raw {
-		switch t.Kind {
-		case Comment, Doctype:
-			continue
-		case Text:
-			if !m.KeepText {
-				continue
-			}
-			doc.Syms = append(doc.Syms, sym(TextSymbolName))
-			doc.Spans = append(doc.Spans, Span{t.Start, t.End})
-		case EndTag:
-			if !m.KeepEndTags || m.Skip[t.Name] {
-				continue
-			}
-			doc.Syms = append(doc.Syms, sym("/"+t.Name))
-			doc.Spans = append(doc.Spans, Span{t.Start, t.End})
-		case StartTag, SelfClosingTag:
-			if m.Skip[t.Name] {
-				continue
-			}
-			doc.Syms = append(doc.Syms, sym(m.symbolName(t)))
+	var end []byte
+	s := NewStreamer(func(t RawToken) {
+		if sym, ok := m.resolve(t, intern, &end); ok {
+			doc.Syms = append(doc.Syms, sym)
 			doc.Spans = append(doc.Spans, Span{t.Start, t.End})
 		}
-	}
+	})
+	s.ParseAttrs = len(m.AttrKeys) > 0
+	s.Feed([]byte(html))
+	s.Close()
 	return doc
 }
 

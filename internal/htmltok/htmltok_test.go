@@ -1,7 +1,10 @@
 package htmltok
 
 import (
+	"reflect"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"resilex/internal/symtab"
@@ -106,6 +109,24 @@ func TestScanRawText(t *testing.T) {
 	}
 }
 
+// TestScanRawTextLinear: Scan finds each raw-text close tag by searching
+// the page in place, so its heap traffic stays proportional to the page even
+// when raw-text elements are many. Lowering a copy of the rest of the page
+// per element would cost this 192 KB page gigabytes.
+func TestScanRawTextLinear(t *testing.T) {
+	page := strings.Repeat("<title>x</title><p>y</p>", 8000)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	toks := Scan(page)
+	runtime.ReadMemStats(&after)
+	if len(toks) != 6*8000 {
+		t.Fatalf("got %d tokens, want %d", len(toks), 6*8000)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 100*uint64(len(page)) {
+		t.Fatalf("Scan allocated %d bytes on a %d-byte page, want at most 100x", alloc, len(page))
+	}
+}
+
 func TestScanMalformed(t *testing.T) {
 	cases := []string{
 		`a < b and c > d`,
@@ -178,6 +199,58 @@ func TestMapperFigure1(t *testing.T) {
 	if doc.SpanOf(idx).Start <= 0 {
 		t.Error("span start not positive")
 	}
+}
+
+// TestResolveAllocsFlat: Resolve's allocations do not scale with the token
+// count. Only the Syms and Spans slices grow, by doubling, so the Figure 1
+// page, bare (0.3 KB) and padded with E21's 1000 filler rows (52 KB), stays
+// within a small constant.
+func TestResolveAllocsFlat(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates on the warm path")
+	}
+	const fillerRow = "<tr><td><a href=\"cust.html\">filler row</a></td></tr>\n"
+	formAt := strings.Index(figure1TopHTML, "<form")
+	tab := symtab.NewTable()
+	m := NewMapper(tab)
+	m.Skip = map[string]bool{"BR": true}
+	for _, c := range []struct {
+		rows      int
+		maxAllocs float64
+	}{{0, 32}, {1000, 64}} {
+		page := figure1TopHTML[:formAt] + strings.Repeat(fillerRow, c.rows) + figure1TopHTML[formAt:]
+		m.Map(page) // intern the page's names, as training would
+		allocs := testing.AllocsPerRun(20, func() { m.Resolve(page) })
+		if allocs > c.maxAllocs {
+			t.Errorf("Resolve on a %.1f KB page: %.0f allocations, want at most %.0f",
+				float64(len(page))/1024, allocs, c.maxAllocs)
+		}
+	}
+}
+
+// TestMapperConcurrentCalls: Map and Resolve keep their streamer and
+// end-tag scratch local to the call, so one Mapper serves concurrent calls,
+// as a wrapper's does under the batch worker pool. Run with -race.
+func TestMapperConcurrentCalls(t *testing.T) {
+	m := NewMapper(symtab.NewTable())
+	m.KeepText = true
+	want := mapReference(m, figure1TopHTML, true)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				for _, doc := range []Document{m.Map(figure1TopHTML), m.Resolve(figure1TopHTML)} {
+					if !reflect.DeepEqual(doc.Syms, want.Syms) || !reflect.DeepEqual(doc.Spans, want.Spans) {
+						t.Errorf("concurrent call mapped %v %v, want %v %v", doc.Syms, doc.Spans, want.Syms, want.Spans)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestMapperAttrRefinement(t *testing.T) {

@@ -438,8 +438,10 @@ func appendUpperASCII(dst, src []byte) []byte {
 }
 
 // foldHasPrefix reports whether ASCII-lowercased b starts with seq (seq is
-// already lower-case).
-func foldHasPrefix(b, seq []byte) bool {
+// already lower-case). It folds byte by byte, leaving every other byte
+// (including invalid UTF-8) as it is, so a match at b[i:] is one at the same
+// offset of the source.
+func foldHasPrefix[T string | []byte](b T, seq []byte) bool {
 	if len(b) < len(seq) {
 		return false
 	}
@@ -462,12 +464,22 @@ func foldHasPrefix(b, seq []byte) bool {
 // The distinction matters to matchers: a dropped token does not occupy a
 // position, while a None symbol does — and kills every candidate whose
 // suffix spans it, which is extraction-equivalent to Map's freshly interned
-// (hence out-of-Σ) symbol.
+// (hence out-of-Σ) symbol. Map and Resolve call the same resolver on the
+// tokens of their own Streamer.
 //
 // Without AttrKeys the resolution path does not allocate (the byte-to-string
 // map indexes are elided); with AttrKeys it builds the refined symbol name
 // and allocates, matching the ParseAttrs cost on the streamer.
 func (m *Mapper) StreamSym(t RawToken) (sym symtab.Symbol, ok bool) {
+	return m.resolve(t, false, &m.endBuf)
+}
+
+// resolve maps one streamed token to its symbol, or reports ok=false for a
+// token the mapping drops. A name the table lacks is interned when intern is
+// set and resolves to symtab.None otherwise. end is the caller's "/NAME"
+// scratch for end tags.
+func (m *Mapper) resolve(t RawToken, intern bool, end *[]byte) (sym symtab.Symbol, ok bool) {
+	name := t.Name
 	switch t.Kind {
 	case Comment, Doctype:
 		return symtab.None, false
@@ -475,22 +487,23 @@ func (m *Mapper) StreamSym(t RawToken) (sym symtab.Symbol, ok bool) {
 		if !m.KeepText {
 			return symtab.None, false
 		}
-		return m.tab.Lookup(TextSymbolName), true
+		name = []byte(TextSymbolName)
 	case EndTag:
 		if !m.KeepEndTags || m.Skip[string(t.Name)] {
 			return symtab.None, false
 		}
-		m.endBuf = append(m.endBuf[:0], '/')
-		m.endBuf = append(m.endBuf, t.Name...)
-		return m.tab.LookupBytes(m.endBuf), true
+		*end = append(append((*end)[:0], '/'), t.Name...)
+		name = *end
 	default: // StartTag, SelfClosingTag
 		if m.Skip[string(t.Name)] {
 			return symtab.None, false
 		}
-		if len(m.AttrKeys) == 0 {
-			return m.tab.LookupBytes(t.Name), true
+		if len(m.AttrKeys) > 0 {
+			name = []byte(m.symbolName(Token{Name: string(t.Name), Attrs: t.Attrs}))
 		}
-		name := m.symbolName(Token{Name: string(t.Name), Attrs: t.Attrs})
-		return m.tab.Lookup(name), true
 	}
+	if sym = m.tab.LookupBytes(name); sym == symtab.None && intern {
+		sym = m.tab.Intern(string(name))
+	}
+	return sym, true
 }

@@ -186,16 +186,16 @@ func TestStreamerCarryStats(t *testing.T) {
 }
 
 // TestStreamSymMatchesMap: feeding streamed tokens through StreamSym yields
-// the same symbol sequence as Map, provided the names were interned during
-// training — and None (out of Σ) for fresh names, which Map would intern as
-// fresh (equally out-of-Σ) symbols.
+// the same symbol sequence as the Scan-driven reference mapping, provided
+// the names were interned during training — and None (out of Σ) for fresh
+// names, which Map would intern as fresh (equally out-of-Σ) symbols.
 func TestStreamSymMatchesMap(t *testing.T) {
 	src := "<FORM><INPUT type=a><!-- c -->text<BR></FORM><NEWTAG>"
 	tab := symtab.NewTable()
 	m := NewMapper(tab)
 	m.KeepText = true
 	m.Skip = map[string]bool{"BR": true}
-	doc := m.Map(src) // interns FORM, INPUT, #text, /FORM, NEWTAG
+	doc := mapReference(m, src, true) // interns FORM, INPUT, #text, /FORM, NEWTAG
 	var streamed []symtab.Symbol
 	s := NewStreamer(func(rt RawToken) {
 		if sym, ok := m.StreamSym(rt); ok {

@@ -236,9 +236,10 @@ func (w *Wrapper) Extract(html string) (Region, error) {
 // ExtractContext is Extract bounded by ctx: an expired or cancelled context
 // fails fast with an error wrapping machine.ErrDeadline before any
 // tokenization or matching work is done. Tokenization and matching are
-// linear in the page, so the entry check bounds the whole call. Page tokens
-// are looked up, never interned (htmltok.Mapper.Resolve), so live pages do
-// not grow the symbol table, which wrappers loaded from one cached artifact
+// linear in the page, so the entry check bounds the whole call. The page is
+// tokenized by the stream route's htmltok.Streamer, and its tokens are
+// looked up, never interned (htmltok.Mapper.Resolve), so live pages do not
+// grow the symbol table, which wrappers loaded from one cached artifact
 // share.
 func (w *Wrapper) ExtractContext(ctx context.Context, html string) (Region, error) {
 	if err := (machine.Options{Ctx: ctx}).Err(); err != nil {
