@@ -84,7 +84,8 @@ fuzz-lint:
 # The serving-path experiments at a fixed seed: E16 throughput (docs/sec,
 # p50/p99 latency, cache hit rate), E17 persistence (cold-compile vs
 # warm-disk vs warm-memory first-request latency), E18 cluster scaling
-# (1/2/4-shard throughput plus a kill-one-shard failover run) and E19
+# (1/2/4-shard throughput under a modeled shard capacity plus a
+# kill-one-shard failover run) and E19
 # continuous refresh (drift -> canary -> promote, break -> rollback, zero
 # failed requests), E20 tracing overhead (traced vs untraced cached-batch
 # p50), E21 streaming extraction (one-pass zero-alloc path vs the

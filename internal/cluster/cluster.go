@@ -5,8 +5,9 @@
 // up/down with observable transitions, and a router front-end proxies
 // extraction and wrapper mutations to the owning shard — failing over to
 // the next replica on error or timeout, optionally hedging tail requests,
-// and fanning wrapper PUTs/DELETEs out to every owner over a checksummed
-// codec frame so a node loss keeps every key servable.
+// and fanning every wrapper write (put, delete, canary, promote, rollback)
+// out to every owner over a checksummed codec frame so a node loss keeps
+// every key servable.
 //
 // The pieces compose without a coordination service: placement is a pure
 // function of the peer list (every router instance computes identical

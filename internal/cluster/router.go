@@ -28,7 +28,7 @@ type RouterConfig struct {
 	// one is required; trailing slashes are stripped.
 	Peers []string
 	// Replicas is the replication factor R: how many owners each wrapper
-	// key has. Wrapper PUTs/DELETEs are written to all R owners; extraction
+	// key has. Every wrapper write goes to all R owners; extraction
 	// fails over along the same list. Default 2, capped at len(Peers).
 	Replicas int
 	// VirtualNodes is the per-node vnode count of the placement ring;
@@ -58,8 +58,9 @@ type RouterConfig struct {
 
 // Router is the cluster front-end: it owns the placement ring and the
 // membership view, proxies POST /extract to the owning shard with failover
-// and optional hedging, and replicates PUT/DELETE /wrappers/{key} to every
-// owner. Safe for concurrent use.
+// and optional hedging, and replicates every wrapper write (put, delete,
+// canary, promote, rollback) to all the key's owners. Safe for concurrent
+// use.
 type Router struct {
 	cfg    RouterConfig
 	ring   *Ring
@@ -133,11 +134,11 @@ func (rt *Router) Run(ctx context.Context) { rt.health.Run(ctx) }
 func (rt *Router) Mux() *http.ServeMux {
 	mux := obs.HandlerWith(rt.obs, rt.mergeTrace)
 	mux.HandleFunc("POST /extract", rt.handleExtract)
-	mux.HandleFunc("PUT /wrappers/{key}", rt.handlePutWrapper)
-	mux.HandleFunc("DELETE /wrappers/{key}", rt.handleDeleteWrapper)
-	mux.HandleFunc("PUT /wrappers/{key}/canary", rt.handleCanaryWrapper)
-	mux.HandleFunc("POST /wrappers/{key}/promote", rt.handleRollout("promote", OpPromote))
-	mux.HandleFunc("POST /wrappers/{key}/rollback", rt.handleRollout("rollback", OpRollback))
+	mux.HandleFunc("PUT /wrappers/{key}", rt.handleWrite(OpPut))
+	mux.HandleFunc("DELETE /wrappers/{key}", rt.handleWrite(OpDelete))
+	mux.HandleFunc("PUT /wrappers/{key}/canary", rt.handleWrite(OpCanary))
+	mux.HandleFunc("POST /wrappers/{key}/promote", rt.handleWrite(OpPromote))
+	mux.HandleFunc("POST /wrappers/{key}/rollback", rt.handleWrite(OpRollback))
 	mux.HandleFunc("GET /wrappers/{key}/versions", rt.handleVersions)
 	mux.HandleFunc("GET /healthz", rt.handleHealthz)
 	return mux
@@ -559,114 +560,66 @@ func (rt *Router) replicate(ctx context.Context, owners []string, op Op) []repli
 	return out
 }
 
-// handlePutWrapper writes the registration to all R owners of the key. The
-// PUT succeeds if at least one owner applied it (every key stays servable
-// through a node loss); owners that were down record an error in the
-// response so a deploy can alarm on incomplete replication and re-PUT.
-func (rt *Router) handlePutWrapper(w http.ResponseWriter, r *http.Request) {
-	key := r.PathValue("key")
-	body, ok := rt.readBody(w, r, "application/json")
-	if !ok {
-		return
-	}
-	owners := rt.ring.Owners(key, rt.cfg.Replicas)
-	ctx, _ := rt.traceContext(w, r)
-	outcomes := rt.replicate(ctx, owners, Op{Kind: OpPut, Key: key, Payload: body})
-	applied, firstErr := summarize(outcomes, http.StatusCreated)
-	if applied == 0 {
-		rt.routeOutcome("error")
-		writeJSONError(w, statusOf(firstErr, http.StatusBadGateway), fmt.Errorf("no owner accepted the registration: %s", firstErr))
-		return
-	}
-	rt.routeOutcome("ok")
-	writeJSONStatus(w, http.StatusCreated, map[string]any{
-		"key": key, "replicated": applied, "owners": outcomes,
-	})
+// writeRows is the per-kind row of the router's write handler: the status
+// an owner answers when it applied the op, the response field counting
+// those owners, and the error text when none did.
+var writeRows = map[OpKind]struct {
+	want        int
+	field, fail string
+}{
+	OpPut:      {http.StatusCreated, "replicated", "no owner accepted the registration"},
+	OpDelete:   {http.StatusOK, "deleted", "no owner could delete"},
+	OpCanary:   {http.StatusCreated, "replicated", "no owner staged the canary"},
+	OpPromote:  {http.StatusOK, "promote", "no owner applied the promote"},
+	OpRollback: {http.StatusOK, "rollback", "no owner applied the rollback"},
 }
 
-// handleDeleteWrapper deletes the key from all its owners: 200 when any
-// owner deleted it, 404 when every reachable owner reported it unknown.
-func (rt *Router) handleDeleteWrapper(w http.ResponseWriter, r *http.Request) {
-	key := r.PathValue("key")
-	owners := rt.ring.Owners(key, rt.cfg.Replicas)
-	ctx, _ := rt.traceContext(w, r)
-	outcomes := rt.replicate(ctx, owners, Op{Kind: OpDelete, Key: key})
-	applied, firstErr := summarize(outcomes, http.StatusOK)
-	if applied > 0 {
-		rt.routeOutcome("ok")
-		writeJSONStatus(w, http.StatusOK, map[string]any{
-			"key": key, "deleted": applied, "owners": outcomes,
-		})
-		return
-	}
-	allUnknown := len(outcomes) > 0
-	for _, o := range outcomes {
-		if o.Error != "" || o.Status != http.StatusNotFound {
-			allUnknown = false
-		}
-	}
-	if allUnknown {
-		rt.routeOutcome("ok")
-		writeJSONError(w, http.StatusNotFound, fmt.Errorf("no wrapper registered for %q", key))
-		return
-	}
-	rt.routeOutcome("error")
-	writeJSONError(w, statusOf(firstErr, http.StatusBadGateway), fmt.Errorf("no owner could delete: %s", firstErr))
-}
-
-// handleCanaryWrapper replicates a canary registration to all R owners of
-// the key, exactly like a PUT — the canary is staged next to each owner's
-// active version and starts receiving its traffic fraction there.
-func (rt *Router) handleCanaryWrapper(w http.ResponseWriter, r *http.Request) {
-	key := r.PathValue("key")
-	body, ok := rt.readBody(w, r, "application/json")
-	if !ok {
-		return
-	}
-	owners := rt.ring.Owners(key, rt.cfg.Replicas)
-	ctx, _ := rt.traceContext(w, r)
-	outcomes := rt.replicate(ctx, owners, Op{Kind: OpCanary, Key: key, Payload: body})
-	applied, firstErr := summarize(outcomes, http.StatusCreated)
-	if applied == 0 {
-		rt.routeOutcome("error")
-		writeJSONError(w, statusOf(firstErr, http.StatusBadGateway), fmt.Errorf("no owner staged the canary: %s", firstErr))
-		return
-	}
-	rt.routeOutcome("ok")
-	writeJSONStatus(w, http.StatusCreated, map[string]any{
-		"key": key, "replicated": applied, "owners": outcomes,
-	})
-}
-
-// handleRollout builds the promote/rollback handler: the decision replicates
-// to all owners through the same framed apply path as registrations, with
-// the optional ?version=N guard carried in the op.
-func (rt *Router) handleRollout(name string, kind OpKind) http.HandlerFunc {
+// handleWrite builds the router's one write handler for an op kind. The
+// write — a registration or canary with its wrapper JSON, a deletion, or a
+// promote/rollback decision with its optional ?version=N guard — goes to
+// all R owners of the key as one framed op. It succeeds if at least one
+// owner applied it (every key stays servable through a node loss); owners
+// that were down record an error in the response so a deploy can alarm on
+// incomplete replication and retry. A DELETE that every owner answers with
+// 404 is itself a 404: the key is unknown everywhere.
+func (rt *Router) handleWrite(kind OpKind) http.HandlerFunc {
+	row := writeRows[kind]
 	return func(w http.ResponseWriter, r *http.Request) {
-		key := r.PathValue("key")
-		var version uint64
-		if q := r.URL.Query().Get("version"); q != "" {
-			v, err := strconv.ParseUint(q, 10, 64)
-			if err != nil {
-				rt.routeOutcome("reject")
-				writeJSONError(w, http.StatusBadRequest, fmt.Errorf("bad version %q: %w", q, err))
+		op := Op{Kind: kind, Key: r.PathValue("key")}
+		switch kind {
+		case OpPut, OpCanary:
+			body, ok := rt.readBody(w, r, "application/json")
+			if !ok {
 				return
 			}
-			version = v
+			op.Payload = body
+		case OpPromote, OpRollback:
+			if q := r.URL.Query().Get("version"); q != "" {
+				v, err := strconv.ParseUint(q, 10, 64)
+				if err != nil {
+					rt.routeOutcome("reject")
+					writeJSONError(w, http.StatusBadRequest, fmt.Errorf("bad version %q: %w", q, err))
+					return
+				}
+				op.Version = v
+			}
 		}
-		owners := rt.ring.Owners(key, rt.cfg.Replicas)
 		ctx, _ := rt.traceContext(w, r)
-		outcomes := rt.replicate(ctx, owners, Op{Kind: kind, Key: key, Version: version})
-		applied, firstErr := summarize(outcomes, http.StatusOK)
-		if applied == 0 {
+		outcomes := rt.replicate(ctx, rt.ring.Owners(op.Key, rt.cfg.Replicas), op)
+		applied, unknown, firstErr := summarize(outcomes, row.want)
+		switch {
+		case applied > 0:
+			rt.routeOutcome("ok")
+			writeJSONStatus(w, row.want, map[string]any{
+				"key": op.Key, row.field: applied, "owners": outcomes,
+			})
+		case kind == OpDelete && unknown > 0 && unknown == len(outcomes):
+			rt.routeOutcome("ok")
+			writeJSONError(w, http.StatusNotFound, fmt.Errorf("no wrapper registered for %q", op.Key))
+		default:
 			rt.routeOutcome("error")
-			writeJSONError(w, statusOf(firstErr, http.StatusBadGateway), fmt.Errorf("no owner applied the %s: %s", name, firstErr))
-			return
+			writeJSONError(w, statusOf(firstErr, http.StatusBadGateway), fmt.Errorf("%s: %s", row.fail, firstErr))
 		}
-		rt.routeOutcome("ok")
-		writeJSONStatus(w, http.StatusOK, map[string]any{
-			"key": key, name: applied, "owners": outcomes,
-		})
 	}
 }
 
@@ -691,9 +644,13 @@ func (rt *Router) handleVersions(w http.ResponseWriter, r *http.Request) {
 }
 
 // summarize counts owners that answered with the wanted success status and
-// collects the first failure detail for error reporting.
-func summarize(outcomes []replicaOutcome, want int) (applied int, firstErr string) {
+// those that answered 404, and collects the first failure detail for error
+// reporting.
+func summarize(outcomes []replicaOutcome, want int) (applied, unknown int, firstErr string) {
 	for _, o := range outcomes {
+		if o.Error == "" && o.Status == http.StatusNotFound {
+			unknown++
+		}
 		switch {
 		case o.Error == "" && o.Status == want:
 			applied++
@@ -708,7 +665,7 @@ func summarize(outcomes []replicaOutcome, want int) (applied int, firstErr strin
 	if firstErr == "" {
 		firstErr = "no owners"
 	}
-	return applied, firstErr
+	return applied, unknown, firstErr
 }
 
 // statusOf maps an owner failure summary to a router status: client errors

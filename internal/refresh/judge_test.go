@@ -31,8 +31,8 @@ func (c *vclock) stamp(action string) string {
 }
 
 // slotDeploy is a Deployment modeling the versioned registry's slot
-// semantics exactly as serve.Server implements them (promoteWrapper /
-// rollbackWrapper): promote requires a staged canary and shifts
+// semantics exactly as serve.Server implements them (the promote and
+// rollback cases of its apply): promote requires a staged canary and shifts
 // active→prior; rollback prefers the canary slot and otherwise reverts
 // active to prior. Versions are labels, not real wrappers — the judge path
 // never extracts, so the state machine is all that matters.

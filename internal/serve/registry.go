@@ -36,21 +36,6 @@ type wrapperRegistry struct {
 	mu  sync.Mutex // serializes directory mutation
 }
 
-// registryEntry is the persisted envelope. The legacy (pre-versioning)
-// schema stored the raw payload in Wrapper; it restores as active version 1.
-type registryEntry struct {
-	Key string `json:"key"`
-	// Wrapper is the legacy unversioned payload slot, kept for decode
-	// compatibility with envelopes written before versioning.
-	Wrapper json.RawMessage   `json:"wrapper,omitempty"`
-	Deleted bool              `json:"deleted,omitempty"`
-	Version uint64            `json:"lastVersion,omitempty"`
-	Active  *versionedWrapper `json:"active,omitempty"`
-	Canary  *versionedWrapper `json:"canary,omitempty"`
-	Prior   *versionedWrapper `json:"prior,omitempty"`
-	Outcome string            `json:"lastOutcome,omitempty"`
-}
-
 func newWrapperRegistry(dir string) (*wrapperRegistry, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wrapper registry: %w", err)
@@ -63,29 +48,10 @@ func (r *wrapperRegistry) path(key string) string {
 	return filepath.Join(r.dir, hex.EncodeToString(sum[:])+".json")
 }
 
-// writeState persists the version state of one key. A nil registry (no
-// cache dir) is a no-op. The caller holds the version lock, so the envelope
-// is a consistent snapshot.
-func (r *wrapperRegistry) writeState(key string, kv *keyVersions) error {
-	if r == nil {
-		return nil
-	}
-	return r.write(registryEntry{
-		Key:     key,
-		Deleted: kv.deleted,
-		Version: kv.lastVersion,
-		Active:  kv.active,
-		Canary:  kv.canary,
-		Prior:   kv.prior,
-		Outcome: kv.lastOutcome,
-	})
-}
-
-func (r *wrapperRegistry) write(ent registryEntry) error {
-	if r == nil {
-		return nil
-	}
-	blob, err := json.Marshal(ent)
+// write persists one key's record as its envelope. The caller holds the
+// version lock, so the envelope is a consistent snapshot.
+func (r *wrapperRegistry) write(rec record) error {
+	blob, err := json.Marshal(rec)
 	if err != nil {
 		return fmt.Errorf("wrapper registry: %w", err)
 	}
@@ -98,7 +64,7 @@ func (r *wrapperRegistry) write(ent registryEntry) error {
 	if _, err := tmp.Write(blob); err == nil {
 		err = tmp.Close()
 		if err == nil {
-			err = os.Rename(tmp.Name(), r.path(ent.Key))
+			err = os.Rename(tmp.Name(), r.path(rec.Key))
 		}
 	} else {
 		tmp.Close()
@@ -114,7 +80,7 @@ func (r *wrapperRegistry) write(ent registryEntry) error {
 // in Wrapper, no version counter) to active version 1. Undecodable files
 // are counted and skipped — one torn envelope must not keep the rest of the
 // fleet down. A nil registry loads nothing.
-func (r *wrapperRegistry) load() (entries []registryEntry, unreadable int) {
+func (r *wrapperRegistry) load() (records []record, unreadable int) {
 	if r == nil {
 		return nil, 0
 	}
@@ -131,20 +97,18 @@ func (r *wrapperRegistry) load() (entries []registryEntry, unreadable int) {
 			unreadable++
 			continue
 		}
-		var ent registryEntry
-		if err := json.Unmarshal(blob, &ent); err != nil || ent.Key == "" {
+		var rec record
+		if err := json.Unmarshal(blob, &rec); err != nil || rec.Key == "" {
 			unreadable++
 			continue
 		}
-		if ent.Active == nil && len(ent.Wrapper) > 0 && !ent.Deleted {
+		if rec.Active == nil && len(rec.Wrapper) > 0 && !rec.Deleted {
 			// Legacy envelope: the payload becomes active version 1.
-			ent.Active = &versionedWrapper{Version: 1, Payload: ent.Wrapper}
-			if ent.Version == 0 {
-				ent.Version = 1
-			}
-			ent.Wrapper = nil
+			rec.Active = &versionedWrapper{Version: 1, Payload: rec.Wrapper}
+			rec.LastVersion = max(rec.LastVersion, 1)
 		}
-		entries = append(entries, ent)
+		rec.Wrapper = nil
+		records = append(records, rec)
 	}
-	return entries, unreadable
+	return records, unreadable
 }

@@ -8,6 +8,7 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -184,9 +185,10 @@ func TestServeRestartSkipsCorruptRegistryEntry(t *testing.T) {
 	if rec := do(t, s1, "PUT", "/wrappers/vs", payload); rec.Code != http.StatusCreated {
 		t.Fatalf("PUT: %d", rec.Code)
 	}
-	if err := s1.registry.writeState("torn", &keyVersions{
-		lastVersion: 1,
-		active:      &versionedWrapper{Version: 1, Payload: payload},
+	if err := s1.registry.write(record{
+		Key:         "torn",
+		LastVersion: 1,
+		Active:      &versionedWrapper{Version: 1, Payload: payload},
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -291,5 +293,62 @@ func TestServeShutdownDeadline(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("shutdown wedged past its deadline")
+	}
+}
+
+// TestRestoreEnvelopeFormats: registry envelopes as earlier builds wrote
+// them — a legacy unversioned entry (payload in "wrapper"), a versioned
+// entry mid-rollout, and a tombstone — restore into the same version state,
+// and the legacy entry is rewritten without its "wrapper" field on the next
+// write.
+func TestRestoreEnvelopeFormats(t *testing.T) {
+	dir := t.TempDir()
+	payload, next := trainedPayload(t), futurePayload(t)
+	reg, err := newWrapperRegistry(filepath.Join(dir, "wrappers"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	envelopes := map[string]string{
+		"legacy": `{"key":"legacy","wrapper":` + string(payload) + `}`,
+		"rolling": `{"key":"rolling","lastVersion":4,"active":{"version":3,"payload":` + string(payload) +
+			`},"canary":{"version":4,"payload":` + string(next) + `},"prior":{"version":1,"payload":` +
+			string(payload) + `},"lastOutcome":"promoted"}`,
+		"gone": `{"key":"gone","deleted":true,"lastVersion":2}`,
+	}
+	for key, env := range envelopes {
+		if err := os.WriteFile(reg.path(key), []byte(env), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := diskServer(t, dir, nil, obs.New())
+	for key, want := range map[string]VersionState{
+		"legacy":  {LastVersion: 1, Active: 1},
+		"rolling": {LastVersion: 4, Active: 3, Canary: 4, Prior: 1, LastOutcome: "promoted"},
+		"gone":    {LastVersion: 2, Deleted: true},
+	} {
+		if got, ok := s.VersionState(key); !ok || got != want {
+			t.Errorf("%s: restored %+v (known %v), want %+v", key, got, ok, want)
+		}
+	}
+	if s.Fleet().Get("legacy") == nil || s.Fleet().Get("rolling") == nil || s.Fleet().Lookup("gone") != nil {
+		t.Fatalf("restored fleet %v, want legacy and rolling", s.Fleet().Keys())
+	}
+	if !s.HasCanary("rolling") {
+		t.Fatal("in-flight canary not re-staged")
+	}
+
+	if _, err := s.DeployCanary("legacy", next); err != nil {
+		t.Fatal(err)
+	}
+	blob, err := os.ReadFile(reg.path("legacy"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var env map[string]json.RawMessage
+	if err := json.Unmarshal(blob, &env); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := env["wrapper"]; ok || env["active"] == nil || env["canary"] == nil {
+		t.Fatalf("rewritten legacy envelope has fields %v", env)
 	}
 }

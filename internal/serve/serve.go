@@ -168,47 +168,42 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// restoreRegistry replays the persisted version state: active versions of
-// either kind load into the serving fleet (overriding same-key entries from
-// the deploy-time fleet file), an in-flight canary is re-staged into the
-// canary fleet with its observation window reset, and tombstones remove the
-// key while keeping its monotone version counter. Entries whose payload no
-// longer compiles are skipped and counted, not fatal.
+// restoreRegistry replays the persisted version state: each record becomes
+// the key's in-memory state as is. Active versions of either kind load into
+// the serving fleet (overriding same-key entries from the deploy-time fleet
+// file), an in-flight canary is re-staged into the canary fleet with its
+// observation window reset, and tombstones remove the key while keeping its
+// monotone version counter. Entries whose payload no longer compiles are
+// skipped and counted, not fatal.
 func (s *Server) restoreRegistry() (restored, deleted, skipped int) {
-	entries, unreadable := s.registry.load()
+	records, unreadable := s.registry.load()
 	skipped = unreadable
-	for _, ent := range entries {
-		kv := &keyVersions{
-			lastVersion: ent.Version,
-			deleted:     ent.Deleted,
-			lastOutcome: ent.Outcome,
-			prior:       ent.Prior,
-		}
-		if ent.Deleted {
-			s.fleet.Remove(ent.Key)
-			s.versions[ent.Key] = kv
+	for _, rec := range records {
+		kv := &keyVersions{record: rec}
+		if rec.Deleted {
+			s.fleet.Remove(rec.Key)
+			s.versions[rec.Key] = kv
 			deleted++
 			continue
 		}
-		if ent.Active != nil {
-			lw, err := wrapper.LoadAny(context.Background(), ent.Active.Payload, s.opt, s.cache)
+		if rec.Active != nil {
+			lw, err := wrapper.LoadAny(context.Background(), rec.Active.Payload, s.opt, s.cache)
 			if err != nil {
 				skipped++
 				continue
 			}
-			kv.active = ent.Active
-			s.fleet.Set(ent.Key, lw)
+			s.fleet.Set(rec.Key, lw)
 		}
-		if ent.Canary != nil {
-			if lw, err := wrapper.LoadAny(context.Background(), ent.Canary.Payload, s.opt, s.cache); err == nil {
-				kv.canary = ent.Canary
-				s.canaryFleet.Set(ent.Key, lw)
+		if rec.Canary != nil {
+			if lw, err := wrapper.LoadAny(context.Background(), rec.Canary.Payload, s.opt, s.cache); err == nil {
+				s.canaryFleet.Set(rec.Key, lw)
 			} else {
+				kv.Canary = nil
 				skipped++
 			}
 		}
-		s.versions[ent.Key] = kv
-		s.gaugeVersions(ent.Key, kv)
+		s.versions[rec.Key] = kv
+		s.gaugeVersions(rec.Key, kv)
 		restored++
 	}
 	return restored, deleted, skipped
@@ -228,11 +223,9 @@ func (s *Server) Mux() *http.ServeMux {
 	mux.HandleFunc("POST /extract", s.handleExtract)
 	mux.HandleFunc("POST /extract/stream/{key}", s.handleExtractStream)
 	mux.HandleFunc("POST /extract/tuples/{key}", s.handleExtractTuples)
-	mux.HandleFunc("PUT /wrappers/{key}", s.handlePutWrapper)
-	mux.HandleFunc("DELETE /wrappers/{key}", s.handleDeleteWrapper)
-	mux.HandleFunc("PUT /wrappers/{key}/canary", s.handleCanaryWrapper)
-	mux.HandleFunc("POST /wrappers/{key}/promote", s.handlePromoteWrapper)
-	mux.HandleFunc("POST /wrappers/{key}/rollback", s.handleRollbackWrapper)
+	for _, wr := range writeRoutes {
+		mux.HandleFunc(wr.pattern, s.handleWrite(wr.kind, wr.span))
+	}
 	mux.HandleFunc("GET /wrappers/{key}/versions", s.handleVersions)
 	mux.HandleFunc("POST /cluster/apply", s.handleClusterApply)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
@@ -459,13 +452,13 @@ func (s *Server) extractBatch(ctx context.Context, docs []wrapper.BatchDoc) ([]w
 	watched := map[int]*keyVersions{} // active-routed docs of keys under canary
 	s.vmu.Lock()
 	if len(docs) > 0 {
-		if kv := s.versions[docs[0].Key]; kv != nil && kv.active != nil {
-			outcome.version = kv.active.Version
+		if kv := s.versions[docs[0].Key]; kv != nil && kv.Active != nil {
+			outcome.version = kv.Active.Version
 		}
 	}
 	for i, d := range docs {
 		kv := s.versions[d.Key]
-		if kv == nil || kv.canary == nil || s.canaryFleet.Get(d.Key) == nil {
+		if kv == nil || kv.Canary == nil || s.canaryFleet.Get(d.Key) == nil {
 			continue
 		}
 		if (kv.rr.Add(1)-1)%s.stride == 0 {
@@ -565,197 +558,55 @@ func (s *Server) extractBatch(ctx context.Context, docs []wrapper.BatchDoc) ([]w
 	return results, outcome
 }
 
-// putWrapper registers (or replaces) a site wrapper of either kind from its
-// persisted JSON, decoded once, shared by the direct PUT route and the
-// replicated cluster apply.
-// Compilation goes through the shared cache, so re-registering a known
-// expression — or registering the same wrapper under many keys — costs a
-// lookup, and a deploy that PUTs a whole fleet compiles each distinct
-// expression once even under concurrency. The registration becomes the
-// key's new active version — one past the monotone counter (so a re-PUT
-// after a DELETE resurrects the key with a higher version), or the
-// replicated version when the originating node assigned a higher one — and
-// drops any staged canary: a direct PUT supersedes an in-flight rollout.
-func (s *Server) putWrapper(ctx context.Context, key string, body []byte, version uint64) (status int, resp map[string]any, err error) {
-	ctx, tier := extract.WithTierNote(ctx)
-	lw, err := wrapper.LoadAny(ctx, body, s.opt, s.cache)
-	if err != nil {
-		status := http.StatusBadRequest
-		if errors.Is(err, machine.ErrBudget) || errors.Is(err, machine.ErrDeadline) {
-			status = http.StatusServiceUnavailable
+// writeRoutes are the direct write routes, one per op kind, each traced
+// under its own span.
+var writeRoutes = []struct {
+	pattern, span string
+	kind          cluster.OpKind
+}{
+	{"PUT /wrappers/{key}", "serve.put", cluster.OpPut},
+	{"DELETE /wrappers/{key}", "serve.delete", cluster.OpDelete},
+	{"PUT /wrappers/{key}/canary", "serve.canary_put", cluster.OpCanary},
+	{"POST /wrappers/{key}/promote", "serve.promote", cluster.OpPromote},
+	{"POST /wrappers/{key}/rollback", "serve.rollback", cluster.OpRollback},
+}
+
+// handleWrite is the direct write handler of one kind: it turns the path
+// key, the body (put and canary carry the wrapper's persisted JSON) and the
+// optional ?version=N guard (promote and rollback) into the op apply
+// decides. A canary immediately starts receiving the configured traffic
+// fraction.
+func (s *Server) handleWrite(kind cluster.OpKind, span string) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		s.obs.Counter("serve_requests_total").Inc()
+		op := cluster.Op{Kind: kind, Key: r.PathValue("key")}
+		switch kind {
+		case cluster.OpPut, cluster.OpCanary:
+			body, ok := s.readBody(w, r, "application/json")
+			if !ok {
+				return
+			}
+			op.Payload = body
+		case cluster.OpPromote, cluster.OpRollback:
+			if q := r.URL.Query().Get("version"); q != "" {
+				v, err := strconv.ParseUint(q, 10, 64)
+				if err != nil {
+					writeError(w, http.StatusBadRequest, fmt.Errorf("bad version %q: %w", q, err))
+					return
+				}
+				op.Version = v
+			}
 		}
-		return status, nil, err
+		s.applyTraced(w, r, span, op)
 	}
-	s.vmu.Lock()
-	kv := s.ensureVersions(key)
-	v := kv.nextVersion(version)
-	kv.prior = kv.active
-	kv.active = &versionedWrapper{Version: v, Payload: append(json.RawMessage(nil), body...)}
-	kv.canary = nil
-	kv.deleted = false
-	s.fleet.Set(key, lw)
-	s.canaryFleet.Remove(key)
-	s.gaugeVersions(key, kv)
-	resp = map[string]any{"key": key, "sites": s.fleet.Len(), "version": v}
-	if s.registry != nil {
-		// The registration is live either way; persisted reports whether it
-		// will also survive a restart, so a deploy can alarm on false.
-		resp["persisted"] = s.registry.writeState(key, kv) == nil
-	}
-	s.vmu.Unlock()
-	s.wideEvent("serve.wrapper_put",
-		"trace", obs.TraceFromContext(ctx).TraceID,
-		"key", key,
-		"version", v,
-		"cache_tier", *tier,
-		"doc_bytes", len(body),
-	)
-	return http.StatusCreated, resp, nil
-}
-
-// deleteWrapper removes a site wrapper, persisting a versioned tombstone so
-// the deletion survives restarts exactly like a registration does — even
-// when the key originally came from the deploy-time fleet file. The
-// tombstone keeps the key's monotone version counter (and bumps it), so a
-// later re-PUT resurrects the key with a strictly higher version. Unknown
-// keys report false.
-func (s *Server) deleteWrapper(key string) (resp map[string]any, known bool) {
-	if s.fleet.Lookup(key) == nil {
-		return nil, false
-	}
-	s.vmu.Lock()
-	kv := s.ensureVersions(key)
-	kv.nextVersion(0)
-	kv.active, kv.canary, kv.prior = nil, nil, nil
-	kv.deleted = true
-	s.fleet.Remove(key)
-	s.canaryFleet.Remove(key)
-	s.gaugeVersions(key, kv)
-	resp = map[string]any{"key": key, "sites": s.fleet.Len()}
-	if s.registry != nil {
-		resp["persisted"] = s.registry.writeState(key, kv) == nil
-	}
-	s.vmu.Unlock()
-	return resp, true
-}
-
-func (s *Server) handlePutWrapper(w http.ResponseWriter, r *http.Request) {
-	s.obs.Counter("serve_requests_total").Inc()
-	key := r.PathValue("key")
-	body, ok := s.readBody(w, r, "application/json")
-	if !ok {
-		return
-	}
-	ctx, _ := s.traceContext(w, r)
-	ctx, sp := s.obs.StartSpan(ctx, "serve.put")
-	sp.SetStr("key", key)
-	status, resp, err := s.putWrapper(ctx, key, body, 0)
-	sp.SetError(err)
-	sp.End()
-	if err != nil {
-		writeError(w, status, err)
-		return
-	}
-	writeJSON(w, status, resp)
-}
-
-// handleCanaryWrapper stages a canary version: PUT /wrappers/{key}/canary
-// with the candidate's persisted JSON. The canary immediately starts
-// receiving the configured traffic fraction.
-func (s *Server) handleCanaryWrapper(w http.ResponseWriter, r *http.Request) {
-	s.obs.Counter("serve_requests_total").Inc()
-	key := r.PathValue("key")
-	body, ok := s.readBody(w, r, "application/json")
-	if !ok {
-		return
-	}
-	ctx, _ := s.traceContext(w, r)
-	ctx, sp := s.obs.StartSpan(ctx, "serve.canary_put")
-	sp.SetStr("key", key)
-	status, resp, err := s.canaryWrapper(ctx, key, body, 0)
-	sp.SetError(err)
-	sp.End()
-	if err != nil {
-		writeError(w, status, err)
-		return
-	}
-	writeJSON(w, status, resp)
-}
-
-// versionParam reads the optional ?version=N guard of promote/rollback.
-// 0 (absent) means "whatever is staged".
-func versionParam(r *http.Request) (uint64, error) {
-	q := r.URL.Query().Get("version")
-	if q == "" {
-		return 0, nil
-	}
-	v, err := strconv.ParseUint(q, 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("bad version %q: %w", q, err)
-	}
-	return v, nil
-}
-
-func (s *Server) handlePromoteWrapper(w http.ResponseWriter, r *http.Request) {
-	s.obs.Counter("serve_requests_total").Inc()
-	v, err := versionParam(r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	status, resp, err := s.promoteWrapper(r.PathValue("key"), v)
-	if err != nil {
-		writeError(w, status, err)
-		return
-	}
-	writeJSON(w, status, resp)
-}
-
-func (s *Server) handleRollbackWrapper(w http.ResponseWriter, r *http.Request) {
-	s.obs.Counter("serve_requests_total").Inc()
-	v, err := versionParam(r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	status, resp, err := s.rollbackWrapper(r.PathValue("key"), v)
-	if err != nil {
-		writeError(w, status, err)
-		return
-	}
-	writeJSON(w, status, resp)
-}
-
-// handleVersions reports the version state of one key — active/canary/prior
-// versions, the monotone counter, the last rollout outcome, and the canary
-// observation window — for rollout tooling and the refresh smoke to poll.
-func (s *Server) handleVersions(w http.ResponseWriter, r *http.Request) {
-	s.obs.Counter("serve_requests_total").Inc()
-	key := r.PathValue("key")
-	body, ok := s.versionsStatus(key)
-	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("no versions recorded for %q", key))
-		return
-	}
-	writeJSON(w, http.StatusOK, body)
-}
-
-func (s *Server) handleDeleteWrapper(w http.ResponseWriter, r *http.Request) {
-	s.obs.Counter("serve_requests_total").Inc()
-	key := r.PathValue("key")
-	resp, known := s.deleteWrapper(key)
-	if !known {
-		writeError(w, http.StatusNotFound, fmt.Errorf("no wrapper registered for %q", key))
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
 }
 
 // handleClusterApply is the replication endpoint a cluster router fans
 // wrapper mutations out to: one codec-framed, checksummed operation per
-// request. A body that is not an op frame at all is an unsupported media
-// type; a frame that fails verification (torn write on the wire, version
-// skew) is malformed input — distinguishable failure modes, both counted.
+// request, applied exactly like the direct route of its kind. A body that
+// is not an op frame at all is an unsupported media type; a frame that fails
+// verification (torn write on the wire, version skew) is malformed input —
+// distinguishable failure modes, both counted.
 func (s *Server) handleClusterApply(w http.ResponseWriter, r *http.Request) {
 	s.obs.Counter("serve_requests_total").Inc()
 	body, ok := s.readBody(w, r, cluster.OpContentType)
@@ -777,50 +628,51 @@ func (s *Server) handleClusterApply(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.obs.Counter(obs.WithLabels("serve_cluster_apply_total", "op", op.Kind.String())).Inc()
+	s.applyTraced(w, r, "shard.apply", op)
+}
+
+// applyTraced runs one write under a span carrying its op kind and key
+// (joining the caller's trace, echoed in X-Resilex-Trace) and writes the
+// response: the write's body, or its error under the status apply chose.
+func (s *Server) applyTraced(w http.ResponseWriter, r *http.Request, span string, op cluster.Op) {
 	ctx, _ := s.traceContext(w, r)
-	ctx, sp := s.obs.StartSpan(ctx, "shard.apply")
+	ctx, sp := s.obs.StartSpan(ctx, span)
 	sp.SetStr("op", op.Kind.String())
 	sp.SetStr("key", op.Key)
-	defer sp.End()
-	switch op.Kind {
-	case cluster.OpPut:
-		status, resp, err := s.putWrapper(ctx, op.Key, op.Payload, op.Version)
-		if err != nil {
-			sp.SetError(err)
-			writeError(w, status, err)
-			return
-		}
-		writeJSON(w, status, resp)
-	case cluster.OpDelete:
-		resp, known := s.deleteWrapper(op.Key)
-		if !known {
-			writeError(w, http.StatusNotFound, fmt.Errorf("no wrapper registered for %q", op.Key))
-			return
-		}
-		writeJSON(w, http.StatusOK, resp)
-	case cluster.OpCanary:
-		status, resp, err := s.canaryWrapper(ctx, op.Key, op.Payload, op.Version)
-		if err != nil {
-			sp.SetError(err)
-			writeError(w, status, err)
-			return
-		}
-		writeJSON(w, status, resp)
-	case cluster.OpPromote:
-		status, resp, err := s.promoteWrapper(op.Key, op.Version)
-		if err != nil {
-			writeError(w, status, err)
-			return
-		}
-		writeJSON(w, status, resp)
-	case cluster.OpRollback:
-		status, resp, err := s.rollbackWrapper(op.Key, op.Version)
-		if err != nil {
-			writeError(w, status, err)
-			return
-		}
-		writeJSON(w, status, resp)
+	res, err := s.apply(ctx, op)
+	sp.SetError(err)
+	sp.End()
+	if err != nil {
+		writeError(w, res.status, err)
+		return
 	}
+	writeJSON(w, res.status, res)
+}
+
+// handleVersions reports the version state of one key — active/canary/prior
+// versions, the monotone counter, the last rollout outcome, and the canary
+// observation window — for rollout tooling and the refresh smoke to poll.
+func (s *Server) handleVersions(w http.ResponseWriter, r *http.Request) {
+	s.obs.Counter("serve_requests_total").Inc()
+	key := r.PathValue("key")
+	vs, win, ok := s.snapshot(key)
+	if !ok {
+		writeError(w, http.StatusNotFound, fmt.Errorf("no versions recorded for %q", key))
+		return
+	}
+	body := map[string]any{
+		"key":         key,
+		"lastVersion": vs.LastVersion,
+		"deleted":     vs.Deleted,
+		"lastOutcome": vs.LastOutcome,
+		"stats":       win,
+	}
+	for slot, v := range map[string]uint64{"active": vs.Active, "canary": vs.Canary, "prior": vs.Prior} {
+		if v != 0 {
+			body[slot] = map[string]uint64{"version": v}
+		}
+	}
+	writeJSON(w, http.StatusOK, body)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

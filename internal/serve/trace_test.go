@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -289,5 +290,62 @@ func TestWideEventSampling(t *testing.T) {
 	trace, _ := e["trace"].(string)
 	if len(trace) != 32 {
 		t.Fatalf("wide event trace id = %q, want a minted 128-bit id", trace)
+	}
+}
+
+// TestWriteRoutesTraced: every direct write route echoes X-Resilex-Trace
+// and records its span with the op and key, and shard.apply records the
+// error of a failing op of any kind (here a stale promote).
+func TestWriteRoutesTraced(t *testing.T) {
+	o := obs.New()
+	s, err := New(Config{CacheCap: 8, Observer: o, Batch: wrapper.BatchOptions{Workers: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := trainedPayload(t)
+	for _, c := range []struct {
+		method, path, span string
+		body               []byte
+		status             int
+	}{
+		{"PUT", "/wrappers/vs", "serve.put", payload, http.StatusCreated},
+		{"PUT", "/wrappers/vs/canary", "serve.canary_put", payload, http.StatusCreated},
+		{"POST", "/wrappers/vs/promote", "serve.promote", nil, http.StatusOK},
+		{"POST", "/wrappers/vs/rollback", "serve.rollback", nil, http.StatusOK},
+		{"DELETE", "/wrappers/vs", "serve.delete", nil, http.StatusOK},
+		{"DELETE", "/wrappers/vs", "serve.delete", nil, http.StatusNotFound},
+	} {
+		rec := do(t, s, c.method, c.path, c.body)
+		if rec.Code != c.status {
+			t.Fatalf("%s %s: status %d, want %d: %s", c.method, c.path, rec.Code, c.status, rec.Body)
+		}
+		id := rec.Header().Get(obs.TraceHeader)
+		spans := o.Traces.Trace(id)
+		var sp *obs.SpanRecord
+		for i := range spans {
+			if spans[i].Name == c.span {
+				sp = &spans[i]
+			}
+		}
+		if id == "" || sp == nil {
+			t.Fatalf("%s %s: trace %q spans %v, want a %s span", c.method, c.path, id, spanNames(spans), c.span)
+		}
+		if (c.status >= 400) != (sp.Error != "") {
+			t.Errorf("%s %s: span error %q for status %d", c.method, c.path, sp.Error, c.status)
+		}
+		if got := fmt.Sprint(sp.SAttrs); !strings.Contains(got, "vs") {
+			t.Errorf("%s %s: span attributes %s lack the key", c.method, c.path, got)
+		}
+	}
+
+	do(t, s, "PUT", "/wrappers/vs", payload)
+	do(t, s, "PUT", "/wrappers/vs/canary", payload)
+	rec := doFrame(t, s, cluster.EncodeOp(cluster.Op{Kind: cluster.OpPromote, Key: "vs", Version: 99}))
+	if rec.Code != http.StatusConflict {
+		t.Fatalf("stale replicated promote: status %d: %s", rec.Code, rec.Body)
+	}
+	spans := o.Traces.Trace(rec.Header().Get(obs.TraceHeader))
+	if len(spans) != 1 || spans[0].Name != "shard.apply" || !strings.Contains(spans[0].Error, "version conflict") {
+		t.Fatalf("stale replicated promote: spans %+v, want shard.apply carrying the conflict", spans)
 	}
 }

@@ -9,6 +9,8 @@ import (
 	"net/http"
 	"sync/atomic"
 
+	"resilex/internal/cluster"
+	"resilex/internal/extract"
 	"resilex/internal/machine"
 	"resilex/internal/obs"
 	"resilex/internal/wrapper"
@@ -19,7 +21,9 @@ import (
 // canary, promote, rollback — assigns or consumes versions from it, so the
 // ordering of operations is recoverable from disk after a restart and a
 // DELETE followed by a re-PUT resurrects the key with a strictly higher
-// version instead of staying tombstoned.
+// version instead of staying tombstoned. All five are decided in apply,
+// whichever entry point — direct route, replicated op or in-process seam —
+// they arrive through.
 //
 // Lifecycle of a refresh: a canary version is staged next to the active one
 // and receives a configured fraction of the key's traffic (stride-routed, so
@@ -36,6 +40,32 @@ type versionedWrapper struct {
 	Payload json.RawMessage `json:"payload"`
 }
 
+// version is the slot's version number; 0 for an empty slot.
+func (v *versionedWrapper) version() uint64 {
+	if v == nil {
+		return 0
+	}
+	return v.Version
+}
+
+// record is the version state of one key, held in memory exactly as the
+// registry persists it (one JSON envelope per key, see registry.go).
+type record struct {
+	Key string `json:"key"`
+	// Wrapper is the legacy unversioned payload slot of envelopes written
+	// before versioning; load turns it into active version 1.
+	Wrapper     json.RawMessage   `json:"wrapper,omitempty"`
+	Deleted     bool              `json:"deleted,omitempty"`
+	LastVersion uint64            `json:"lastVersion,omitempty"`
+	Active      *versionedWrapper `json:"active,omitempty"`
+	Canary      *versionedWrapper `json:"canary,omitempty"`
+	Prior       *versionedWrapper `json:"prior,omitempty"`
+	// LastOutcome records how the most recent canary concluded: "promoted"
+	// or "rolled-back" ("" while none has concluded). Exposed on the
+	// versions endpoint so rollout tooling can poll for a verdict.
+	LastOutcome string `json:"lastOutcome,omitempty"`
+}
+
 // canaryStats is the sliding observation window opened at canary deploy
 // time: extraction outcomes on the canary-routed fraction, outcomes on the
 // active-routed remainder of the same key, and how often a canary miss fell
@@ -49,20 +79,19 @@ type canaryStats struct {
 	fallback  atomic.Uint64
 }
 
-// keyVersions is the version state of one key. Guarded by Server.vmu except
-// the stats atomics and the round-robin counter.
+// reset opens a fresh observation window, clearing each counter atomically:
+// the extract path may be adding to it at the same moment.
+func (c *canaryStats) reset() {
+	for _, n := range []*atomic.Uint64{&c.canaryOK, &c.canaryErr, &c.activeOK, &c.activeErr, &c.fallback} {
+		n.Store(0)
+	}
+}
+
+// keyVersions is the live state of one key: its record, guarded by
+// Server.vmu, plus the canary window and the per-key request counter that
+// drives the deterministic canary stride split, both atomics.
 type keyVersions struct {
-	lastVersion uint64
-	active      *versionedWrapper
-	canary      *versionedWrapper
-	prior       *versionedWrapper
-	deleted     bool
-	// lastOutcome records how the most recent canary concluded: "promoted"
-	// or "rolled-back" ("" while none has concluded). Exposed on the
-	// versions endpoint so rollout tooling can poll for a verdict.
-	lastOutcome string
-	// rr is the per-key request counter driving the deterministic canary
-	// stride split.
+	record
 	rr    atomic.Uint64
 	stats canaryStats
 }
@@ -89,7 +118,7 @@ func canaryStride(fraction float64) uint64 {
 func (s *Server) ensureVersions(key string) *keyVersions {
 	kv := s.versions[key]
 	if kv == nil {
-		kv = &keyVersions{}
+		kv = &keyVersions{record: record{Key: key}}
 		s.versions[key] = kv
 	}
 	return kv
@@ -99,257 +128,213 @@ func (s *Server) ensureVersions(key string) *keyVersions {
 // counter, or the replicated version when the originating node assigned a
 // higher one (so replicas converge on the origin's numbering).
 func (kv *keyVersions) nextVersion(replicated uint64) uint64 {
-	v := kv.lastVersion + 1
-	if replicated > v {
-		v = replicated
-	}
-	kv.lastVersion = v
-	return v
+	kv.LastVersion = max(kv.LastVersion+1, replicated)
+	return kv.LastVersion
 }
 
 // gaugeVersions publishes the active/canary version numbers for the key (0 =
 // none). Caller holds vmu.
 func (s *Server) gaugeVersions(key string, kv *keyVersions) {
-	var active, canary uint64
-	if kv.active != nil {
-		active = kv.active.Version
-	}
-	if kv.canary != nil {
-		canary = kv.canary.Version
-	}
-	s.obs.Gauge(obs.WithLabels("refresh_active_version", "site", key)).Set(int64(active))
-	s.obs.Gauge(obs.WithLabels("refresh_canary_version", "site", key)).Set(int64(canary))
+	s.obs.Gauge(obs.WithLabels("refresh_active_version", "site", key)).Set(int64(kv.Active.version()))
+	s.obs.Gauge(obs.WithLabels("refresh_canary_version", "site", key)).Set(int64(kv.Canary.version()))
 }
 
-// canaryWrapper stages payload as the canary version for key. The key must
-// already have an active wrapper — a canary is a candidate replacement, not
-// a first registration. version, when non-zero, is the version the
-// originating node assigned (replication); zero assigns locally.
-func (s *Server) canaryWrapper(ctx context.Context, key string, body []byte, version uint64) (status int, resp map[string]any, err error) {
-	lw, err := wrapper.LoadAny(ctx, body, s.opt, s.cache)
-	if err != nil {
-		status := http.StatusBadRequest
-		if errors.Is(err, machine.ErrBudget) || errors.Is(err, machine.ErrDeadline) {
-			status = http.StatusServiceUnavailable
+// writeResult is the outcome of one write: the HTTP status, and on success
+// the response body of every write route (fields in the body's key order;
+// each kind fills its own).
+type writeResult struct {
+	status    int
+	Key       string `json:"key"`
+	Outcome   string `json:"outcome,omitempty"`
+	Persisted *bool  `json:"persisted,omitempty"` // absent without a registry
+	Restored  uint64 `json:"restored,omitempty"`
+	Sites     *int   `json:"sites,omitempty"` // put and delete only
+	Version   uint64 `json:"version,omitempty"`
+}
+
+// guard checks a promote/rollback ?version against the slot it must name
+// (0 accepts whatever is there).
+func guard(op cluster.Op, slot *versionedWrapper, name string) error {
+	if op.Version == 0 || op.Version == slot.Version {
+		return nil
+	}
+	return fmt.Errorf("%w: %s names version %d, %s is %d", errVersionConflict, op.Kind, op.Version, name, slot.Version)
+}
+
+// apply is the one write path of the versioned registry: every put, delete,
+// canary, promote and rollback — from the direct routes, POST /cluster/apply
+// and the in-process seams — is decided here.
+//
+// A put or canary payload compiles first, outside the lock and through the
+// shared cache, so re-registering a known expression — or the same wrapper
+// under many keys — costs a lookup. Every existence and ?version check then
+// runs under vmu, next to the transition it guards. op.Version is the
+// origin's version for a replicated put or canary (the key takes the higher
+// of it and its own next version) and the optional guard of promote and
+// rollback; 0 means "assign locally" or "whatever is staged".
+//
+// A put becomes the key's new active version and drops any staged canary (a
+// direct PUT supersedes an in-flight rollout); a delete leaves a versioned
+// tombstone, so the deletion survives restarts and a later re-PUT
+// resurrects the key one version higher. Every write ends in the same tail:
+// version gauges, the key's refresh_* counter, and the registry write whose
+// success the response reports as persisted — the write is live either
+// way, so a deploy can alarm on false.
+func (s *Server) apply(ctx context.Context, op cluster.Op) (res writeResult, err error) {
+	var lw wrapper.Any
+	if op.Kind == cluster.OpPut || op.Kind == cluster.OpCanary {
+		var tier *string
+		ctx, tier = extract.WithTierNote(ctx)
+		if lw, err = wrapper.LoadAny(ctx, op.Payload, s.opt, s.cache); err != nil {
+			res.status = http.StatusBadRequest
+			if errors.Is(err, machine.ErrBudget) || errors.Is(err, machine.ErrDeadline) {
+				res.status = http.StatusServiceUnavailable
+			}
+			return res, err
 		}
-		return status, nil, err
+		if op.Kind == cluster.OpPut {
+			// Deferred before the unlock below, so it runs after it.
+			defer func() {
+				s.wideEvent("serve.wrapper_put",
+					"trace", obs.TraceFromContext(ctx).TraceID,
+					"key", op.Key,
+					"version", res.Version,
+					"cache_tier", *tier,
+					"doc_bytes", len(op.Payload),
+				)
+			}()
+		}
 	}
+	fail := func(status int, err error) (writeResult, error) { return writeResult{status: status}, err }
 	s.vmu.Lock()
 	defer s.vmu.Unlock()
-	kv := s.versions[key]
-	if kv == nil || kv.active == nil {
-		return http.StatusNotFound, nil, fmt.Errorf("no active wrapper for %q to canary against", key)
-	}
-	v := kv.nextVersion(version)
-	kv.canary = &versionedWrapper{Version: v, Payload: append(json.RawMessage(nil), body...)}
-	kv.stats = canaryStats{} // fresh observation window
-	s.canaryFleet.Set(key, lw)
-	s.obs.Counter(obs.WithLabels("refresh_canary_deploy_total", "site", key)).Inc()
-	s.gaugeVersions(key, kv)
-	resp = map[string]any{"key": key, "version": v}
-	if s.registry != nil {
-		resp["persisted"] = s.registry.writeState(key, kv) == nil
-	}
-	return http.StatusCreated, resp, nil
-}
-
-// promoteWrapper makes the staged canary the active wrapper. version, when
-// non-zero, must name the staged canary (guard against promoting a canary
-// the caller never observed).
-func (s *Server) promoteWrapper(key string, version uint64) (status int, resp map[string]any, err error) {
-	s.vmu.Lock()
-	defer s.vmu.Unlock()
-	kv := s.versions[key]
-	if kv == nil || kv.canary == nil {
-		return http.StatusNotFound, nil, fmt.Errorf("no canary staged for %q", key)
-	}
-	if version != 0 && version != kv.canary.Version {
-		return http.StatusConflict, nil, fmt.Errorf("%w: promote names version %d, staged canary is %d",
-			errVersionConflict, version, kv.canary.Version)
-	}
-	lw := s.canaryFleet.Lookup(key)
-	if lw == nil {
+	kv := s.versions[op.Key]
+	res = writeResult{status: http.StatusOK, Key: op.Key}
+	counter := ""
+	switch op.Kind {
+	case cluster.OpPut:
+		kv = s.ensureVersions(op.Key)
+		res.status, res.Version = http.StatusCreated, kv.nextVersion(op.Version)
+		kv.Prior, kv.Canary, kv.Deleted = kv.Active, nil, false
+		kv.Active = &versionedWrapper{Version: res.Version, Payload: append(json.RawMessage(nil), op.Payload...)}
+		s.fleet.Set(op.Key, lw)
+		s.canaryFleet.Remove(op.Key)
+	case cluster.OpDelete:
+		if s.fleet.Lookup(op.Key) == nil {
+			return fail(http.StatusNotFound, fmt.Errorf("no wrapper registered for %q", op.Key))
+		}
+		kv = s.ensureVersions(op.Key) // new for a key shipped in the fleet file
+		kv.nextVersion(0)
+		kv.Active, kv.Canary, kv.Prior, kv.Deleted = nil, nil, nil, true
+		s.fleet.Remove(op.Key)
+		s.canaryFleet.Remove(op.Key)
+	case cluster.OpCanary:
+		if kv == nil || kv.Active == nil {
+			return fail(http.StatusNotFound, fmt.Errorf("no active wrapper for %q to canary against", op.Key))
+		}
+		res.status, res.Version = http.StatusCreated, kv.nextVersion(op.Version)
+		kv.Canary = &versionedWrapper{Version: res.Version, Payload: append(json.RawMessage(nil), op.Payload...)}
+		kv.stats.reset()
+		s.canaryFleet.Set(op.Key, lw)
+		counter = "refresh_canary_deploy_total"
+	case cluster.OpPromote:
+		if kv == nil || kv.Canary == nil {
+			return fail(http.StatusNotFound, fmt.Errorf("no canary staged for %q", op.Key))
+		}
+		if err := guard(op, kv.Canary, "staged canary"); err != nil {
+			return fail(http.StatusConflict, err)
+		}
 		// The compiled canary should be resident; recompile from the payload
 		// if it is not (e.g. a replica that restarted between ops).
-		if lw, err = wrapper.LoadAny(context.Background(), kv.canary.Payload, s.opt, s.cache); err != nil {
-			return http.StatusInternalServerError, nil, fmt.Errorf("recompiling canary for promote: %w", err)
+		if lw = s.canaryFleet.Lookup(op.Key); lw == nil {
+			if lw, err = wrapper.LoadAny(context.Background(), kv.Canary.Payload, s.opt, s.cache); err != nil {
+				return fail(http.StatusInternalServerError, fmt.Errorf("recompiling canary for promote: %w", err))
+			}
 		}
+		kv.Prior, kv.Active, kv.Canary, kv.LastOutcome = kv.Active, kv.Canary, nil, "promoted"
+		s.fleet.Set(op.Key, lw)
+		s.canaryFleet.Remove(op.Key)
+		res.Version, res.Outcome = kv.Active.Version, kv.LastOutcome
+		counter = "refresh_promote_total"
+	case cluster.OpRollback:
+		// Discard the staged canary, or — with none staged but a prior
+		// version kept — revert the active wrapper to it (the
+		// post-promotion escape hatch).
+		switch {
+		case kv == nil:
+			return fail(http.StatusNotFound, fmt.Errorf("no versions recorded for %q", op.Key))
+		case kv.Canary != nil:
+			if err := guard(op, kv.Canary, "staged canary"); err != nil {
+				return fail(http.StatusConflict, err)
+			}
+			res.Version, kv.Canary = kv.Canary.Version, nil
+			s.canaryFleet.Remove(op.Key)
+		case kv.Prior != nil && kv.Active != nil:
+			if err := guard(op, kv.Active, "active"); err != nil {
+				return fail(http.StatusConflict, err)
+			}
+			if lw, err = wrapper.LoadAny(context.Background(), kv.Prior.Payload, s.opt, s.cache); err != nil {
+				return fail(http.StatusInternalServerError, fmt.Errorf("recompiling prior version for rollback: %w", err))
+			}
+			res.Version, res.Restored = kv.Active.Version, kv.Prior.Version
+			kv.Active, kv.Prior = kv.Prior, nil
+			s.fleet.Set(op.Key, lw)
+		default:
+			return fail(http.StatusNotFound, fmt.Errorf("nothing to roll back for %q", op.Key))
+		}
+		kv.LastOutcome, res.Outcome = "rolled-back", "rolled-back"
+		counter = "refresh_rollback_total"
 	}
-	kv.prior = kv.active
-	kv.active = kv.canary
-	kv.canary = nil
-	kv.lastOutcome = "promoted"
-	s.fleet.Set(key, lw)
-	s.canaryFleet.Remove(key)
-	s.obs.Counter(obs.WithLabels("refresh_promote_total", "site", key)).Inc()
-	s.gaugeVersions(key, kv)
-	resp = map[string]any{"key": key, "version": kv.active.Version, "outcome": "promoted"}
-	if s.registry != nil {
-		resp["persisted"] = s.registry.writeState(key, kv) == nil
-	}
-	return http.StatusOK, resp, nil
-}
 
-// rollbackWrapper discards the staged canary, or — when no canary is staged
-// but a prior version exists — reverts the active wrapper to the prior
-// version (the post-promotion escape hatch). version, when non-zero, names
-// the canary (or promoted version) being rolled back.
-func (s *Server) rollbackWrapper(key string, version uint64) (status int, resp map[string]any, err error) {
-	s.vmu.Lock()
-	defer s.vmu.Unlock()
-	kv := s.versions[key]
-	if kv == nil {
-		return http.StatusNotFound, nil, fmt.Errorf("no versions recorded for %q", key)
+	if counter != "" {
+		s.obs.Counter(obs.WithLabels(counter, "site", op.Key)).Inc()
 	}
-	switch {
-	case kv.canary != nil:
-		if version != 0 && version != kv.canary.Version {
-			return http.StatusConflict, nil, fmt.Errorf("%w: rollback names version %d, staged canary is %d",
-				errVersionConflict, version, kv.canary.Version)
-		}
-		rolled := kv.canary.Version
-		kv.canary = nil
-		kv.lastOutcome = "rolled-back"
-		s.canaryFleet.Remove(key)
-		s.obs.Counter(obs.WithLabels("refresh_rollback_total", "site", key)).Inc()
-		s.gaugeVersions(key, kv)
-		resp = map[string]any{"key": key, "version": rolled, "outcome": "rolled-back"}
-	case kv.prior != nil && kv.active != nil:
-		if version != 0 && version != kv.active.Version {
-			return http.StatusConflict, nil, fmt.Errorf("%w: rollback names version %d, active is %d",
-				errVersionConflict, version, kv.active.Version)
-		}
-		lw, err := wrapper.LoadAny(context.Background(), kv.prior.Payload, s.opt, s.cache)
-		if err != nil {
-			return http.StatusInternalServerError, nil, fmt.Errorf("recompiling prior version for rollback: %w", err)
-		}
-		rolled := kv.active.Version
-		kv.active = kv.prior
-		kv.prior = nil
-		kv.lastOutcome = "rolled-back"
-		s.fleet.Set(key, lw)
-		s.obs.Counter(obs.WithLabels("refresh_rollback_total", "site", key)).Inc()
-		s.gaugeVersions(key, kv)
-		resp = map[string]any{"key": key, "version": rolled, "restored": kv.active.Version, "outcome": "rolled-back"}
-	default:
-		return http.StatusNotFound, nil, fmt.Errorf("nothing to roll back for %q", key)
+	s.gaugeVersions(op.Key, kv)
+	if op.Kind == cluster.OpPut || op.Kind == cluster.OpDelete {
+		sites := s.fleet.Len()
+		res.Sites = &sites
 	}
 	if s.registry != nil {
-		resp["persisted"] = s.registry.writeState(key, s.versions[key]) == nil
+		persisted := s.registry.write(kv.record) == nil
+		res.Persisted = &persisted
 	}
-	return http.StatusOK, resp, nil
+	return res, nil
 }
 
-// versionsStatus snapshots the version state of one key for the versions
-// endpoint and the refresh controller's judgment.
-func (s *Server) versionsStatus(key string) (map[string]any, bool) {
+// windowCounts is the canary observation window read at one instant, in
+// the versions endpoint's "stats" field order.
+type windowCounts struct {
+	ActiveErr uint64 `json:"activeErr"`
+	ActiveOK  uint64 `json:"activeOK"`
+	CanaryErr uint64 `json:"canaryErr"`
+	CanaryOK  uint64 `json:"canaryOK"`
+	Fallback  uint64 `json:"fallback"`
+}
+
+// snapshot reads the version state and canary window of one key under vmu
+// — the one read behind GET …/versions, VersionState, HasCanary and
+// CanaryStats. ok is false when the key has no recorded versions.
+func (s *Server) snapshot(key string) (vs VersionState, win windowCounts, ok bool) {
 	s.vmu.Lock()
 	defer s.vmu.Unlock()
 	kv := s.versions[key]
 	if kv == nil {
-		return nil, false
+		return vs, win, false
 	}
-	body := map[string]any{
-		"key":         key,
-		"lastVersion": kv.lastVersion,
-		"deleted":     kv.deleted,
-		"lastOutcome": kv.lastOutcome,
+	vs = VersionState{
+		LastVersion: kv.LastVersion,
+		Active:      kv.Active.version(),
+		Canary:      kv.Canary.version(),
+		Prior:       kv.Prior.version(),
+		Deleted:     kv.Deleted,
+		LastOutcome: kv.LastOutcome,
 	}
-	if kv.active != nil {
-		body["active"] = map[string]any{"version": kv.active.Version}
+	win = windowCounts{
+		ActiveErr: kv.stats.activeErr.Load(),
+		ActiveOK:  kv.stats.activeOK.Load(),
+		CanaryErr: kv.stats.canaryErr.Load(),
+		CanaryOK:  kv.stats.canaryOK.Load(),
+		Fallback:  kv.stats.fallback.Load(),
 	}
-	if kv.canary != nil {
-		body["canary"] = map[string]any{"version": kv.canary.Version}
-	}
-	if kv.prior != nil {
-		body["prior"] = map[string]any{"version": kv.prior.Version}
-	}
-	body["stats"] = map[string]any{
-		"canaryOK":  kv.stats.canaryOK.Load(),
-		"canaryErr": kv.stats.canaryErr.Load(),
-		"activeOK":  kv.stats.activeOK.Load(),
-		"activeErr": kv.stats.activeErr.Load(),
-		"fallback":  kv.stats.fallback.Load(),
-	}
-	return body, true
-}
-
-// Deployment surface for the refresh controller (refresh.Deployment is
-// satisfied structurally — serve does not import refresh).
-
-// Sites lists every key with an active wrapper, either kind, sorted.
-func (s *Server) Sites() []string { return s.fleet.Keys() }
-
-// ActivePayload returns the persisted JSON of the key's active version (nil
-// when the key has none recorded — e.g. it came from a deploy-time fleet
-// file without a registry entry).
-func (s *Server) ActivePayload(key string) []byte {
-	s.vmu.Lock()
-	defer s.vmu.Unlock()
-	if kv := s.versions[key]; kv != nil && kv.active != nil {
-		return append([]byte(nil), kv.active.Payload...)
-	}
-	return nil
-}
-
-// HasCanary reports whether a canary is staged for the key.
-func (s *Server) HasCanary(key string) bool {
-	s.vmu.Lock()
-	defer s.vmu.Unlock()
-	kv := s.versions[key]
-	return kv != nil && kv.canary != nil
-}
-
-// DeployCanary stages payload as the key's canary version.
-func (s *Server) DeployCanary(key string, payload []byte) (uint64, error) {
-	_, resp, err := s.canaryWrapper(context.Background(), key, payload, 0)
-	if err != nil {
-		return 0, err
-	}
-	v, _ := resp["version"].(uint64)
-	return v, nil
-}
-
-// CanaryStats reports the observation window opened at the last canary
-// deploy: extraction outcomes on the canary-routed and active-routed
-// fractions of the key's traffic.
-func (s *Server) CanaryStats(key string) (canaryOK, canaryErr, activeOK, activeErr uint64) {
-	s.vmu.Lock()
-	defer s.vmu.Unlock()
-	kv := s.versions[key]
-	if kv == nil {
-		return 0, 0, 0, 0
-	}
-	return kv.stats.canaryOK.Load(), kv.stats.canaryErr.Load(),
-		kv.stats.activeOK.Load(), kv.stats.activeErr.Load()
-}
-
-// Promote promotes the staged canary (version 0 = whatever is staged).
-func (s *Server) Promote(key string, version uint64) error {
-	_, _, err := s.promoteWrapper(key, version)
-	return err
-}
-
-// Rollback rolls back the staged canary (version 0 = whatever is staged).
-func (s *Server) Rollback(key string, version uint64) error {
-	_, _, err := s.rollbackWrapper(key, version)
-	return err
-}
-
-// Extract runs the key's active wrapper over html — the probe the refresh
-// controller scores sampled pages with. Tuple keys probe as record
-// extraction: a page yielding no records is a miss.
-func (s *Server) Extract(key, html string) error {
-	switch wr := s.fleet.Lookup(key).(type) {
-	case *wrapper.Wrapper:
-		_, err := wr.Extract(html)
-		return err
-	case *wrapper.TupleWrapper:
-		records, err := wr.ExtractAll(html)
-		if err == nil && len(records) == 0 {
-			err = wrapper.ErrNotExtracted
-		}
-		return err
-	}
-	return fmt.Errorf("no wrapper registered for %q", key)
+	return vs, win, true
 }

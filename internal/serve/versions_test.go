@@ -1,9 +1,12 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"resilex/internal/cluster"
@@ -338,5 +341,79 @@ func TestClusterApplyVersionedOps(t *testing.T) {
 	}
 	if !strings.Contains(do(t, s, "GET", "/metrics", nil).Body.String(), "refresh_promote_total") {
 		t.Fatal("refresh_promote_total not exposed")
+	}
+}
+
+// TestConcurrentWritesKeepOneHistory races all five writes on one key
+// against batch extraction. Every check and transition happens under the
+// version lock, so the outcome is one consistent history: the counter
+// moved once per successful put, canary and delete, the served fleets match
+// the recorded slots, and a restart from the registry recovers exactly the
+// final state.
+func TestConcurrentWritesKeepOneHistory(t *testing.T) {
+	dir := t.TempDir()
+	s := diskServer(t, dir, nil, obs.New())
+	good, next := trainedPayload(t), futurePayload(t)
+	if _, err := s.PutWrapper(context.Background(), "vs", good); err != nil {
+		t.Fatal(err)
+	}
+	var consumed atomic.Uint64 // successful version-consuming writes
+	var wg sync.WaitGroup
+	for g := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range 40 {
+				switch (g + i) % 5 {
+				case 0:
+					if _, err := s.PutWrapper(context.Background(), "vs", good); err == nil {
+						consumed.Add(1)
+					}
+				case 1:
+					if _, err := s.DeployCanary("vs", next); err == nil {
+						consumed.Add(1)
+					}
+				case 2:
+					s.Promote("vs", 0)
+				case 3:
+					s.Rollback("vs", 0)
+				case 4:
+					if s.DeleteWrapper("vs") {
+						consumed.Add(1)
+					}
+				}
+			}
+		}()
+	}
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	readers.Add(1)
+	go func() {
+		defer readers.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				s.ExtractBatch(context.Background(), []wrapper.BatchDoc{{Key: "vs", HTML: pageTop}})
+			}
+		}
+	}()
+	wg.Wait()
+	close(stop)
+	readers.Wait()
+
+	got, ok := s.VersionState("vs")
+	if !ok || got.LastVersion != 1+consumed.Load() {
+		t.Fatalf("final state %+v: counter moved %d times for %d successful writes",
+			got, got.LastVersion-1, consumed.Load())
+	}
+	if (got.Active != 0) != (s.Fleet().Lookup("vs") != nil) || (got.Canary != 0) != s.HasCanary("vs") ||
+		(got.Canary != 0) != (s.canaryFleet.Lookup("vs") != nil) {
+		t.Fatalf("final state %+v disagrees with the served fleets", got)
+	}
+	restarted, _ := diskServer(t, dir, nil, obs.New()).VersionState("vs")
+	if restarted != got {
+		t.Fatalf("restart recovered %+v, want the final state %+v", restarted, got)
 	}
 }

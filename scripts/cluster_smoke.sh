@@ -7,9 +7,12 @@
 #   3. fetch the assembled trace for that request from the router's
 #      /debug/traces/{id} and assert the span tree covers both processes
 #      (router routing spans + shard request/cache spans),
-#   4. kill one shard,
-#   5. extract again — the router must fail over and still answer,
-#   6. DELETE the wrapper through the router and confirm it is gone.
+#   4. roll out through the router: stage a canary (replicated to both
+#      shards), see it in GET /wrappers/vs/versions, promote it, then stage
+#      a second canary and roll it back by its version,
+#   5. kill one shard,
+#   6. extract again — the router must fail over and still answer,
+#   7. DELETE the wrapper through the router and confirm it is gone.
 #
 # Run from the repository root (make cluster-smoke). Exits non-zero on the
 # first broken step.
@@ -107,6 +110,41 @@ for span in router.extract router.attempt router.replicate \
         exit 1; }
 done
 
+# write_step METHOD PATH STATUS PATTERN [BODY]: one wrapper write through the
+# router, whose status and response body must match.
+write_step() {
+    if [ -n "${5:-}" ]; then
+        code=$(curl -s -o "$DIR/step.json" -w '%{http_code}' -X "$1" \
+            -H 'Content-Type: application/json' --data-binary @"$5" "$ROUTER$2")
+    else
+        code=$(curl -s -o "$DIR/step.json" -w '%{http_code}' -X "$1" "$ROUTER$2")
+    fi
+    [ "$code" = "$3" ] && grep -q "$4" "$DIR/step.json" || {
+        echo "cluster-smoke: $1 $2: status $code, want $3 and $4: $(cat "$DIR/step.json")" >&2
+        exit 1; }
+}
+# staged_canary prints the canary version GET /wrappers/vs/versions reports
+# through the router (empty when none is staged).
+staged_canary() {
+    curl -sf "$ROUTER/wrappers/vs/versions" >"$DIR/versions.json" || {
+        echo "cluster-smoke: versions not readable through the router" >&2; exit 1; }
+    sed -n 's/.*"canary":{"version":\([0-9]*\)}.*/\1/p' "$DIR/versions.json"
+}
+
+echo "cluster-smoke: canary, versions and promote through the router"
+write_step PUT /wrappers/vs/canary 201 '"replicated":2' "$DIR/wrapper.json"
+canary=$(staged_canary)
+[ -n "$canary" ] || {
+    echo "cluster-smoke: versions show no staged canary: $(cat "$DIR/versions.json")" >&2; exit 1; }
+write_step POST /wrappers/vs/promote 200 '"promote":2'
+
+echo "cluster-smoke: second canary, rolled back by its version"
+write_step PUT /wrappers/vs/canary 201 '"replicated":2' "$DIR/wrapper.json"
+canary=$(staged_canary)
+[ -n "$canary" ] || {
+    echo "cluster-smoke: versions show no second canary: $(cat "$DIR/versions.json")" >&2; exit 1; }
+write_step POST "/wrappers/vs/rollback?version=$canary" 200 '"rollback":2'
+
 echo "cluster-smoke: killing shard 1, extracting again (failover)"
 kill "$SHARD1_PID"
 wait "$SHARD1_PID" 2>/dev/null || true
@@ -125,4 +163,4 @@ curl -s -H 'Content-Type: application/json' \
 grep -q '"ok":true' "$DIR/extract3.json" && {
     echo "cluster-smoke: extraction still succeeds after DELETE" >&2; exit 1; }
 
-echo "cluster-smoke: OK (replicated put, routed extract, cross-process trace, failover extract, replicated delete)"
+echo "cluster-smoke: OK (replicated put, routed extract, cross-process trace, replicated canary/promote/rollback, failover extract, replicated delete)"
