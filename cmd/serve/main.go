@@ -222,7 +222,7 @@ func run() int {
 			go ctrl.Run(ctx)
 			fmt.Fprintf(os.Stderr, "serve: drift watcher sampling %s every %s\n", *sampleDir, *refreshInterval)
 		}
-		fmt.Fprintf(os.Stderr, "serve: %s mode, %d wrapper(s) loaded\n", *mode, s.Fleet().Len())
+		fmt.Fprintf(os.Stderr, "serve: %s mode, %d wrapper(s) loaded\n", *mode, len(s.Sites()))
 		handler = s.Mux()
 	case "router":
 		rt, err := cluster.NewRouter(cluster.RouterConfig{

@@ -325,14 +325,14 @@ func (w *World) checkRegistry(t *testing.T, i int, op Op) {
 }
 
 // checkMaterialized cross-checks the single-document materialized path: the
-// fleet must hold a wrapper exactly when the model has an active version,
+// key must serve a wrapper exactly when the model has an active version,
 // and its extraction must agree with the reference answer region-for-region.
 func (w *World) checkMaterialized(t *testing.T, i int, key string, docIdx int) {
 	mk := w.model[key]
 	wantActive := mk != nil && mk.active != nil
-	wr := w.srv.Fleet().Get(key)
+	wr, _ := w.srv.Active(key).(*wrapper.Wrapper)
 	if (wr != nil) != wantActive {
-		t.Fatalf("op %d: fleet has %s=%v, model says active=%v", i, key, wr != nil, wantActive)
+		t.Fatalf("op %d: server serves %s=%v, model says active=%v", i, key, wr != nil, wantActive)
 	}
 	if !wantActive {
 		return
@@ -353,15 +353,15 @@ func (w *World) checkMaterialized(t *testing.T, i int, key string, docIdx int) {
 func (w *World) checkStreaming(t *testing.T, i int, key string, docIdx int) {
 	mk := w.model[key]
 	if mk == nil || mk.active == nil {
-		if wr := w.srv.Fleet().Get(key); wr != nil {
-			t.Fatalf("op %d: fleet has %s but model has no active version", i, key)
+		if w.srv.Active(key) != nil {
+			t.Fatalf("op %d: server serves %s but model has no active version", i, key)
 		}
 		return
 	}
 	spec := w.pool.payloads[mk.active.payload]
-	wr := w.srv.Fleet().Get(key)
+	wr, _ := w.srv.Active(key).(*wrapper.Wrapper)
 	if wr == nil {
-		t.Fatalf("op %d: fleet lost %s (model active v%d)", i, key, mk.active.version)
+		t.Fatalf("op %d: server lost %s (model active v%d)", i, key, mk.active.version)
 	}
 	se, err := wr.Stream()
 	if err != nil {

@@ -48,8 +48,8 @@ func (r *wrapperRegistry) path(key string) string {
 	return filepath.Join(r.dir, hex.EncodeToString(sum[:])+".json")
 }
 
-// write persists one key's record as its envelope. The caller holds the
-// version lock, so the envelope is a consistent snapshot.
+// write persists one key's record as its envelope. The caller holds the key
+// table's write lock, so the envelope is a consistent snapshot.
 func (r *wrapperRegistry) write(rec record) error {
 	blob, err := json.Marshal(rec)
 	if err != nil {

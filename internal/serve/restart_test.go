@@ -62,8 +62,8 @@ func TestServeRestartSemantics(t *testing.T) {
 	// same directory. s1 is simply abandoned.
 	o2 := obs.New()
 	s2 := diskServer(t, dir, nil, o2)
-	if got := s2.Fleet().Len(); got != 1 {
-		t.Fatalf("restarted fleet has %d wrappers, want 1", got)
+	if got := len(s2.Sites()); got != 1 {
+		t.Fatalf("restarted server serves %d keys, want 1", got)
 	}
 	body, _ := json.Marshal(extractRequest{Docs: []wrapper.BatchDoc{{Key: "vs", HTML: pageTop}}})
 	rec = do(t, s2, "POST", "/extract", body)
@@ -156,9 +156,8 @@ func TestServeDeleteSurvivesRestart(t *testing.T) {
 	}
 
 	s2 := diskServer(t, dir, fleetData, obs.New())
-	if got := s2.Fleet().Len(); got != 0 {
-		t.Fatalf("restarted fleet has %d wrappers, want 0 (deletes persisted): %v",
-			got, s2.Fleet().Keys())
+	if sites := s2.Sites(); len(sites) != 0 {
+		t.Fatalf("restarted server serves %v, want nothing (deletes persisted)", sites)
 	}
 	for _, key := range []string{"shipped", "runtime"} {
 		if rec := do(t, s2, "DELETE", "/wrappers/"+key, nil); rec.Code != http.StatusNotFound {
@@ -171,7 +170,7 @@ func TestServeDeleteSurvivesRestart(t *testing.T) {
 		t.Fatalf("re-PUT after delete: %d", rec.Code)
 	}
 	s3 := diskServer(t, dir, nil, obs.New())
-	if s3.Fleet().Get("runtime") == nil {
+	if s3.Active("runtime") == nil {
 		t.Fatal("re-registered wrapper lost after restart")
 	}
 }
@@ -201,8 +200,8 @@ func TestServeRestartSkipsCorruptRegistryEntry(t *testing.T) {
 		t.Fatal(err)
 	}
 	s2 := diskServer(t, dir, nil, obs.New())
-	if got := s2.Fleet().Len(); got != 1 {
-		t.Fatalf("restarted fleet has %d wrappers, want 1 (corrupt entry skipped)", got)
+	if got := len(s2.Sites()); got != 1 {
+		t.Fatalf("restarted server serves %d keys, want 1 (corrupt entry skipped)", got)
 	}
 }
 
@@ -300,11 +299,22 @@ func TestServeShutdownDeadline(t *testing.T) {
 // them — a legacy unversioned entry (payload in "wrapper"), a versioned
 // entry mid-rollout, and a tombstone — restore into the same version state,
 // and the legacy entry is rewritten without its "wrapper" field on the next
-// write.
+// write. An entry whose active payload no longer compiles serves nothing but
+// keeps its version counter, so the key's next PUT numbers past it, across
+// restarts too.
 func TestRestoreEnvelopeFormats(t *testing.T) {
 	dir := t.TempDir()
 	payload, next := trainedPayload(t), futurePayload(t)
 	reg, err := newWrapperRegistry(filepath.Join(dir, "wrappers"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var p map[string]any
+	if err := json.Unmarshal(payload, &p); err != nil {
+		t.Fatal(err)
+	}
+	p["expr"] = ".* <INPUT> ((" // does not parse
+	broken, err := json.Marshal(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +323,8 @@ func TestRestoreEnvelopeFormats(t *testing.T) {
 		"rolling": `{"key":"rolling","lastVersion":4,"active":{"version":3,"payload":` + string(payload) +
 			`},"canary":{"version":4,"payload":` + string(next) + `},"prior":{"version":1,"payload":` +
 			string(payload) + `},"lastOutcome":"promoted"}`,
-		"gone": `{"key":"gone","deleted":true,"lastVersion":2}`,
+		"gone":   `{"key":"gone","deleted":true,"lastVersion":2}`,
+		"broken": `{"key":"broken","lastVersion":7,"active":{"version":7,"payload":` + string(broken) + `}}`,
 	}
 	for key, env := range envelopes {
 		if err := os.WriteFile(reg.path(key), []byte(env), 0o644); err != nil {
@@ -325,13 +336,14 @@ func TestRestoreEnvelopeFormats(t *testing.T) {
 		"legacy":  {LastVersion: 1, Active: 1},
 		"rolling": {LastVersion: 4, Active: 3, Canary: 4, Prior: 1, LastOutcome: "promoted"},
 		"gone":    {LastVersion: 2, Deleted: true},
+		"broken":  {LastVersion: 7},
 	} {
 		if got, ok := s.VersionState(key); !ok || got != want {
 			t.Errorf("%s: restored %+v (known %v), want %+v", key, got, ok, want)
 		}
 	}
-	if s.Fleet().Get("legacy") == nil || s.Fleet().Get("rolling") == nil || s.Fleet().Lookup("gone") != nil {
-		t.Fatalf("restored fleet %v, want legacy and rolling", s.Fleet().Keys())
+	if sites := s.Sites(); len(sites) != 2 || sites[0] != "legacy" || sites[1] != "rolling" {
+		t.Fatalf("restored sites %v, want legacy and rolling", sites)
 	}
 	if !s.HasCanary("rolling") {
 		t.Fatal("in-flight canary not re-staged")
@@ -350,5 +362,13 @@ func TestRestoreEnvelopeFormats(t *testing.T) {
 	}
 	if _, ok := env["wrapper"]; ok || env["active"] == nil || env["canary"] == nil {
 		t.Fatalf("rewritten legacy envelope has fields %v", env)
+	}
+
+	if v, err := s.PutWrapper(context.Background(), "broken", payload); err != nil || v != 8 {
+		t.Fatalf("PUT over the uncompilable entry = version %d (%v), want 8", v, err)
+	}
+	s = diskServer(t, dir, nil, obs.New())
+	if got, _ := s.VersionState("broken"); got != (VersionState{LastVersion: 8, Active: 8}) || s.Active("broken") == nil {
+		t.Fatalf("after a second restart: %+v (serving %v), want version 8 active", got, s.Active("broken") != nil)
 	}
 }

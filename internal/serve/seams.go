@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"fmt"
+	"sort"
 
 	"resilex/internal/cluster"
 	"resilex/internal/wrapper"
@@ -64,7 +65,7 @@ func (s *Server) ExtractBatch(ctx context.Context, docs []wrapper.BatchDoc) []wr
 // controller scores sampled pages with. Tuple keys probe as record
 // extraction: a page yielding no records is a miss.
 func (s *Server) Extract(key, html string) error {
-	switch wr := s.fleet.Lookup(key).(type) {
+	switch wr := s.Active(key).(type) {
 	case *wrapper.Wrapper:
 		_, err := wr.Extract(html)
 		return err
@@ -79,15 +80,26 @@ func (s *Server) Extract(key, html string) error {
 }
 
 // Sites lists every key with an active wrapper, either kind, sorted.
-func (s *Server) Sites() []string { return s.fleet.Keys() }
+func (s *Server) Sites() []string {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	var sites []string
+	for key, kv := range s.keys {
+		if kv.active != nil {
+			sites = append(sites, key)
+		}
+	}
+	sort.Strings(sites)
+	return sites
+}
 
 // ActivePayload returns the persisted JSON of the key's active version (nil
 // when the key has none recorded — e.g. it came from a deploy-time fleet
 // file without a registry entry).
 func (s *Server) ActivePayload(key string) []byte {
-	s.vmu.Lock()
-	defer s.vmu.Unlock()
-	if kv := s.versions[key]; kv != nil && kv.Active != nil {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if kv := s.keys[key]; kv != nil && kv.Active != nil {
 		return append([]byte(nil), kv.Active.Payload...)
 	}
 	return nil

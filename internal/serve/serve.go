@@ -1,5 +1,5 @@
 // Package serve is the embeddable core of cmd/serve: the HTTP serving path
-// over a compiled-wrapper fleet holding one wrapper of either kind
+// over a key table holding one compiled wrapper of either kind
 // (single-pivot or k-ary tuple) per key — batch extraction on a worker
 // pool, the stream and tuples page routes (one key lookup: 404 for an
 // unknown key, 422 for a key of the other kind), wrapper registration
@@ -78,12 +78,15 @@ type Config struct {
 	RestoreLog io.Writer
 }
 
-// Server is the HTTP serving path: a fleet of compiled wrappers, the tiered
-// compiled-artifact cache behind wrapper registration (memory always, disk
-// when CacheDir is set), the registry that persists registrations across
-// restarts, and the observer all request work reports into. It is
-// constructed once and shared by every request goroutine; Fleet, cache and
-// registry are concurrency-safe, the rest is read-only.
+// Server is the HTTP serving path: a key table holding each key's compiled
+// wrappers beside its persisted version record, the tiered compiled-artifact
+// cache behind wrapper registration (memory always, disk when CacheDir is
+// set), the registry that persists registrations across restarts, and the
+// observer all request work reports into. It is constructed once and shared
+// by every request goroutine. The key table is under one lock: apply, its
+// only writer, takes it for writing, and every reader for reading; the
+// compiled wrappers it hands out are immutable. Cache and registry are
+// concurrency-safe, the rest is read-only.
 //
 // Each key holds one wrapper of either kind — single-pivot or k-ary tuple —
 // and both kinds share the registry, version state machine and replication
@@ -91,22 +94,16 @@ type Config struct {
 // /extract/stream/{key} for single-pivot keys, POST /extract/tuples/{key}
 // for tuple keys).
 type Server struct {
-	fleet    *wrapper.Fleet
 	cache    *extract.TieredCache
 	registry *wrapperRegistry // nil without CacheDir
 	obs      *obs.Observer
 	opt      machine.Options
 	batch    wrapper.BatchOptions
 	maxBody  int64
+	stride   uint64 // one of every stride requests of a canaried key runs the canary
 
-	// The versioned-rollout state: compiled canary wrappers live in their
-	// own fleet so the serving fleet stays the active-versions-only view,
-	// stride selects the canary traffic fraction, and versions carries the
-	// per-key state machine (guarded by vmu).
-	canaryFleet *wrapper.Fleet
-	stride      uint64
-	vmu         sync.Mutex
-	versions    map[string]*keyVersions
+	mu   sync.RWMutex
+	keys map[string]*keyVersions
 
 	// Wide-event sampling: every wideEvery-th request (per surface) emits
 	// one wide event through the observer's Logger.
@@ -135,26 +132,25 @@ func New(cfg Config) (*Server, error) {
 			return nil, err
 		}
 	}
-	cache := extract.NewTieredCache(mem, disk)
-	fleet := wrapper.NewFleet()
+	s := &Server{
+		cache:     extract.NewTieredCache(mem, disk),
+		registry:  reg,
+		obs:       cfg.Observer,
+		opt:       cfg.Options,
+		batch:     cfg.Batch,
+		maxBody:   cfg.MaxBodyBytes,
+		stride:    canaryStride(cfg.CanaryFraction),
+		keys:      map[string]*keyVersions{},
+		wideEvery: uint64(max(cfg.WideEventSample, 1)),
+	}
 	if cfg.FleetData != nil {
-		var err error
-		if fleet, err = wrapper.LoadFleetCached(cfg.FleetData, cfg.Options, cache); err != nil {
+		fleet, err := wrapper.LoadFleetCached(cfg.FleetData, cfg.Options, s.cache)
+		if err != nil {
 			return nil, err
 		}
-	}
-	s := &Server{
-		fleet:       fleet,
-		cache:       cache,
-		registry:    reg,
-		obs:         cfg.Observer,
-		opt:         cfg.Options,
-		batch:       cfg.Batch,
-		maxBody:     cfg.MaxBodyBytes,
-		canaryFleet: wrapper.NewFleet(),
-		stride:      canaryStride(cfg.CanaryFraction),
-		versions:    map[string]*keyVersions{},
-		wideEvery:   uint64(max(cfg.WideEventSample, 1)),
+		for _, key := range fleet.Keys() {
+			s.entry(key).active = fleet.Lookup(key)
+		}
 	}
 	restored, deleted, skipped := s.restoreRegistry()
 	if restored+deleted+skipped > 0 {
@@ -169,48 +165,59 @@ func New(cfg Config) (*Server, error) {
 }
 
 // restoreRegistry replays the persisted version state: each record becomes
-// the key's in-memory state as is. Active versions of either kind load into
-// the serving fleet (overriding same-key entries from the deploy-time fleet
-// file), an in-flight canary is re-staged into the canary fleet with its
-// observation window reset, and tombstones remove the key while keeping its
-// monotone version counter. Entries whose payload no longer compiles are
-// skipped and counted, not fatal.
+// its key's record as is. An active version of either kind compiles into
+// the key's entry (overriding a same-key wrapper from the deploy-time fleet
+// file), an in-flight canary is re-staged with a fresh observation window,
+// and a tombstone clears what the key serves while keeping its monotone
+// version counter. A payload that no longer compiles is skipped and
+// counted, not fatal: a canary is dropped, and an active version leaves
+// only the counter behind, so the key serves what it served before the
+// restore and its next write still numbers past every version it had.
 func (s *Server) restoreRegistry() (restored, deleted, skipped int) {
 	records, unreadable := s.registry.load()
 	skipped = unreadable
 	for _, rec := range records {
-		kv := &keyVersions{record: rec}
+		kv := s.entry(rec.Key)
+		kv.record = rec
 		if rec.Deleted {
-			s.fleet.Remove(rec.Key)
-			s.versions[rec.Key] = kv
+			kv.active = nil
 			deleted++
 			continue
 		}
 		if rec.Active != nil {
 			lw, err := wrapper.LoadAny(context.Background(), rec.Active.Payload, s.opt, s.cache)
 			if err != nil {
+				kv.record = record{Key: rec.Key, LastVersion: rec.LastVersion}
 				skipped++
 				continue
 			}
-			s.fleet.Set(rec.Key, lw)
+			kv.active = lw
 		}
 		if rec.Canary != nil {
 			if lw, err := wrapper.LoadAny(context.Background(), rec.Canary.Payload, s.opt, s.cache); err == nil {
-				s.canaryFleet.Set(rec.Key, lw)
+				kv.canary = lw
 			} else {
 				kv.Canary = nil
 				skipped++
 			}
 		}
-		s.versions[rec.Key] = kv
 		s.gaugeVersions(rec.Key, kv)
 		restored++
 	}
 	return restored, deleted, skipped
 }
 
-// Fleet returns the served fleet (live — registrations are picked up).
-func (s *Server) Fleet() *wrapper.Fleet { return s.fleet }
+// Active returns the key's active compiled wrapper of either kind, or nil.
+// Wrappers are immutable: a later write to the key replaces it in the key
+// table and leaves the returned one intact.
+func (s *Server) Active(key string) wrapper.Any {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if kv := s.keys[key]; kv != nil {
+		return kv.active
+	}
+	return nil
+}
 
 // Cache returns the tiered compiled-artifact cache.
 func (s *Server) Cache() *extract.TieredCache { return s.cache }
@@ -282,13 +289,13 @@ func (s *Server) reject(w http.ResponseWriter, status int, reason string, err er
 }
 
 // lookupPage resolves a page route's key (stream or tuples) to the key's
-// active wrapper of kind W with one fleet lookup. An unregistered key is a
+// active wrapper of kind W with one key-table lookup. An unregistered key is a
 // 404 naming the route's noun; a key holding the other kind is a 422,
 // counted under serve_rejected_total{reason="arity"} — so a client that
 // mixes up its routes learns which mistake it made. ok=false means the
 // response has been written.
 func lookupPage[W wrapper.Any](s *Server, w http.ResponseWriter, key, noun string) (W, bool) {
-	lw := s.fleet.Lookup(key)
+	lw := s.Active(key)
 	wr, ok := lw.(W)
 	switch {
 	case ok:
@@ -365,7 +372,7 @@ func (s *Server) handleExtract(w http.ResponseWriter, r *http.Request) {
 	}
 	var req extractRequest
 	if err := json.Unmarshal(body, &req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+		s.reject(w, http.StatusBadRequest, "decode", fmt.Errorf("decoding request: %w", err))
 		return
 	}
 	ctx, tc := s.traceContext(w, r)
@@ -436,125 +443,84 @@ func (bo batchOutcome) rung() string {
 	}
 }
 
-// extractBatch is the canary-aware batch path. Documents whose key has a
-// staged canary are stride-split: one of every stride requests for the key
-// runs on the canary version, the rest on the active version, and both
-// outcomes feed the canary observation window. A canary miss falls back to
-// the active wrapper within the same request — the structural guarantee
-// that a bad canary degrades its own statistics (triggering rollback) but
-// never fails a request the active version would have served.
+// extractBatch is the canary-aware batch path: one pass of the batch pool.
+// Every document is routed first, under one read lock of the key table, so
+// a write landing mid-batch changes nothing already routed. A document of a
+// key with a staged canary is stride-split — one of every stride such
+// documents runs the canary, the rest the active version — and both
+// outcomes feed the key's observation window. A canary miss falls back to
+// the active wrapper inline, within the document's one DocTimeout: a bad
+// canary degrades its own statistics (triggering rollback) but never fails
+// a document the active version would have served.
 func (s *Server) extractBatch(ctx context.Context, docs []wrapper.BatchDoc) ([]wrapper.BatchResult, batchOutcome) {
-	// Partition: canary-routed documents peel off; everything else runs on
-	// the active fleet as one batch.
-	var outcome batchOutcome
-	var canaryIdx []int
-	var canaryDocs []wrapper.BatchDoc
-	watched := map[int]*keyVersions{} // active-routed docs of keys under canary
-	s.vmu.Lock()
-	if len(docs) > 0 {
-		if kv := s.versions[docs[0].Key]; kv != nil && kv.Active != nil {
-			outcome.version = kv.Active.Version
-		}
+	type route struct {
+		active, canary *wrapper.Wrapper // canary is nil unless the doc is canary-routed
+		window         *keyVersions     // the key's, when it has a canary staged
 	}
+	var outcome batchOutcome
+	routes := make([]route, len(docs))
+	s.mu.RLock()
 	for i, d := range docs {
-		kv := s.versions[d.Key]
-		if kv == nil || kv.Canary == nil || s.canaryFleet.Get(d.Key) == nil {
+		kv := s.keys[d.Key]
+		if kv == nil {
 			continue
 		}
-		if (kv.rr.Add(1)-1)%s.stride == 0 {
-			canaryIdx = append(canaryIdx, i)
-			canaryDocs = append(canaryDocs, d)
+		if i == 0 {
+			outcome.version = kv.Active.version()
+		}
+		rt := &routes[i]
+		rt.active, _ = kv.active.(*wrapper.Wrapper)
+		if canary, ok := kv.canary.(*wrapper.Wrapper); ok {
+			rt.window = kv
+			if (kv.rr.Add(1)-1)%s.stride == 0 {
+				rt.canary = canary
+				outcome.canaryDocs++
+			}
+		}
+	}
+	s.mu.RUnlock()
+
+	var fallbacks atomic.Int64
+	bctx, ph := obs.StartPhase(ctx, "serve.batch")
+	ph.Attr("docs", int64(len(docs)))
+	results := wrapper.RunBatch(bctx, docs, s.batch, func(ctx context.Context, i int) (wrapper.Region, error) {
+		d, rt := docs[i], routes[i]
+		if rt.canary != nil {
+			cctx, cph := obs.StartPhase(ctx, "serve.canary")
+			r, err := rt.canary.ExtractContext(cctx, d.HTML)
+			cph.End()
+			if err == nil {
+				rt.window.stats.canaryOK.Add(1)
+				s.obs.Counter(obs.WithLabels("refresh_canary_serve_total", "site", d.Key, "outcome", "ok")).Inc()
+				return r, nil
+			}
+			rt.window.stats.canaryErr.Add(1)
+			rt.window.stats.fallback.Add(1)
+			fallbacks.Add(1)
+			s.obs.Counter(obs.WithLabels("refresh_canary_serve_total", "site", d.Key, "outcome", "miss")).Inc()
+			s.obs.Counter(obs.WithLabels("refresh_canary_fallback_total", "site", d.Key)).Inc()
+			fctx, fph := obs.StartPhase(ctx, "serve.fallback")
+			defer fph.End()
+			ctx, rt.window = fctx, nil // the fallback is not an active-routed outcome
+		}
+		r, err := wrapper.Region{}, error(nil)
+		if rt.active == nil {
+			err = fmt.Errorf("%w: %q", wrapper.ErrUnknownKey, d.Key)
 		} else {
-			watched[i] = kv
+			r, err = rt.active.ExtractContext(ctx, d.HTML)
 		}
-	}
-	s.vmu.Unlock()
-	outcome.canaryDocs = len(canaryIdx)
-	if len(canaryIdx) == 0 && len(watched) == 0 {
-		bctx, ph := obs.StartPhase(ctx, "serve.batch")
-		ph.Attr("docs", int64(len(docs)))
-		res := s.fleet.ExtractBatch(bctx, docs, s.batch)
-		ph.End()
-		return res, outcome
-	}
-
-	activeDocs := make([]wrapper.BatchDoc, 0, len(docs)-len(canaryIdx))
-	activeIdx := make([]int, 0, len(docs)-len(canaryIdx))
-	inCanary := map[int]bool{}
-	for _, i := range canaryIdx {
-		inCanary[i] = true
-	}
-	for i, d := range docs {
-		if !inCanary[i] {
-			activeDocs = append(activeDocs, d)
-			activeIdx = append(activeIdx, i)
-		}
-	}
-
-	results := make([]wrapper.BatchResult, len(docs))
-	actx, aph := obs.StartPhase(ctx, "serve.batch")
-	aph.Attr("docs", int64(len(activeDocs)))
-	activeRes := s.fleet.ExtractBatch(actx, activeDocs, s.batch)
-	aph.End()
-	for sub, res := range activeRes {
-		i := activeIdx[sub]
-		res.Index = i
-		results[i] = res
-		if kv := watched[i]; kv != nil {
-			if res.Err != nil {
-				kv.stats.activeErr.Add(1)
-				s.obs.Counter(obs.WithLabels("refresh_active_serve_total", "site", res.Key, "outcome", "miss")).Inc()
-			} else {
-				kv.stats.activeOK.Add(1)
-				s.obs.Counter(obs.WithLabels("refresh_active_serve_total", "site", res.Key, "outcome", "ok")).Inc()
+		if rt.window != nil {
+			n, label := &rt.window.stats.activeOK, "ok"
+			if err != nil {
+				n, label = &rt.window.stats.activeErr, "miss"
 			}
+			n.Add(1)
+			s.obs.Counter(obs.WithLabels("refresh_active_serve_total", "site", d.Key, "outcome", label)).Inc()
 		}
-	}
-
-	var fallbackDocs []wrapper.BatchDoc
-	var fallbackIdx []int
-	cctx, cph := obs.StartPhase(ctx, "serve.canary")
-	cph.Attr("docs", int64(len(canaryDocs)))
-	canaryRes := s.canaryFleet.ExtractBatch(cctx, canaryDocs, s.batch)
-	cph.End()
-	for sub, res := range canaryRes {
-		i := canaryIdx[sub]
-		res.Index = i
-		s.vmu.Lock()
-		kv := s.versions[res.Key]
-		s.vmu.Unlock()
-		if res.Err != nil {
-			if kv != nil {
-				kv.stats.canaryErr.Add(1)
-			}
-			s.obs.Counter(obs.WithLabels("refresh_canary_serve_total", "site", res.Key, "outcome", "miss")).Inc()
-			// Canary missed: serve the request from the active version.
-			fallbackDocs = append(fallbackDocs, docs[i])
-			fallbackIdx = append(fallbackIdx, i)
-			if kv != nil {
-				kv.stats.fallback.Add(1)
-			}
-			s.obs.Counter(obs.WithLabels("refresh_canary_fallback_total", "site", res.Key)).Inc()
-		} else {
-			if kv != nil {
-				kv.stats.canaryOK.Add(1)
-			}
-			s.obs.Counter(obs.WithLabels("refresh_canary_serve_total", "site", res.Key, "outcome", "ok")).Inc()
-			results[i] = res
-		}
-	}
-	outcome.fallbacks = len(fallbackDocs)
-	if len(fallbackDocs) > 0 {
-		fctx, fph := obs.StartPhase(ctx, "serve.fallback")
-		fph.Attr("docs", int64(len(fallbackDocs)))
-		fallbackRes := s.fleet.ExtractBatch(fctx, fallbackDocs, s.batch)
-		fph.End()
-		for sub, res := range fallbackRes {
-			i := fallbackIdx[sub]
-			res.Index = i
-			results[i] = res
-		}
-	}
+		return r, err
+	})
+	ph.End()
+	outcome.fallbacks = int(fallbacks.Load())
 	return results, outcome
 }
 
@@ -591,7 +557,7 @@ func (s *Server) handleWrite(kind cluster.OpKind, span string) http.HandlerFunc 
 			if q := r.URL.Query().Get("version"); q != "" {
 				v, err := strconv.ParseUint(q, 10, 64)
 				if err != nil {
-					writeError(w, http.StatusBadRequest, fmt.Errorf("bad version %q: %w", q, err))
+					s.reject(w, http.StatusBadRequest, "decode", fmt.Errorf("bad version %q: %w", q, err))
 					return
 				}
 				op.Version = v
@@ -679,7 +645,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	st := s.cache.Stats()
 	body := map[string]any{
 		"status": "ok",
-		"sites":  s.fleet.Len(),
+		"sites":  len(s.Sites()),
 		"cache": map[string]any{
 			"entries":   st.Entries,
 			"hits":      st.Hits,

@@ -53,19 +53,26 @@ func trainedPayload(t *testing.T) []byte {
 	return payload
 }
 
+// testServer boots a memory-only server serving the trained wrapper under
+// "vs" the way a deploy-time fleet file ships a key: active, with no
+// versions recorded.
 func testServer(t *testing.T) (*Server, []byte) {
 	t.Helper()
 	payload := trainedPayload(t)
-	s, err := New(Config{CacheCap: 8, Observer: obs.New(), Batch: wrapper.BatchOptions{Workers: 2}})
+	w, err := wrapper.Load(payload, machine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := wrapper.LoadCached(payload, machine.Options{}, s.Cache())
+	f := wrapper.NewFleet()
+	f.Add("vs", w)
+	fleetData, err := json.Marshal(f)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Fleet().Add("vs", w)
-	// Reset the cache-stat noise from seeding so tests assert from zero.
+	s, err := New(Config{CacheCap: 8, FleetData: fleetData, Observer: obs.New(), Batch: wrapper.BatchOptions{Workers: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	return s, payload
 }
 
@@ -132,8 +139,8 @@ func TestServePutWrapperAndHealthz(t *testing.T) {
 			t.Fatalf("PUT %s: status %d: %s", key, rec.Code, rec.Body)
 		}
 	}
-	if got := s.Fleet().Len(); got != 3 {
-		t.Errorf("fleet size = %d, want 3", got)
+	if got := len(s.Sites()); got != 3 {
+		t.Errorf("sites = %d, want 3", got)
 	}
 	st := s.Cache().Stats()
 	if hits := st.Hits - before.Hits; hits != 2 {
@@ -182,8 +189,8 @@ func TestServeDeleteWrapper(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("DELETE: status %d: %s", rec.Code, rec.Body)
 	}
-	if got := s.Fleet().Len(); got != 0 {
-		t.Errorf("fleet size after DELETE = %d, want 0", got)
+	if got := len(s.Sites()); got != 0 {
+		t.Errorf("sites after DELETE = %d, want 0", got)
 	}
 	// The key is gone: a second DELETE is a 404, and extraction fails.
 	if rec := do(t, s, "DELETE", "/wrappers/vs", nil); rec.Code != http.StatusNotFound {
@@ -203,7 +210,8 @@ func TestServeDeleteWrapper(t *testing.T) {
 }
 
 // TestServeBodyLimits covers the request-hardening path: an oversized body
-// is 413, a foreign Content-Type is 415, and both rejections are counted.
+// is 413, a foreign Content-Type is 415, an undecodable extract body or
+// ?version= guard is 400, and every rejection is counted by reason.
 func TestServeBodyLimits(t *testing.T) {
 	payload := trainedPayload(t)
 	o := obs.New()
@@ -239,7 +247,19 @@ func TestServeBodyLimits(t *testing.T) {
 		t.Errorf("json Content-Type: status %d, want 201: %s", rec.Code, rec.Body)
 	}
 
+	if rec := do(t, s, "POST", "/extract", []byte("{")); rec.Code != http.StatusBadRequest {
+		t.Errorf("undecodable extract body: status %d, want 400", rec.Code)
+	}
+	for _, path := range []string{"/wrappers/vs/promote?version=two", "/wrappers/vs/rollback?version=-1"} {
+		if rec := do(t, s, "POST", path, nil); rec.Code != http.StatusBadRequest {
+			t.Errorf("POST %s: status %d, want 400", path, rec.Code)
+		}
+	}
+
 	snap := o.Metrics.Snapshot()
+	if n := snap.Counters[obs.WithLabels("serve_rejected_total", "reason", "decode")]; n != 3 {
+		t.Errorf("decode rejections = %d, want 3", n)
+	}
 	if n := snap.Counters[obs.WithLabels("serve_rejected_total", "reason", "body_too_large")]; n != 2 {
 		t.Errorf("body_too_large rejections = %d, want 2", n)
 	}
@@ -259,7 +279,7 @@ func TestServeClusterApply(t *testing.T) {
 	if rec.Code != http.StatusCreated {
 		t.Fatalf("apply put: status %d: %s", rec.Code, rec.Body)
 	}
-	if s.Fleet().Get("site-a") == nil {
+	if s.Active("site-a") == nil {
 		t.Fatal("wrapper not registered via cluster apply")
 	}
 
@@ -267,7 +287,7 @@ func TestServeClusterApply(t *testing.T) {
 	if rec := doFrame(t, s, del); rec.Code != http.StatusOK {
 		t.Fatalf("apply delete: status %d: %s", rec.Code, rec.Body)
 	}
-	if s.Fleet().Get("site-a") != nil {
+	if s.Active("site-a") != nil {
 		t.Fatal("wrapper still registered after replicated delete")
 	}
 	if rec := doFrame(t, s, del); rec.Code != http.StatusNotFound {

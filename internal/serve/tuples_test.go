@@ -88,8 +88,8 @@ func TestServeExtractTuples(t *testing.T) {
 	}
 	// The tuple key must not serve the single-pivot batch surface as if it
 	// were a plain wrapper.
-	if s.fleet.Get("parts") != nil {
-		t.Fatal("tuple registration leaked into the single-pivot fleet")
+	if _, single := s.Active("parts").(*wrapper.Wrapper); single {
+		t.Fatal("tuple registration is served as a single-pivot wrapper")
 	}
 	// The tuple registration loaded through the same memory tier as the
 	// single-pivot "vs": both show in the /healthz cache block.
@@ -170,13 +170,13 @@ func TestServeTuplesRollout(t *testing.T) {
 	if rec := doFrame(t, s, cluster.EncodeOp(cluster.Op{Kind: cluster.OpCanary, Key: "parts", Version: 9, Payload: tp})); rec.Code != http.StatusCreated {
 		t.Fatalf("replicated tuple canary: %d: %s", rec.Code, rec.Body)
 	}
-	if s.canaryFleet.GetTuple("parts") == nil {
-		t.Fatal("tuple canary not staged in the canary fleet")
+	if _, tuple := s.keys["parts"].canary.(*wrapper.TupleWrapper); !tuple {
+		t.Fatal("tuple canary not staged")
 	}
 	if rec := do(t, s, "POST", "/wrappers/parts/promote", nil); rec.Code != http.StatusOK {
 		t.Fatalf("promote tuple canary: %d", rec.Code)
 	}
-	if s.canaryFleet.Lookup("parts") != nil {
+	if s.keys["parts"].canary != nil {
 		t.Fatal("promoted canary still staged")
 	}
 	body := decodeVersions(t, s, "parts")
@@ -191,7 +191,7 @@ func TestServeTuplesRollout(t *testing.T) {
 	if rec := do(t, s, "PUT", "/wrappers/parts", single); rec.Code != http.StatusCreated {
 		t.Fatalf("kind-flip put: %d", rec.Code)
 	}
-	if s.fleet.GetTuple("parts") != nil || s.fleet.Get("parts") == nil {
+	if _, single := s.Active("parts").(*wrapper.Wrapper); !single {
 		t.Fatal("kind flip left the tuple wrapper registered")
 	}
 	if rec := do(t, s, "POST", "/extract/tuples/parts", []byte(tuplesPage)); rec.Code != http.StatusUnprocessableEntity {
@@ -267,7 +267,7 @@ func TestExtractDoesNotGrowSymbolTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	single, tuple := s.Fleet().Get("vs").Table(), comp.Tab
+	single, tuple := s.Active("vs").(*wrapper.Wrapper).Table(), comp.Tab
 	singleLen, tupleLen := single.Len(), tuple.Len()
 	for i := 0; i < 50; i++ {
 		page := fmt.Sprintf("<novel%d><table><tr><td>a</td><td>b</td></tr></table></novel%d>", i, i)

@@ -69,8 +69,8 @@ type record struct {
 // canaryStats is the sliding observation window opened at canary deploy
 // time: extraction outcomes on the canary-routed fraction, outcomes on the
 // active-routed remainder of the same key, and how often a canary miss fell
-// back to the active wrapper. All fields are atomics — the extract path
-// updates them without taking the version lock.
+// back to the active wrapper. All fields are atomics — batch workers
+// update them without taking the key table's lock.
 type canaryStats struct {
 	canaryOK  atomic.Uint64
 	canaryErr atomic.Uint64
@@ -87,10 +87,16 @@ func (c *canaryStats) reset() {
 	}
 }
 
-// keyVersions is the live state of one key: its record, guarded by
-// Server.vmu, plus the canary window and the per-key request counter that
-// drives the deterministic canary stride split, both atomics.
+// keyVersions is one key's entry in the Server's key table: the compiled
+// active and canary wrappers the key serves (nil when the slot is empty)
+// beside the record the registry persists, both guarded by Server.mu, plus
+// the canary observation window and the per-key request counter that drives
+// the deterministic canary stride split — atomics, which batch workers
+// update holding no lock. A set Active or Canary slot always has its
+// compiled wrapper beside it. A key shipped in the deploy-time fleet file
+// has an active wrapper and an empty record: no versions recorded.
 type keyVersions struct {
+	active, canary wrapper.Any
 	record
 	rr    atomic.Uint64
 	stats canaryStats
@@ -113,15 +119,25 @@ func canaryStride(fraction float64) uint64 {
 	return s
 }
 
-// ensureVersions returns the version state for key, creating it. Caller
-// holds vmu.
-func (s *Server) ensureVersions(key string) *keyVersions {
-	kv := s.versions[key]
+// entry returns key's entry in the key table, creating an empty one. Caller
+// holds mu for writing (or is New, before the server is shared).
+func (s *Server) entry(key string) *keyVersions {
+	kv := s.keys[key]
 	if kv == nil {
 		kv = &keyVersions{record: record{Key: key}}
-		s.versions[key] = kv
+		s.keys[key] = kv
 	}
 	return kv
+}
+
+// siteCount counts the keys with an active wrapper. Caller holds mu.
+func (s *Server) siteCount() (n int) {
+	for _, kv := range s.keys {
+		if kv.active != nil {
+			n++
+		}
+	}
+	return n
 }
 
 // nextVersion assigns the next version for kv: one past the monotone
@@ -133,7 +149,7 @@ func (kv *keyVersions) nextVersion(replicated uint64) uint64 {
 }
 
 // gaugeVersions publishes the active/canary version numbers for the key (0 =
-// none). Caller holds vmu.
+// none). Caller holds mu for writing.
 func (s *Server) gaugeVersions(key string, kv *keyVersions) {
 	s.obs.Gauge(obs.WithLabels("refresh_active_version", "site", key)).Set(int64(kv.Active.version()))
 	s.obs.Gauge(obs.WithLabels("refresh_canary_version", "site", key)).Set(int64(kv.Canary.version()))
@@ -168,10 +184,12 @@ func guard(op cluster.Op, slot *versionedWrapper, name string) error {
 // A put or canary payload compiles first, outside the lock and through the
 // shared cache, so re-registering a known expression — or the same wrapper
 // under many keys — costs a lookup. Every existence and ?version check then
-// runs under vmu, next to the transition it guards. op.Version is the
-// origin's version for a replicated put or canary (the key takes the higher
-// of it and its own next version) and the optional guard of promote and
-// rollback; 0 means "assign locally" or "whatever is staged".
+// runs under the key table's write lock, next to the transition it guards;
+// promote swaps in the compiled canary, and only a rollback to the prior
+// version, whose compiled form is not kept, compiles under the lock.
+// op.Version is the origin's version for a replicated put or canary (the key
+// takes the higher of it and its own next version) and the optional guard
+// of promote and rollback; 0 means "assign locally" or "whatever is staged".
 //
 // A put becomes the key's new active version and drops any staged canary (a
 // direct PUT supersedes an in-flight rollout); a delete leaves a versioned
@@ -206,36 +224,33 @@ func (s *Server) apply(ctx context.Context, op cluster.Op) (res writeResult, err
 		}
 	}
 	fail := func(status int, err error) (writeResult, error) { return writeResult{status: status}, err }
-	s.vmu.Lock()
-	defer s.vmu.Unlock()
-	kv := s.versions[op.Key]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	kv := s.keys[op.Key]
 	res = writeResult{status: http.StatusOK, Key: op.Key}
 	counter := ""
 	switch op.Kind {
 	case cluster.OpPut:
-		kv = s.ensureVersions(op.Key)
+		kv = s.entry(op.Key)
 		res.status, res.Version = http.StatusCreated, kv.nextVersion(op.Version)
 		kv.Prior, kv.Canary, kv.Deleted = kv.Active, nil, false
 		kv.Active = &versionedWrapper{Version: res.Version, Payload: append(json.RawMessage(nil), op.Payload...)}
-		s.fleet.Set(op.Key, lw)
-		s.canaryFleet.Remove(op.Key)
+		kv.active, kv.canary = lw, nil
 	case cluster.OpDelete:
-		if s.fleet.Lookup(op.Key) == nil {
+		if kv == nil || kv.active == nil {
 			return fail(http.StatusNotFound, fmt.Errorf("no wrapper registered for %q", op.Key))
 		}
-		kv = s.ensureVersions(op.Key) // new for a key shipped in the fleet file
 		kv.nextVersion(0)
 		kv.Active, kv.Canary, kv.Prior, kv.Deleted = nil, nil, nil, true
-		s.fleet.Remove(op.Key)
-		s.canaryFleet.Remove(op.Key)
+		kv.active, kv.canary = nil, nil
 	case cluster.OpCanary:
 		if kv == nil || kv.Active == nil {
 			return fail(http.StatusNotFound, fmt.Errorf("no active wrapper for %q to canary against", op.Key))
 		}
 		res.status, res.Version = http.StatusCreated, kv.nextVersion(op.Version)
 		kv.Canary = &versionedWrapper{Version: res.Version, Payload: append(json.RawMessage(nil), op.Payload...)}
+		kv.canary = lw
 		kv.stats.reset()
-		s.canaryFleet.Set(op.Key, lw)
 		counter = "refresh_canary_deploy_total"
 	case cluster.OpPromote:
 		if kv == nil || kv.Canary == nil {
@@ -244,16 +259,8 @@ func (s *Server) apply(ctx context.Context, op cluster.Op) (res writeResult, err
 		if err := guard(op, kv.Canary, "staged canary"); err != nil {
 			return fail(http.StatusConflict, err)
 		}
-		// The compiled canary should be resident; recompile from the payload
-		// if it is not (e.g. a replica that restarted between ops).
-		if lw = s.canaryFleet.Lookup(op.Key); lw == nil {
-			if lw, err = wrapper.LoadAny(context.Background(), kv.Canary.Payload, s.opt, s.cache); err != nil {
-				return fail(http.StatusInternalServerError, fmt.Errorf("recompiling canary for promote: %w", err))
-			}
-		}
 		kv.Prior, kv.Active, kv.Canary, kv.LastOutcome = kv.Active, kv.Canary, nil, "promoted"
-		s.fleet.Set(op.Key, lw)
-		s.canaryFleet.Remove(op.Key)
+		kv.active, kv.canary = kv.canary, nil
 		res.Version, res.Outcome = kv.Active.Version, kv.LastOutcome
 		counter = "refresh_promote_total"
 	case cluster.OpRollback:
@@ -261,14 +268,13 @@ func (s *Server) apply(ctx context.Context, op cluster.Op) (res writeResult, err
 		// version kept — revert the active wrapper to it (the
 		// post-promotion escape hatch).
 		switch {
-		case kv == nil:
+		case kv == nil || kv.LastVersion == 0:
 			return fail(http.StatusNotFound, fmt.Errorf("no versions recorded for %q", op.Key))
 		case kv.Canary != nil:
 			if err := guard(op, kv.Canary, "staged canary"); err != nil {
 				return fail(http.StatusConflict, err)
 			}
-			res.Version, kv.Canary = kv.Canary.Version, nil
-			s.canaryFleet.Remove(op.Key)
+			res.Version, kv.Canary, kv.canary = kv.Canary.Version, nil, nil
 		case kv.Prior != nil && kv.Active != nil:
 			if err := guard(op, kv.Active, "active"); err != nil {
 				return fail(http.StatusConflict, err)
@@ -277,8 +283,7 @@ func (s *Server) apply(ctx context.Context, op cluster.Op) (res writeResult, err
 				return fail(http.StatusInternalServerError, fmt.Errorf("recompiling prior version for rollback: %w", err))
 			}
 			res.Version, res.Restored = kv.Active.Version, kv.Prior.Version
-			kv.Active, kv.Prior = kv.Prior, nil
-			s.fleet.Set(op.Key, lw)
+			kv.Active, kv.Prior, kv.active = kv.Prior, nil, lw
 		default:
 			return fail(http.StatusNotFound, fmt.Errorf("nothing to roll back for %q", op.Key))
 		}
@@ -291,7 +296,7 @@ func (s *Server) apply(ctx context.Context, op cluster.Op) (res writeResult, err
 	}
 	s.gaugeVersions(op.Key, kv)
 	if op.Kind == cluster.OpPut || op.Kind == cluster.OpDelete {
-		sites := s.fleet.Len()
+		sites := s.siteCount()
 		res.Sites = &sites
 	}
 	if s.registry != nil {
@@ -311,14 +316,15 @@ type windowCounts struct {
 	Fallback  uint64 `json:"fallback"`
 }
 
-// snapshot reads the version state and canary window of one key under vmu
-// — the one read behind GET …/versions, VersionState, HasCanary and
-// CanaryStats. ok is false when the key has no recorded versions.
+// snapshot reads the version state and canary window of one key — the one
+// read behind GET …/versions, VersionState, HasCanary and CanaryStats. ok is
+// false when the key has no recorded versions (unknown, or shipped in the
+// fleet file and never written since).
 func (s *Server) snapshot(key string) (vs VersionState, win windowCounts, ok bool) {
-	s.vmu.Lock()
-	defer s.vmu.Unlock()
-	kv := s.versions[key]
-	if kv == nil {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	kv := s.keys[key]
+	if kv == nil || kv.LastVersion == 0 {
 		return vs, win, false
 	}
 	vs = VersionState{

@@ -172,9 +172,12 @@ func TestCanaryLifecyclePromote(t *testing.T) {
 // TestCanaryFallbackZeroFailedRequests is the structural guarantee: a canary
 // that cannot parse the live traffic degrades its own statistics, but every
 // canary-routed request falls back to the active wrapper and still succeeds.
+// The fallback runs inside the document's one batch-pool slot, so the batch
+// counters see each document once, by its final outcome.
 func TestCanaryFallbackZeroFailedRequests(t *testing.T) {
 	payload := trainedPayload(t)
-	s, err := New(Config{CacheCap: 8, Observer: obs.New(), CanaryFraction: 0.5,
+	o := obs.New()
+	s, err := New(Config{CacheCap: 8, Observer: o, CanaryFraction: 0.5,
 		Batch: wrapper.BatchOptions{Workers: 2}})
 	if err != nil {
 		t.Fatal(err)
@@ -199,6 +202,10 @@ func TestCanaryFallbackZeroFailedRequests(t *testing.T) {
 	}
 	if stats["activeOK"].(float64) != 5 {
 		t.Fatalf("window stats = %v, want activeOK 5", stats)
+	}
+	snap := o.Metrics.Snapshot()
+	if docs, errs := snap.Counters["wrapper_batch_docs_total"], snap.Counters["wrapper_batch_errors_total"]; docs != 10 || errs != 0 {
+		t.Fatalf("wrapper_batch_docs_total = %d, wrapper_batch_errors_total = %d after 10 answered documents, want 10 and 0", docs, errs)
 	}
 	// The judge would roll this back; do it via the endpoint.
 	if rec := do(t, s, "POST", "/wrappers/vs/rollback", nil); rec.Code != http.StatusOK {
@@ -233,7 +240,7 @@ func TestRegistryTombstoneThenRePutResurrects(t *testing.T) {
 
 	// Restart: the tombstone holds, but keeps its version history.
 	s2 := diskServer(t, dir, nil, obs.New())
-	if s2.Fleet().Get("vs") != nil {
+	if s2.Active("vs") != nil {
 		t.Fatal("tombstoned key resurrected by restart alone")
 	}
 	body := decodeVersions(t, s2, "vs")
@@ -262,7 +269,7 @@ func TestRegistryTombstoneThenRePutResurrects(t *testing.T) {
 
 	// And a second restart keeps the resurrection.
 	s3 := diskServer(t, dir, nil, obs.New())
-	if s3.Fleet().Get("vs") == nil {
+	if s3.Active("vs") == nil {
 		t.Fatal("resurrected key lost after second restart")
 	}
 	body = decodeVersions(t, s3, "vs")
@@ -347,8 +354,8 @@ func TestClusterApplyVersionedOps(t *testing.T) {
 // TestConcurrentWritesKeepOneHistory races all five writes on one key
 // against batch extraction. Every check and transition happens under the
 // version lock, so the outcome is one consistent history: the counter
-// moved once per successful put, canary and delete, the served fleets match
-// the recorded slots, and a restart from the registry recovers exactly the
+// moved once per successful put, canary and delete, the served wrappers
+// match the recorded slots, and a restart from the registry recovers exactly the
 // final state.
 func TestConcurrentWritesKeepOneHistory(t *testing.T) {
 	dir := t.TempDir()
@@ -390,12 +397,15 @@ func TestConcurrentWritesKeepOneHistory(t *testing.T) {
 	readers.Add(1)
 	go func() {
 		defer readers.Done()
+		// Four documents per batch, so both pool workers route and update
+		// the canary window while the writes land.
+		docs := []wrapper.BatchDoc{{Key: "vs", HTML: pageTop}, {Key: "vs", HTML: futurePage}, {Key: "vs", HTML: pageTop}, {Key: "vs", HTML: futurePage}}
 		for {
 			select {
 			case <-stop:
 				return
 			default:
-				s.ExtractBatch(context.Background(), []wrapper.BatchDoc{{Key: "vs", HTML: pageTop}})
+				s.ExtractBatch(context.Background(), docs)
 			}
 		}
 	}()
@@ -408,9 +418,10 @@ func TestConcurrentWritesKeepOneHistory(t *testing.T) {
 		t.Fatalf("final state %+v: counter moved %d times for %d successful writes",
 			got, got.LastVersion-1, consumed.Load())
 	}
-	if (got.Active != 0) != (s.Fleet().Lookup("vs") != nil) || (got.Canary != 0) != s.HasCanary("vs") ||
-		(got.Canary != 0) != (s.canaryFleet.Lookup("vs") != nil) {
-		t.Fatalf("final state %+v disagrees with the served fleets", got)
+	kv := s.keys["vs"]
+	if (got.Active != 0) != (kv.active != nil) || (got.Canary != 0) != s.HasCanary("vs") ||
+		(got.Canary != 0) != (kv.canary != nil) {
+		t.Fatalf("final state %+v disagrees with the served wrappers", got)
 	}
 	restarted, _ := diskServer(t, dir, nil, obs.New()).VersionState("vs")
 	if restarted != got {

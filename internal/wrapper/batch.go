@@ -10,8 +10,8 @@ import (
 	"resilex/internal/obs"
 )
 
-// BatchDoc is one unit of work for Fleet.ExtractBatch: a page plus the site
-// key selecting its wrapper.
+// BatchDoc is one unit of work for RunBatch and Fleet.ExtractBatch: a page
+// plus the site key selecting its wrapper.
 type BatchDoc struct {
 	Key  string `json:"key"`
 	HTML string `json:"html"`
@@ -27,33 +27,34 @@ type BatchResult struct {
 	Err    error
 }
 
-// BatchOptions tunes ExtractBatch.
+// BatchOptions tunes RunBatch and ExtractBatch.
 type BatchOptions struct {
 	// Workers is the worker-pool size; <= 0 means runtime.GOMAXPROCS(0).
 	Workers int
 	// DocTimeout, when positive, layers a per-document deadline under the
 	// batch context: each document gets its own timeout, but never more time
-	// than the batch context has left.
+	// than the batch context has left. Everything RunBatch's run does for a
+	// document, such as a canary attempt and its active fallback, shares it.
 	DocTimeout time.Duration
 }
 
-// ExtractBatch runs the fleet over a batch of documents on a worker pool and
-// returns one result per document, in input order — results[i] always
+// RunBatch runs run(ctx, i) for every document of a batch on a worker pool
+// and returns one result per document, in input order — results[i] always
 // corresponds to docs[i], regardless of which worker ran it or when it
-// finished. Per-document failures (unknown key, no extraction, expired
-// deadline) are reported in the result, never by a panic or a short slice,
-// so one poisoned document cannot take down its batch.
+// finished. Per-document failures are reported in the result, never by a
+// panic or a short slice, so one poisoned document cannot take down its
+// batch.
 //
-// The batch context bounds the whole call: documents starting after it
-// expires fail fast with an error wrapping machine.ErrDeadline (workers
-// drain the remaining documents without running them). Each document
-// additionally gets BatchOptions.DocTimeout, inherited from — and clipped
-// by — the batch context.
+// The batch context bounds the whole call: run receives it, with
+// BatchOptions.DocTimeout layered under it per document, so once it expires
+// every remaining document fails fast with an error wrapping
+// machine.ErrDeadline (every wrapper's extraction checks its context).
 //
 // An observer carried by ctx (obs.NewContext) maintains the counters
-// wrapper_batch_docs_total and wrapper_batch_errors_total and the histogram
+// wrapper_batch_docs_total and wrapper_batch_errors_total — each document
+// counted once, by the error run finally returns — and the histogram
 // wrapper_batch_doc_duration_us.
-func (f *Fleet) ExtractBatch(ctx context.Context, docs []BatchDoc, opt BatchOptions) []BatchResult {
+func RunBatch(ctx context.Context, docs []BatchDoc, opt BatchOptions, run func(ctx context.Context, i int) (Region, error)) []BatchResult {
 	results := make([]BatchResult, len(docs))
 	if len(docs) == 0 {
 		return results
@@ -81,23 +82,31 @@ func (f *Fleet) ExtractBatch(ctx context.Context, docs []BatchDoc, opt BatchOpti
 				if i >= len(docs) {
 					return
 				}
-				d := docs[i]
 				dctx, cancel := ctx, context.CancelFunc(func() {})
 				if opt.DocTimeout > 0 {
 					dctx, cancel = context.WithTimeout(ctx, opt.DocTimeout)
 				}
 				start := time.Now()
-				r, err := f.ExtractFromContext(dctx, d.Key, d.HTML)
+				r, err := run(dctx, i)
 				durations.Observe(time.Since(start).Microseconds())
 				cancel()
 				docsTotal.Inc()
 				if err != nil {
 					errsTotal.Inc()
 				}
-				results[i] = BatchResult{Index: i, Key: d.Key, Region: r, Err: err}
+				results[i] = BatchResult{Index: i, Key: docs[i].Key, Region: r, Err: err}
 			}
 		}()
 	}
 	wg.Wait()
 	return results
+}
+
+// ExtractBatch is RunBatch over the fleet: each document runs the wrapper
+// its key selects, and an unknown key (or a tuple key, which the batch
+// surface does not serve) fails that document with ErrUnknownKey.
+func (f *Fleet) ExtractBatch(ctx context.Context, docs []BatchDoc, opt BatchOptions) []BatchResult {
+	return RunBatch(ctx, docs, opt, func(ctx context.Context, i int) (Region, error) {
+		return f.ExtractFromContext(ctx, docs[i].Key, docs[i].HTML)
+	})
 }
