@@ -145,14 +145,15 @@ cluster-smoke:
 	sh scripts/cluster_smoke.sh
 
 # Streaming alloc gate: the zero-allocation assertions on every warm
-# streaming layer (matcher run, tokenizer feed, wrapper serve path), the
-# page-size-flat allocation bound on the in-memory Resolve path, plus a
+# streaming layer (matcher run, tokenizer feed, resolver lookup, wrapper
+# serve path), the page-size-flat allocation bound on the in-memory
+# Resolve path, plus a
 # short differential fuzz of the one-pass matcher against the two-scan
 # oracle and of the chunked tokenizer against Scan. Guards the 0 allocs/op
 # and boundary-straddling invariants ISSUE 8 introduced.
 alloc-gate:
 	$(GO) test -run 'TestStreamRunZeroAlloc|TestStreamMatcherEquivalence' -count=1 ./internal/extract/
-	$(GO) test -run 'TestStreamerFeedNoAllocWarm|TestStreamerMatchesScan|TestResolveAllocsFlat' -count=1 ./internal/htmltok/
+	$(GO) test -run 'TestStreamerFeedNoAllocWarm|TestStreamerMatchesScan|TestResolveAllocsFlat|TestResolverSymNoAlloc' -count=1 ./internal/htmltok/
 	$(GO) test -run 'TestStreamZeroAllocWarm|TestStreamMatchesExtract|TestStreamLargePageConstantState' -count=1 ./internal/wrapper/
 	$(GO) test -fuzz=FuzzStreamTwoPassEquiv -fuzztime=5s ./internal/extract/
 	$(GO) test -fuzz=FuzzStreamerChunks -fuzztime=5s ./internal/htmltok/

@@ -34,31 +34,15 @@ func E21Streaming(iters int) Table {
 		Claim:  "runtime extension: fusing tokenization into the one-pass product matcher serves chunked documents in O(1) memory beyond the match region with zero warm-path allocations; the materialized path runs the same allocation-free tokenizer, so its allocations per op grow only as its symbol and span arrays double, while its KB/op still grows linearly with page size",
 		Header: []string{"mode", "page KB", "MB/s", "µs/op", "allocs/op", "KB/op"},
 	}
-	w, err := wrapper.Train([]wrapper.Sample{
-		{HTML: e15Top, Target: wrapper.TargetMarker()},
-		{HTML: e15Bottom, Target: wrapper.TargetMarker()},
-	}, wrapper.Config{Skip: []string{"BR"}, Options: DefaultOptions})
-	if err != nil {
-		panic(err)
-	}
+	w := e21Wrapper()
 	se, err := w.Stream()
 	if err != nil {
 		panic(err)
 	}
-	formAt := strings.Index(e15Bottom, "<tr><td><form")
-	if formAt < 0 {
-		panic("bench: e15Bottom lost its form row")
-	}
 	ctx := contextWithObserver()
 
 	for _, filler := range []int{0, 1000, 25000} {
-		var b strings.Builder
-		b.WriteString(e15Bottom[:formAt])
-		for i := 0; i < filler; i++ {
-			b.WriteString(e21FillerRow)
-		}
-		b.WriteString(e15Bottom[formAt:])
-		page := b.String()
+		page := e21Page(filler)
 		pageKB := fmt.Sprintf("%.1f", float64(len(page))/1024)
 
 		want, err := w.Extract(page)
@@ -117,4 +101,26 @@ func E21Streaming(iters int) Table {
 		_ = sink
 	}
 	return t
+}
+
+// e21Wrapper trains E21's wrapper on the Figure 1 layouts.
+func e21Wrapper() *wrapper.Wrapper {
+	w, err := wrapper.Train([]wrapper.Sample{
+		{HTML: e15Top, Target: wrapper.TargetMarker()},
+		{HTML: e15Bottom, Target: wrapper.TargetMarker()},
+	}, wrapper.Config{Skip: []string{"BR"}, Options: DefaultOptions})
+	if err != nil {
+		panic(err)
+	}
+	return w
+}
+
+// e21Page is the Figure 1 bottom layout with filler rows inserted before
+// its form row; 1000 rows make the 52 KB page.
+func e21Page(filler int) string {
+	formAt := strings.Index(e15Bottom, "<tr><td><form")
+	if formAt < 0 {
+		panic("bench: e15Bottom lost its form row")
+	}
+	return e15Bottom[:formAt] + strings.Repeat(e21FillerRow, filler) + e15Bottom[formAt:]
 }

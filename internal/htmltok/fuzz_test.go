@@ -9,7 +9,8 @@ import (
 
 // FuzzScan asserts the tokenizer never panics on arbitrary bytes and always
 // produces tokens with sane, in-bounds, non-decreasing spans, and that Map
-// and Resolve equal mapReference under every mix of mapper settings.
+// and a Resolver's Resolve equal mapReference under every mix of mapper
+// settings.
 func FuzzScan(f *testing.F) {
 	seeds := []string{
 		"<p>x</p>",
@@ -40,10 +41,10 @@ func FuzzScan(f *testing.F) {
 	})
 }
 
-// checkMapMatchesReference compares Map and Resolve with mapReference on
-// src under one mix of mapper settings (bit 0 KeepText, bit 1 end tags
-// dropped, bit 2 Skip, bit 3 AttrKeys): the symbols, the spans and the
-// table's names in interning order must all agree.
+// checkMapMatchesReference compares Map and a Resolver's Resolve with
+// mapReference on src under one mix of mapper settings (bit 0 KeepText,
+// bit 1 end tags dropped, bit 2 Skip, bit 3 AttrKeys): the symbols, the
+// spans and the table's names in interning order must all agree.
 func checkMapMatchesReference(t *testing.T, src string, mix int) {
 	t.Helper()
 	mapper := func(tab *symtab.Table) *Mapper {
@@ -71,12 +72,12 @@ func checkMapMatchesReference(t *testing.T, src string, mix int) {
 	want := mapReference(mapper(wantTab), src, true)
 	same("Map", mapper(gotTab).Map(src), want, gotTab, wantTab)
 
-	// Resolve against a table that knows only the first half's names, so
-	// both known and fresh (None) names occur.
+	// Resolve over Σ = the names of the first half, so both names in Σ and
+	// names outside it (None) occur.
 	half := symtab.NewTable()
 	mapReference(mapper(half), src[:len(src)/2], true)
 	names := symtab.NewTable()
-	names.InternAll(half.Names()...)
+	sigma := symtab.NewAlphabet(names.InternAll(half.Names()...)...)
 	want = mapReference(mapper(half), src, false)
-	same("Resolve", mapper(half).Resolve(src), want, half, names)
+	same("Resolve", mapper(half).Resolver(sigma).Resolve(src), want, half, names)
 }

@@ -8,10 +8,10 @@
 // quoted and unquoted attributes, and self-closing tags. It never fails on
 // malformed input — stray '<' characters degrade to text, in the spirit of
 // browser error recovery — because wrappers must tokenize whatever a web
-// server returns. Every extraction route tokenizes with the resumable,
-// allocation-free Streamer: Mapper.Map and Mapper.Resolve feed it a whole
-// page, the stream route feeds it request chunks. Scan, its materialized
-// twin, serves callers that want Token values with attributes.
+// server returns. Every route tokenizes with the resumable, allocation-free
+// Streamer: Mapper.Map and Resolver.Resolve feed it a whole page, the stream
+// route feeds it request chunks. Scan, its materialized twin, serves callers
+// that want Token values with attributes.
 package htmltok
 
 import (
@@ -77,8 +77,21 @@ func (t Token) Attr(key string) (string, bool) {
 	return "", false
 }
 
-// rawTextElements swallow everything until their matching end tag.
-var rawTextElements = map[string]bool{"SCRIPT": true, "STYLE": true, "TEXTAREA": true, "TITLE": true}
+// isRawText reports whether the upper-cased tag name opens a raw-text
+// element (SCRIPT, STYLE, TEXTAREA, TITLE), which swallows everything until
+// its matching end tag. Scan and the Streamer both ask it on every start
+// tag, so it switches on the length before comparing any bytes.
+func isRawText[T string | []byte](name T) bool {
+	switch len(name) {
+	case 5:
+		return string(name) == "STYLE" || string(name) == "TITLE"
+	case 6:
+		return string(name) == "SCRIPT"
+	case 8:
+		return string(name) == "TEXTAREA"
+	}
+	return false
+}
 
 // Scan tokenizes the page. It always succeeds; malformed markup degrades to
 // text tokens.
@@ -148,7 +161,7 @@ func Scan(html string) []Token {
 		out = append(out, tok)
 		i = next
 		// Raw-text element: consume everything up to the matching close.
-		if tok.Kind == StartTag && rawTextElements[tok.Name] {
+		if tok.Kind == StartTag && isRawText(tok.Name) {
 			// Search in place with an ASCII-only fold: a lowered copy of the
 			// rest of the page per raw-text element would make Scan
 			// quadratic, and strings.ToLower would rewrite invalid UTF-8
@@ -263,8 +276,12 @@ func scanTag(html string, start, nameStart int, closing bool) (Token, int) {
 // Span is a byte range of the source page.
 type Span struct{ Start, End int }
 
-// Mapper converts raw tokens into the symbol-string abstraction. The zero
-// value is not usable; construct with NewMapper.
+// Mapper converts raw tokens into the symbol-string abstraction over a
+// shared, growing symbol table. Training and refresh use it through Map,
+// which interns; StreamSym is its table-backed lookup. Serving resolves
+// against a Resolver frozen from the Mapper over one wrapper's Σ instead, so
+// no serving path takes the table's lock. The zero value is not usable;
+// construct with NewMapper.
 type Mapper struct {
 	tab *symtab.Table
 	// KeepEndTags emits "/FORM"-style symbols for end tags (the paper's
@@ -282,8 +299,8 @@ type Mapper struct {
 	Skip map[string]bool
 
 	// endBuf is StreamSym's end-tag scratch ("/NAME"). It makes StreamSym
-	// single-goroutine state, unlike Map and Resolve; streaming callers hold
-	// one Mapper per in-flight extraction.
+	// single-goroutine state, unlike Map; StreamSym callers hold one Mapper
+	// per goroutine.
 	endBuf []byte
 }
 
@@ -306,50 +323,49 @@ type Document struct {
 
 // Map tokenizes html with a Streamer and converts it to a Document,
 // interning every name it meets. Training and refresh use it: the names it
-// interns widen Σ.
-func (m *Mapper) Map(html string) Document { return m.mapDoc(html, true) }
-
-// Resolve is Map without interning: a name the table has never seen becomes
-// symtab.None, as in StreamSym. Extraction uses it on live pages, so hostile
-// pages cannot grow a table that many wrappers share. Regions are the same as
-// under Map, because a fresh name is outside Σ either way. Like Map, it runs
-// the page through a Streamer and StreamSym's resolver, so the in-memory and
-// streaming routes tokenize with the same code.
-func (m *Mapper) Resolve(html string) Document { return m.mapDoc(html, false) }
-
-// mapDoc feeds html to a Streamer in one chunk and keeps each token resolve
-// does not drop. The streamer and the end-tag scratch are local to the call,
-// so one Mapper serves concurrent calls.
-func (m *Mapper) mapDoc(html string, intern bool) Document {
-	doc := Document{HTML: html}
+// interns widen Σ. The end-tag scratch is local to the call, so one Mapper
+// serves concurrent calls.
+func (m *Mapper) Map(html string) Document {
 	var end []byte
-	s := NewStreamer(func(t RawToken) {
-		if sym, ok := m.resolve(t, intern, &end); ok {
+	return tokenize(html, len(m.AttrKeys) > 0, func(t *RawToken) (symtab.Symbol, bool) {
+		return m.resolve(t, true, &end)
+	})
+}
+
+// tokenize feeds html to a Streamer in one chunk and keeps each token sym
+// does not drop.
+func tokenize(html string, parseAttrs bool, sym func(*RawToken) (symtab.Symbol, bool)) Document {
+	doc := Document{HTML: html}
+	s := NewStreamerPtr(func(t *RawToken) {
+		if sym, ok := sym(t); ok {
 			doc.Syms = append(doc.Syms, sym)
 			doc.Spans = append(doc.Spans, Span{t.Start, t.End})
 		}
 	})
-	s.ParseAttrs = len(m.AttrKeys) > 0
+	s.ParseAttrs = parseAttrs
 	s.Feed([]byte(html))
 	s.Close()
 	return doc
 }
 
-func (m *Mapper) symbolName(t Token) string {
-	if len(m.AttrKeys) == 0 {
-		return t.Name
-	}
+// refinedName is a start tag's symbol name under AttrKeys: the tag name,
+// followed by the sorted key=value pairs of the listed attributes it
+// carries, or the bare name when it carries none of them.
+func refinedName(name string, attrs []Attr, keys []string) string {
 	var parts []string
-	for _, k := range m.AttrKeys {
-		if v, ok := t.Attr(k); ok {
-			parts = append(parts, k+"="+v)
+	for _, k := range keys {
+		for _, a := range attrs {
+			if a.Key == k {
+				parts = append(parts, k+"="+a.Val)
+				break
+			}
 		}
 	}
 	if len(parts) == 0 {
-		return t.Name
+		return name
 	}
 	sort.Strings(parts)
-	return t.Name + "[" + strings.Join(parts, " ") + "]"
+	return name + "[" + strings.Join(parts, " ") + "]"
 }
 
 // Alphabet returns the alphabet of the document's symbols.

@@ -201,10 +201,10 @@ func TestMapperFigure1(t *testing.T) {
 	}
 }
 
-// TestResolveAllocsFlat: Resolve's allocations do not scale with the token
-// count. Only the Syms and Spans slices grow, by doubling, so the Figure 1
-// page, bare (0.3 KB) and padded with E21's 1000 filler rows (52 KB), stays
-// within a small constant.
+// TestResolveAllocsFlat: a Resolver's Resolve allocations do not scale with
+// the token count. Only the Syms and Spans slices grow, by doubling, so the
+// Figure 1 page, bare (0.3 KB) and padded with E21's 1000 filler rows
+// (52 KB), stays within a small constant.
 func TestResolveAllocsFlat(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates on the warm path")
@@ -219,8 +219,9 @@ func TestResolveAllocsFlat(t *testing.T) {
 		maxAllocs float64
 	}{{0, 32}, {1000, 64}} {
 		page := figure1TopHTML[:formAt] + strings.Repeat(fillerRow, c.rows) + figure1TopHTML[formAt:]
-		m.Map(page) // intern the page's names, as training would
-		allocs := testing.AllocsPerRun(20, func() { m.Resolve(page) })
+		doc := m.Map(page) // intern the page's names, as training would
+		r := m.Resolver(doc.Alphabet())
+		allocs := testing.AllocsPerRun(20, func() { r.Resolve(page) })
 		if allocs > c.maxAllocs {
 			t.Errorf("Resolve on a %.1f KB page: %.0f allocations, want at most %.0f",
 				float64(len(page))/1024, allocs, c.maxAllocs)
@@ -228,20 +229,22 @@ func TestResolveAllocsFlat(t *testing.T) {
 	}
 }
 
-// TestMapperConcurrentCalls: Map and Resolve keep their streamer and
-// end-tag scratch local to the call, so one Mapper serves concurrent calls,
-// as a wrapper's does under the batch worker pool. Run with -race.
+// TestMapperConcurrentCalls: Map keeps its streamer and end-tag scratch
+// local to the call, and a Resolver is immutable, so one Mapper and one
+// Resolver serve concurrent calls, as a wrapper's do under the batch worker
+// pool. Run with -race.
 func TestMapperConcurrentCalls(t *testing.T) {
 	m := NewMapper(symtab.NewTable())
 	m.KeepText = true
 	want := mapReference(m, figure1TopHTML, true)
+	r := m.Resolver(want.Alphabet())
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				for _, doc := range []Document{m.Map(figure1TopHTML), m.Resolve(figure1TopHTML)} {
+				for _, doc := range []Document{m.Map(figure1TopHTML), r.Resolve(figure1TopHTML)} {
 					if !reflect.DeepEqual(doc.Syms, want.Syms) || !reflect.DeepEqual(doc.Spans, want.Spans) {
 						t.Errorf("concurrent call mapped %v %v, want %v %v", doc.Syms, doc.Spans, want.Syms, want.Spans)
 						return

@@ -34,7 +34,7 @@ func mapReference(m *Mapper, html string, intern bool) Document {
 			if m.Skip[t.Name] {
 				continue
 			}
-			doc.Syms = append(doc.Syms, sym(m.symbolName(t)))
+			doc.Syms = append(doc.Syms, sym(refinedName(t.Name, t.Attrs, m.AttrKeys)))
 			doc.Spans = append(doc.Spans, Span{t.Start, t.End})
 		}
 	}

@@ -6,10 +6,12 @@ import (
 	"resilex/internal/symtab"
 )
 
-// RawToken is one token produced by a Streamer. Name and Bytes alias the
-// streamer's internal buffer (or the chunk being fed) and are valid only for
-// the duration of the emit callback — callers that need them longer must
-// copy. Start/End are absolute byte offsets into the whole stream.
+// RawToken is one token produced by a Streamer. The streamer owns the token
+// and delivers a pointer to it; the pointer, and the Name and Bytes slices,
+// which alias the streamer's internal buffer (or the chunk being fed), are
+// valid only for the duration of the emit callback — callers that need them
+// longer must copy. Start/End are absolute byte offsets into the whole
+// stream.
 type RawToken struct {
 	Kind Kind
 	// Name holds the upper-cased tag name bytes; nil for Text, Comment and
@@ -38,9 +40,10 @@ const (
 )
 
 // Streamer is the chunked, resumable counterpart of Scan: bytes arrive in
-// arbitrary slices via Feed, tokens are delivered to the emit callback in
-// exactly the order — and with exactly the spans — Scan would produce for
-// the concatenated input (FuzzStreamerChunks enforces this byte-for-byte).
+// arbitrary slices via Feed, tokens are delivered to the emit callback, by
+// pointer to the one RawToken the streamer owns, in exactly the order — and
+// with exactly the spans — Scan would produce for the concatenated input
+// (FuzzStreamerChunks enforces this byte-for-byte).
 // Constructs that straddle a chunk boundary are carried over and resumed, so
 // no token, tag name or multi-byte UTF-8 sequence is ever split by chunking.
 //
@@ -53,9 +56,10 @@ type Streamer struct {
 	// tag; leave it off unless the mapper refines symbols with AttrKeys.
 	ParseAttrs bool
 
-	emit  func(RawToken)
-	carry []byte // pending construct bytes, starting at its first byte
-	base  int    // absolute stream offset of the work buffer's first byte
+	emit  func(*RawToken)
+	tok   RawToken // the token being delivered; see RawToken
+	carry []byte   // pending construct bytes, starting at its first byte
+	base  int      // absolute stream offset of the work buffer's first byte
 	state streamState
 	scan  int // resume offset within the pending construct (state-specific)
 
@@ -66,9 +70,15 @@ type Streamer struct {
 	carries int64
 }
 
-// NewStreamer returns a streamer delivering tokens to emit.
-func NewStreamer(emit func(RawToken)) *Streamer {
+// NewStreamerPtr returns a streamer delivering each token to emit by
+// pointer; the pointer is valid only during the call (see RawToken).
+func NewStreamerPtr(emit func(*RawToken)) *Streamer {
 	return &Streamer{emit: emit}
+}
+
+// NewStreamer returns a streamer delivering a copy of each token to emit.
+func NewStreamer(emit func(RawToken)) *Streamer {
+	return NewStreamerPtr(func(t *RawToken) { emit(*t) })
 }
 
 // Reset prepares the streamer for a new document, keeping grown buffers.
@@ -303,7 +313,7 @@ func (s *Streamer) process(b []byte, atEOF bool) int {
 			}
 			s.send(kind, s.nameBuf, b, start, end, attrs)
 			start, state, scan = end, stNone, 0
-			if kind == StartTag && rawTextElements[string(s.nameBuf)] {
+			if kind == StartTag && isRawText(s.nameBuf) {
 				s.rawSeq = append(s.rawSeq[:0], '<', '/')
 				for _, c := range b[nameStart:nameEnd] {
 					if 'A' <= c && c <= 'Z' {
@@ -345,15 +355,18 @@ func (s *Streamer) process(b []byte, atEOF bool) int {
 	}
 }
 
+// send fills the streamer's token field by field (a composite-literal
+// assignment would build the 96-byte token on the stack and copy it) and
+// hands it to emit.
 func (s *Streamer) send(kind Kind, name, b []byte, start, end int, attrs []Attr) {
-	s.emit(RawToken{
-		Kind:  kind,
-		Name:  name,
-		Bytes: b[start:end],
-		Attrs: attrs,
-		Start: s.base + start,
-		End:   s.base + end,
-	})
+	t := &s.tok
+	t.Kind = kind
+	t.Name = name
+	t.Bytes = b[start:end]
+	t.Attrs = attrs
+	t.Start = s.base + start
+	t.End = s.base + end
+	s.emit(t)
 }
 
 // streamTag walks a tag over bytes, replicating scanTag's control flow
@@ -464,21 +477,24 @@ func foldHasPrefix[T string | []byte](b T, seq []byte) bool {
 // The distinction matters to matchers: a dropped token does not occupy a
 // position, while a None symbol does — and kills every candidate whose
 // suffix spans it, which is extraction-equivalent to Map's freshly interned
-// (hence out-of-Σ) symbol. Map and Resolve call the same resolver on the
-// tokens of their own Streamer.
+// (hence out-of-Σ) symbol. Map calls the same code on the tokens of its own
+// Streamer.
 //
-// Without AttrKeys the resolution path does not allocate (the byte-to-string
-// map indexes are elided); with AttrKeys it builds the refined symbol name
-// and allocates, matching the ParseAttrs cost on the streamer.
+// StreamSym looks every name up in the shared table, under the table's
+// lock; no serving route calls it. Serving resolves with a Resolver frozen
+// over the wrapper's Σ, which agrees with StreamSym on every name in Σ.
+// Without AttrKeys the lookup does not allocate (the byte-to-string map
+// indexes are elided); with AttrKeys it builds the refined symbol name and
+// allocates, matching the ParseAttrs cost on the streamer.
 func (m *Mapper) StreamSym(t RawToken) (sym symtab.Symbol, ok bool) {
-	return m.resolve(t, false, &m.endBuf)
+	return m.resolve(&t, false, &m.endBuf)
 }
 
 // resolve maps one streamed token to its symbol, or reports ok=false for a
 // token the mapping drops. A name the table lacks is interned when intern is
 // set and resolves to symtab.None otherwise. end is the caller's "/NAME"
 // scratch for end tags.
-func (m *Mapper) resolve(t RawToken, intern bool, end *[]byte) (sym symtab.Symbol, ok bool) {
+func (m *Mapper) resolve(t *RawToken, intern bool, end *[]byte) (sym symtab.Symbol, ok bool) {
 	name := t.Name
 	switch t.Kind {
 	case Comment, Doctype:
@@ -499,7 +515,7 @@ func (m *Mapper) resolve(t RawToken, intern bool, end *[]byte) (sym symtab.Symbo
 			return symtab.None, false
 		}
 		if len(m.AttrKeys) > 0 {
-			name = []byte(m.symbolName(Token{Name: string(t.Name), Attrs: t.Attrs}))
+			name = []byte(refinedName(string(t.Name), t.Attrs, m.AttrKeys))
 		}
 	}
 	if sym = m.tab.LookupBytes(name); sym == symtab.None && intern {

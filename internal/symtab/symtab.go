@@ -66,10 +66,11 @@ func (t *Table) Lookup(name string) Symbol {
 }
 
 // LookupBytes is Lookup over a byte slice. It never allocates (the
-// byte-to-string conversion in the map index is elided by the compiler),
-// which makes it the symbol-resolution step of the zero-allocation streaming
-// extraction path. Unlike Intern it never mutates the table: unknown names
-// report None, which downstream matchers treat as an out-of-Σ token.
+// byte-to-string conversion in the map index is elided by the compiler).
+// Unlike Intern it never mutates the table: unknown names report None,
+// which downstream matchers treat as an out-of-Σ token. htmltok's Mapper
+// looks streamed names up with it; serving routes resolve against a
+// lock-free htmltok.Resolver frozen over each wrapper's Σ instead.
 func (t *Table) LookupBytes(name []byte) Symbol {
 	t.mu.RLock()
 	defer t.mu.RUnlock()

@@ -13,7 +13,8 @@ import (
 // compiled at most once per distinct expression, no matter how many
 // concurrent requests carry it (see extract.TieredCache). The returned
 // wrapper shares the cached symbol table, expression and matcher (all safe
-// for concurrent use) and owns only its tokenizer configuration.
+// for concurrent use) and owns only its tokenizer configuration and the
+// resolver frozen from it over the expression's Σ.
 //
 // A TieredCache with a disk tier makes restored wrappers survive process
 // restarts; one without is memory only. A nil cache degrades to plain Load.
@@ -88,9 +89,11 @@ func (p persisted) single(ctx context.Context, opt machine.Options, cache *extra
 		return nil, reparseError(err)
 	}
 	cfg := p.config(opt)
+	mapper := cfg.mapper(comp.Tab)
 	w := &Wrapper{
 		sbox: &streamBox{},
-		tab:  comp.Tab, mapper: cfg.mapper(comp.Tab), expr: comp.Expr, matcher: comp.Matcher, cfg: cfg,
+		tab:  comp.Tab, mapper: mapper, res: mapper.Resolver(comp.Expr.Sigma()),
+		expr: comp.Expr, matcher: comp.Matcher, cfg: cfg,
 	}
 	if p.Strategy != nil {
 		w.strategy = *p.Strategy
@@ -111,5 +114,6 @@ func (p persisted) tuple(ctx context.Context, opt machine.Options, cache *extrac
 		return nil, reparseError(err)
 	}
 	cfg := p.config(opt)
-	return &TupleWrapper{tab: comp.Tab, mapper: cfg.mapper(comp.Tab), tuple: comp.Tuple, cfg: cfg}, nil
+	mapper := cfg.mapper(comp.Tab)
+	return &TupleWrapper{tab: comp.Tab, mapper: mapper, res: mapper.Resolver(comp.Tuple.Sigma()), tuple: comp.Tuple, cfg: cfg}, nil
 }

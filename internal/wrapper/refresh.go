@@ -117,7 +117,7 @@ func (w *Wrapper) refresh(sample Sample) (*Wrapper, error) {
 	}
 	return &Wrapper{
 		sbox: &streamBox{},
-		tab:  w.tab, mapper: w.mapper, expr: expr, matcher: m,
+		tab:  w.tab, mapper: w.mapper, res: w.mapper.Resolver(expr.Sigma()), expr: expr, matcher: m,
 		strategy: strategy, cfg: w.cfg,
 	}, nil
 }

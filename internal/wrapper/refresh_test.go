@@ -1,6 +1,7 @@
 package wrapper
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -28,10 +29,34 @@ func TestRefreshLearnsNewLayout(t *testing.T) {
 	if _, err := w.Extract(fig1Future); !errors.Is(err, ErrNotExtracted) {
 		t.Fatalf("future page unexpectedly parsed: %v", err)
 	}
+	stream := func(w *Wrapper) (Region, error) {
+		t.Helper()
+		se, err := w.Stream()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return se.ExtractReader(context.Background(), strings.NewReader(fig1Future))
+	}
+	if _, err := stream(w); !errors.Is(err, ErrNotExtracted) {
+		t.Fatalf("future page streamed through the original wrapper: %v", err)
+	}
 	// One marked sample refreshes it.
 	w2, err := w.Refresh(Sample{HTML: fig1Future, Target: TargetMarker()})
 	if err != nil {
 		t.Fatal(err)
+	}
+	// Refresh interned the future page's tags into the table both wrappers
+	// share. Each wrapper still resolves against its own Σ: the refreshed one
+	// streams the page, the original still rejects it.
+	want, err := w2.Extract(fig1Future)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := stream(w2); err != nil || got != want {
+		t.Fatalf("refreshed wrapper streamed %+v, %v; Extract %+v", got, err, want)
+	}
+	if _, err := stream(w); !errors.Is(err, ErrNotExtracted) {
+		t.Fatalf("original wrapper streamed the future page after the refresh: %v", err)
 	}
 	if !strings.Contains(w2.Strategy(), "refreshed") {
 		t.Errorf("strategy = %q", w2.Strategy())

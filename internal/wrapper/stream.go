@@ -76,16 +76,16 @@ type capture struct {
 	off, n int
 }
 
-// streamSession is the per-extraction state: tokenizer, per-session mapper
-// (StreamSym scratch makes mappers single-goroutine), matcher run, and the
-// capture arena for candidate source regions. All buffers are reused across
-// extractions via the extractor's pool.
+// streamSession is the per-extraction state: tokenizer, matcher run, and
+// the capture arena for candidate source regions. Symbols come from the
+// wrapper's resolver, which every session shares. All buffers are reused
+// across extractions via the extractor's pool.
 type streamSession struct {
-	se     *StreamExtractor
-	st     *htmltok.Streamer
-	mapper *htmltok.Mapper
-	run    *extract.StreamRun
-	pos    int // token positions consumed (kept tokens only)
+	se  *StreamExtractor
+	st  *htmltok.Streamer
+	res *htmltok.Resolver
+	run *extract.StreamRun
+	pos int // token positions consumed (kept tokens only)
 
 	caps       []capture
 	src        []byte // capture arena: source bytes of live candidates
@@ -103,8 +103,8 @@ func (se *StreamExtractor) get() *streamSession {
 		s = v.(*streamSession)
 		se.poolHits.Add(1)
 	} else {
-		s = &streamSession{se: se, mapper: se.w.cfg.mapper(se.w.tab)}
-		s.st = htmltok.NewStreamer(s.onToken)
+		s = &streamSession{se: se, res: se.w.res}
+		s.st = htmltok.NewStreamerPtr(s.onToken)
 		s.st.ParseAttrs = len(se.w.cfg.AttrKeys) > 0
 		se.poolMisses.Add(1)
 	}
@@ -125,11 +125,12 @@ func (se *StreamExtractor) put(s *streamSession) {
 }
 
 // onToken is the fused tokenizer→matcher step: resolve the raw token to a
-// symbol (unknown names become out-of-Σ None, killing the candidates whose
-// suffix spans them), feed the matcher, and capture the token's bytes when
-// it is born as a still-viable candidate.
-func (s *streamSession) onToken(rt htmltok.RawToken) {
-	sym, ok := s.mapper.StreamSym(rt)
+// symbol (names outside Σ become None, killing the candidates whose suffix
+// spans them), feed the matcher, and capture the token's bytes when it is
+// born as a still-viable candidate. rt is the streamer's own token, valid
+// only during the call.
+func (s *streamSession) onToken(rt *htmltok.RawToken) {
+	sym, ok := s.res.Sym(rt)
 	if !ok {
 		return
 	}

@@ -20,7 +20,8 @@ import (
 // carry the data-target attribute (document order defines slot order).
 type TupleWrapper struct {
 	tab    *symtab.Table
-	mapper *htmltok.Mapper
+	mapper *htmltok.Mapper   // training and refresh: interns into tab
+	res    *htmltok.Resolver // live pages, against the tuple's own Σ
 	tuple  *extract.Tuple
 	cfg    Config
 
@@ -72,7 +73,7 @@ func TrainTuple(samples []Sample, cfg Config) (*TupleWrapper, error) {
 		// training distribution, merely less resilient.
 	}
 	return &TupleWrapper{
-		tab: tab, mapper: mapper, tuple: tuple, cfg: cfg,
+		tab: tab, mapper: mapper, res: mapper.Resolver(tuple.Sigma()), tuple: tuple, cfg: cfg,
 		examples: examples, sigma: sigma,
 	}, nil
 }
@@ -103,7 +104,7 @@ func (w *TupleWrapper) Refresh(sample Sample) (*TupleWrapper, error) {
 		}
 	}
 	return &TupleWrapper{
-		tab: w.tab, mapper: w.mapper, tuple: tuple, cfg: w.cfg,
+		tab: w.tab, mapper: w.mapper, res: w.mapper.Resolver(tuple.Sigma()), tuple: tuple, cfg: w.cfg,
 		examples: examples, sigma: sigma,
 	}, nil
 }
@@ -136,7 +137,7 @@ func markedIndices(doc htmltok.Document, html string) ([]int, error) {
 
 // Extract runs the tuple wrapper on a page, returning one region per slot.
 func (w *TupleWrapper) Extract(html string) ([]Region, error) {
-	doc := w.mapper.Resolve(html)
+	doc := w.res.Resolve(html)
 	vector, ok, err := w.tuple.Extract(doc.Syms)
 	if err != nil {
 		return nil, err
@@ -212,7 +213,7 @@ func (w *TupleWrapper) ExtractAllContext(ctx context.Context, html string) ([][]
 	if err != nil {
 		return nil, err
 	}
-	doc := w.mapper.Resolve(html)
+	doc := w.res.Resolve(html)
 	m, err := prog.RunContext(ctx, doc.Syms)
 	if err != nil {
 		return nil, err

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -143,6 +144,9 @@ func TestTupleRefresh(t *testing.T) {
 	if _, err := w.Extract(tupleLive); !errors.Is(err, ErrNotExtracted) {
 		t.Skipf("single-sample wrapper unexpectedly handles the live page: %v", err)
 	}
+	if all, err := w.ExtractAll(tupleLive); err != nil || len(all) != 0 {
+		t.Fatalf("single-sample wrapper: ExtractAll found %d records, %v", len(all), err)
+	}
 	w2, err := w.Refresh(Sample{HTML: tupleSample2})
 	if err != nil {
 		t.Fatal(err)
@@ -153,6 +157,15 @@ func TestTupleRefresh(t *testing.T) {
 	}
 	if len(regions) != 2 {
 		t.Fatalf("regions = %d", len(regions))
+	}
+	// Each wrapper resolves against its own Σ, though the refresh widened
+	// the table they share: the refreshed one finds the record, the
+	// original still finds none.
+	if all, err := w2.ExtractAll(tupleLive); err != nil || len(all) != 1 || !reflect.DeepEqual(all[0], regions) {
+		t.Fatalf("refreshed wrapper: ExtractAll %+v, %v; Extract %+v", all, err, regions)
+	}
+	if all, err := w.ExtractAll(tupleLive); err != nil || len(all) != 0 {
+		t.Fatalf("original wrapper after the refresh: ExtractAll found %d records, %v", len(all), err)
 	}
 	// Training pages still extract.
 	if _, err := w2.Extract(tupleSample1); err != nil {

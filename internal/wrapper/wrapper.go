@@ -87,8 +87,11 @@ type Config struct {
 
 // Wrapper is a trained, compiled extractor. Create with Train or Load.
 type Wrapper struct {
-	tab      *symtab.Table
-	mapper   *htmltok.Mapper
+	tab    *symtab.Table
+	mapper *htmltok.Mapper // training and refresh: interns into tab
+	// res resolves live pages against the expression's own Σ; every
+	// extraction route shares it, with no lock.
+	res      *htmltok.Resolver
 	expr     extract.Expr
 	matcher  *extract.Matcher
 	strategy string
@@ -190,7 +193,8 @@ func trainExamples(tab *symtab.Table, mapper *htmltok.Mapper, examples []learn.E
 	}
 	return &Wrapper{
 		sbox: &streamBox{},
-		tab:  tab, mapper: mapper, expr: expr, matcher: m, strategy: strategy, cfg: cfg,
+		tab:  tab, mapper: mapper, res: mapper.Resolver(expr.Sigma()), expr: expr, matcher: m,
+		strategy: strategy, cfg: cfg,
 		examples: examples, sigma: sigma,
 	}, nil
 }
@@ -237,15 +241,15 @@ func (w *Wrapper) Extract(html string) (Region, error) {
 // fails fast with an error wrapping machine.ErrDeadline before any
 // tokenization or matching work is done. Tokenization and matching are
 // linear in the page, so the entry check bounds the whole call. The page is
-// tokenized by the stream route's htmltok.Streamer, and its tokens are
-// looked up, never interned (htmltok.Mapper.Resolve), so live pages do not
-// grow the symbol table, which wrappers loaded from one cached artifact
-// share.
+// tokenized by the stream route's htmltok.Streamer and resolved by the
+// wrapper's htmltok.Resolver, frozen over its Σ: names are never interned,
+// so live pages do not grow the symbol table, which wrappers loaded from one
+// cached artifact share.
 func (w *Wrapper) ExtractContext(ctx context.Context, html string) (Region, error) {
 	if err := (machine.Options{Ctx: ctx}).Err(); err != nil {
 		return Region{}, fmt.Errorf("wrapper: extract: %w", err)
 	}
-	doc := w.mapper.Resolve(html)
+	doc := w.res.Resolve(html)
 	pos, ok := w.matcher.Find(doc.Syms)
 	if !ok {
 		return Region{}, ErrNotExtracted
