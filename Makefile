@@ -151,10 +151,13 @@ cluster-smoke:
 # short differential fuzz of the one-pass matcher against the two-scan
 # oracle and of the chunked tokenizer against Scan. Guards the 0 allocs/op
 # and boundary-straddling invariants ISSUE 8 introduced.
+# It also bounds a warm spanner Run plus All on E22's pages at the vectors
+# it hands out + 16.
 alloc-gate:
 	$(GO) test -run 'TestStreamRunZeroAlloc|TestStreamMatcherEquivalence' -count=1 ./internal/extract/
 	$(GO) test -run 'TestStreamerFeedNoAllocWarm|TestStreamerMatchesScan|TestResolveAllocsFlat|TestResolverSymNoAlloc' -count=1 ./internal/htmltok/
 	$(GO) test -run 'TestStreamZeroAllocWarm|TestStreamMatchesExtract|TestStreamLargePageConstantState' -count=1 ./internal/wrapper/
+	$(GO) test -run 'TestRunAllocsWarm' -count=1 ./internal/bench/
 	$(GO) test -fuzz=FuzzStreamTwoPassEquiv -fuzztime=5s ./internal/extract/
 	$(GO) test -fuzz=FuzzStreamerChunks -fuzztime=5s ./internal/htmltok/
 
@@ -163,8 +166,12 @@ alloc-gate:
 # tuple expressions over arbitrary words, and the relational-algebra layer
 # over extracted regions. Guards the multi-split automaton ISSUE 10
 # introduced.
+# The pool tests check that failed, drained, abandoned and concurrent runs
+# leave the shared arena pool clean, that memory follows the reached nodes,
+# and the deadline-poll cadence.
 spanner-gate:
 	$(GO) test -run 'TestProgramMatchesOracle|TestUnambiguousTupleInvariant|TestRecordEnumeration|TestAlgebraOverExtracted' -count=1 ./internal/spanner/
+	$(GO) test -run 'TestRerunAfterFailedPass|TestDrainedVectorsSurviveReuse|TestAbandonedCursorLeavesNoTrace|TestConcurrentProgramsShareThePool|TestDeadlinePollCadence|TestRunMemoryBoundedByNodes' -count=1 ./internal/spanner/
 	$(GO) test -fuzz=FuzzSpannerOracleEquiv -fuzztime=5s ./internal/spanner/
 
 # Refresh smoke: boot one node with the drift watcher on, PUT v1, drop a

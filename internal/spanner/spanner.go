@@ -8,7 +8,7 @@
 // extraction vector of a word, not just the unique one. Where
 // extract.Tuple.Extract answers "the vector, if unambiguous", a compiled
 // Program answers "all vectors, in lexicographic order, with O(k) delay
-// between consecutive tuples after a single O(n·states) pass" — the record
+// between consecutive tuples after a single linear pass" — the record
 // workload of production wrappers (many repeated (name, price, …) rows per
 // page).
 //
@@ -31,12 +31,29 @@
 // Spanners"): O(k) pointer hops per emitted tuple, independent of the
 // document length. THEORY.md ("k-ary spanner extraction in one pass")
 // carries the invariant argument and the per-pivot unambiguity lift.
+//
+// Representation. Compile concatenates the k+1 dense segment tables into
+// one layered table over a single local state space: (j, q) is one local
+// state, and each state's row carries its |Σ| advance successors plus one
+// split entry (the next pivot's symbol index and the next segment's start
+// state). The forward pass resolves each position's symbol index once and
+// makes one row load per node. Nodes are appended row by row to a flat
+// arena, deduplicated by a per-row slot table over the local states, and
+// each keeps its state, position, both successors and its jump pointer, so
+// memory is O(reached nodes + |states|) — bounded by the MaxStates budget —
+// and a row that comes out empty ends the pass. Arenas come from one
+// package-level pool shared by every Program; a cursor returns its arena
+// when Next reports exhaustion or fails, and an abandoned cursor simply
+// keeps its arena out of the pool. The deadline is polled at position 0 and
+// then every pollStride positions.
 package spanner
 
 import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
+	"sync"
 
 	"resilex/internal/extract"
 	"resilex/internal/machine"
@@ -44,18 +61,27 @@ import (
 	"resilex/internal/symtab"
 )
 
+// pollStride is how many positions the forward pass runs between two
+// deadline polls.
+const pollStride = 1024
+
 // Program is a compiled k-pivot spanner: the k+1 minimal segment DFAs of an
-// extract.Tuple plus the pivot symbols, ready to run over documents. A
-// Program is immutable and safe for concurrent Run calls.
+// extract.Tuple laid out as one layered table, plus the pivot symbols,
+// ready to run over documents. A Program is immutable and safe for
+// concurrent Run calls.
 type Program struct {
 	marks []symtab.Symbol
-	dfas  []*machine.DFA // k+1 segment automata, all complete over sigma
 	sigma symtab.Alphabet
 	opt   machine.Options
 
-	layerOff   []int // layerOff[j] = Σ_{j'<j} |D_{j'}| — dense local state ids
-	stateCount int   // layerOff[k] + |D_k|
-	layerOf    []int // local state id → layer index
+	idx   *machine.SymbolIndex
+	width int // row length of table: |Σ| successors, then the split entry
+	// table holds local state s's row at s*width: the advance successor on
+	// symbol index a at +a, the split symbol index (machine.NoState when no
+	// split leaves s) at +|Σ|, and the split target at +|Σ|+1.
+	table []uint32
+	final []bool // one per local state: it accepts in the last segment D_k
+	start uint32 // local start state of D_0
 }
 
 // Compile builds the multi-split program from a tuple expression. The
@@ -66,27 +92,53 @@ func Compile(t *extract.Tuple, opt machine.Options) (*Program, error) {
 	if t == nil {
 		return nil, fmt.Errorf("spanner: nil tuple")
 	}
+	sigma := t.Sigma()
+	idx, err := machine.NewSymbolIndex(sigma)
+	if err != nil {
+		return nil, fmt.Errorf("spanner: %w", err)
+	}
 	k := t.Arity()
+	segs := make([]*machine.Dense, k+1)
+	off := make([]uint32, k+2) // off[j]: local id of D_j's state 0
+	for j := range segs {
+		d := t.Segment(j).DFA()
+		if !d.Sigma.Equal(sigma) {
+			return nil, fmt.Errorf("spanner: segment %d is not over the tuple's alphabet", j)
+		}
+		if segs[j], err = d.Compact(); err != nil {
+			return nil, fmt.Errorf("spanner: segment %d: %w", j, err)
+		}
+		states := uint64(off[j]) + uint64(d.NumStates())
+		if states > math.MaxInt32 {
+			return nil, fmt.Errorf("spanner: %d segment states exceed the node-id space: %w", states, machine.ErrBudget)
+		}
+		off[j+1] = uint32(states)
+	}
+	stride := sigma.Len()
 	p := &Program{
 		marks: t.Marks(),
-		sigma: t.Sigma(),
+		sigma: sigma,
 		opt:   opt,
+		idx:   idx,
+		width: stride + 2,
+		table: make([]uint32, 0, int(off[k+1])*(stride+2)),
+		final: make([]bool, off[k+1]),
+		start: segs[0].Start,
 	}
-	p.layerOff = make([]int, k+1)
-	for j := 0; j <= k; j++ {
-		d := t.Segment(j).DFA()
-		p.layerOff[j] = p.stateCount
-		p.dfas = append(p.dfas, d)
-		p.stateCount += d.NumStates()
-	}
-	p.layerOf = make([]int, p.stateCount)
-	for j := 0; j <= k; j++ {
-		end := p.stateCount
-		if j < k {
-			end = p.layerOff[j+1]
-		}
-		for s := p.layerOff[j]; s < end; s++ {
-			p.layerOf[s] = j
+	for j, d := range segs {
+		for q, acc := range d.Accept {
+			for _, to := range d.Table[q*stride : (q+1)*stride] {
+				p.table = append(p.table, off[j]+to)
+			}
+			switch {
+			case j == k:
+				p.final[off[j]+uint32(q)] = acc
+				p.table = append(p.table, machine.NoState, 0)
+			case acc:
+				p.table = append(p.table, uint32(idx.Index(p.marks[j])), off[j+1]+segs[j+1].Start)
+			default:
+				p.table = append(p.table, machine.NoState, 0)
+			}
 		}
 	}
 	if opt.Ctx != nil {
@@ -117,21 +169,62 @@ func budgetLimit(opt machine.Options) int {
 	}
 }
 
-// Matches is the result of one Run: the pruned useful-node DAG plus an
-// enumeration cursor. Tuples come out in lexicographic vector order with
-// O(k) work per call. A Matches is single-use and not safe for concurrent
-// access; rerun the program for a fresh cursor.
+// Jump-pointer sentinels: a node's jump is the id of the first split-useful
+// node on its advance chain, noJump when it is useful with no split ahead
+// (an accepting path in the last layer), or useless when it lies on no
+// source-to-sink path.
+const (
+	noJump  int32 = -1
+	useless int32 = -2
+)
+
+// node is one reached (position, layer, state) triple of the DAG.
+type node struct {
+	state uint32 // local state in the layered table
+	pos   int32  // position: the row the node was appended to
+	adv   int32  // advance successor, -1 when none
+	split int32  // split successor, -1 when none
+	jump  int32  // see noJump and useless
+}
+
+// arena is one run's DAG storage, recycled through arenas.
+type arena struct {
+	nodes []node
+	slot  []int32 // local state → its node in the row being built, if ≥ that row's first id
+	stack []int32 // one split node per placed pivot
+}
+
+// arenas is the one pool every Program draws from.
+var arenas = sync.Pool{New: func() any { return new(arena) }}
+
+// getArena takes an arena from the pool, emptied, with a slot table of
+// states entries that hold no node.
+func getArena(states int) *arena {
+	a := arenas.Get().(*arena)
+	if cap(a.slot) < states {
+		a.slot = make([]int32, states)
+	}
+	a.slot = a.slot[:states]
+	for i := range a.slot {
+		a.slot[i] = -1
+	}
+	a.nodes = a.nodes[:0]
+	a.stack = a.stack[:0]
+	return a
+}
+
+// Matches is the result of one Run: the pruned DAG plus an enumeration
+// cursor. Tuples come out in lexicographic vector order with O(k) work per
+// call. A Matches is single-use and not safe for concurrent access; rerun
+// the program for a fresh cursor.
 type Matches struct {
-	p    *Program
-	word []symtab.Symbol
+	k     int
+	opt   machine.Options
+	a     *arena // nil once Next has reported exhaustion or an error
+	nodes int    // reached nodes, for introspection
 
-	useful []bool
-	jump   []int32 // node id of first split-useful node on the advance chain, -1 none
-	nodes  int     // reached nodes, for introspection
-
-	stack   []int32 // one split node per placed pivot
 	started bool
-	done    bool
+	err     error
 }
 
 // Run executes the one forward pass plus the backward prune over word and
@@ -141,7 +234,7 @@ type Matches struct {
 // machine.ErrBudget, and an expired Options context returns one wrapping
 // machine.ErrDeadline.
 func (p *Program) Run(word []symtab.Symbol) (*Matches, error) {
-	return p.run(word)
+	return p.run(word, p.opt)
 }
 
 // RunContext is Run with the compile-time options additionally bound by ctx
@@ -150,216 +243,178 @@ func (p *Program) Run(word []symtab.Symbol) (*Matches, error) {
 // honors ctx.
 func (p *Program) RunContext(ctx context.Context, word []symtab.Symbol) (*Matches, error) {
 	if ctx == nil {
-		return p.run(word)
+		return p.run(word, p.opt)
 	}
-	q := *p
-	q.opt = q.opt.WithContext(ctx)
-	return q.run(word)
+	return p.run(word, p.opt.WithContext(ctx))
 }
 
-func (p *Program) run(word []symtab.Symbol) (*Matches, error) {
-	k := len(p.marks)
-	n := len(word)
-	sc := p.stateCount
-	cells := (n + 1) * sc
-	if n > (math.MaxInt32-sc)/sc {
-		return nil, fmt.Errorf("spanner: %d positions × %d states overflows the node space: %w",
-			n, sc, machine.ErrBudget)
-	}
-	limit := budgetLimit(p.opt)
-
-	ctx := p.opt.Ctx
+func (p *Program) run(word []symtab.Symbol, opt machine.Options) (*Matches, error) {
 	var phase *obs.Phase
-	if ctx != nil {
-		_, phase = obs.StartPhase(ctx, "spanner.run")
-		defer func() { phase.End() }()
+	if opt.Ctx != nil {
+		_, phase = obs.StartPhase(opt.Ctx, "spanner.run")
+		defer phase.End()
 	}
-
-	reached := make([]bool, cells)
-	rows := make([][]int32, n+1)
-	m := &Matches{p: p, word: word}
-	nodes := 0
-	push := func(i int, local int32) error {
-		id := int32(i*sc) + local
-		if reached[id] {
-			return nil
-		}
-		reached[id] = true
-		nodes++
-		if nodes > limit {
-			return fmt.Errorf("spanner: DAG exceeds %d nodes: %w", limit, machine.ErrBudget)
-		}
-		rows[i] = append(rows[i], local)
-		return nil
-	}
-	if err := push(0, int32(p.dfas[0].Start)); err != nil {
+	a := getArena(len(p.final))
+	polls, err := p.forward(a, word, opt)
+	phase.Count("machine_deadline_polls_total", polls)
+	if err != nil {
+		arenas.Put(a)
+		phase.Fail(err)
 		return nil, err
 	}
-	// Forward: seed layer 0 and expand both edge kinds position by position.
-	for i := 0; i < n; i++ {
-		if err := p.opt.Err(); err != nil {
-			if phase != nil {
-				phase.Fail(err)
-			}
-			return nil, fmt.Errorf("spanner: forward pass at position %d: %w", i, err)
-		}
-		sym := word[i]
-		for _, local := range rows[i] {
-			j := p.layerOf[local]
-			q := int(local) - p.layerOff[j]
-			d := p.dfas[j]
-			if nq := d.Step(q, sym); nq >= 0 {
-				if err := push(i+1, int32(p.layerOff[j]+nq)); err != nil {
-					return nil, err
-				}
-			}
-			if j < k && d.Accept[q] && sym == p.marks[j] {
-				if err := push(i+1, int32(p.layerOff[j+1]+p.dfas[j+1].Start)); err != nil {
-					return nil, err
-				}
-			}
-		}
-	}
-	// Backward: usefulness (co-accessibility from an accepting sink) and the
-	// jump pointer, both computable in one sweep because advance and split
-	// edges strictly increase the position.
-	useful := make([]bool, cells)
-	jump := make([]int32, cells)
-	for i := n; i >= 0; i-- {
-		for _, local := range rows[i] {
-			id := int32(i*sc) + local
-			j := p.layerOf[local]
-			q := int(local) - p.layerOff[j]
-			d := p.dfas[j]
-			advID := int32(-1)
-			splitUseful := false
-			if i < n {
-				if nq := d.Step(q, word[i]); nq >= 0 {
-					if a := int32((i+1)*sc + p.layerOff[j] + nq); useful[a] {
-						advID = a
-					}
-				}
-				if j < k && d.Accept[q] && word[i] == p.marks[j] {
-					t := int32((i+1)*sc + p.layerOff[j+1] + p.dfas[j+1].Start)
-					splitUseful = useful[t]
-				}
-			}
-			switch {
-			case i == n && j == k && d.Accept[q]:
-				useful[id] = true
-			case advID >= 0 || splitUseful:
-				useful[id] = true
-			}
-			switch {
-			case splitUseful:
-				jump[id] = id
-			case advID >= 0:
-				jump[id] = jump[advID]
-			default:
-				jump[id] = -1
-			}
-		}
-	}
-	m.useful = useful
-	m.jump = jump
-	m.nodes = nodes
-	if phase != nil {
-		phase.Attr("nodes", int64(nodes))
-		phase.Attr("positions", int64(n))
-	}
-	if ctx != nil {
-		obs.FromContext(ctx).Counter("spanner_run_nodes_total").Add(int64(nodes))
-	}
+	p.backward(a, len(word))
+	m := &Matches{k: len(p.marks), opt: opt, a: a, nodes: len(a.nodes)}
+	phase.Attr("nodes", int64(m.nodes))
+	phase.Attr("positions", int64(len(word)))
+	obs.FromContext(opt.Ctx).Counter("spanner_run_nodes_total").Add(int64(m.nodes))
 	return m, nil
+}
+
+// forward appends the DAG row by row: row i+1 holds the successors of row
+// i's nodes on word[i]. It stops early once a row comes out empty.
+func (p *Program) forward(a *arena, word []symtab.Symbol, opt machine.Options) (polls int64, err error) {
+	limit := min(budgetLimit(opt), math.MaxInt32-1) // node ids are int32
+	splitAt := p.width - 2                          // row offset of the split entry
+	nodes := append(a.nodes, node{state: p.start, adv: -1, split: -1})
+	defer func() { a.nodes = nodes }()
+	for i, lo := 0, 0; i < len(word) && lo < len(nodes); i++ {
+		if i%pollStride == 0 {
+			polls++
+			if err := opt.Err(); err != nil {
+				return polls, fmt.Errorf("spanner: forward pass at position %d: %w", i, err)
+			}
+		}
+		sym := p.idx.Index(word[i])
+		if sym < 0 {
+			break // out of Σ: every gap dies here, so row i+1 is empty
+		}
+		hi := len(nodes)
+		// Row i+1 holds at most two successors per node and one node per
+		// state; growing once keeps the row's appends from moving nodes.
+		nodes = slices.Grow(nodes, min(2*(hi-lo), len(a.slot)))
+		first, pos := int32(hi), int32(i+1)
+		for u := lo; u < hi; u++ {
+			nd := &nodes[u]
+			row := p.table[int(nd.state)*p.width:][:p.width]
+			nodes, nd.adv = a.reach(nodes, row[sym], first, pos)
+			if row[splitAt] == uint32(sym) {
+				nodes, nd.split = a.reach(nodes, row[splitAt+1], first, pos)
+			}
+			if len(nodes) > limit {
+				return polls, fmt.Errorf("spanner: DAG exceeds %d nodes: %w", limit, machine.ErrBudget)
+			}
+		}
+		lo = hi
+	}
+	return polls, nil
+}
+
+// reach returns the node of state t in the row being built, whose ids start
+// at first, appending it at position pos when the row holds none yet. The
+// caller has grown nodes, so the append never moves it.
+func (a *arena) reach(nodes []node, t uint32, first, pos int32) ([]node, int32) {
+	if v := a.slot[t]; v >= first {
+		return nodes, v
+	}
+	v := int32(len(nodes))
+	a.slot[t] = v
+	nodes = nodes[:v+1]
+	nw := &nodes[v]
+	nw.state, nw.pos, nw.adv, nw.split = t, pos, -1, -1
+	return nodes, v
+}
+
+// backward sets every node's jump pointer, folding in usefulness
+// (co-accessibility from an accepting node at position n). Both edge kinds
+// lead to a later row, hence to a higher node id, so one sweep from the
+// last node down sees every successor settled.
+func (p *Program) backward(a *arena, n int) {
+	nodes := a.nodes
+	for u := len(nodes) - 1; u >= 0; u-- {
+		nd := &nodes[u]
+		switch {
+		case nd.split >= 0 && nodes[nd.split].jump != useless:
+			nd.jump = int32(u)
+		case nd.adv >= 0 && nodes[nd.adv].jump != useless:
+			nd.jump = nodes[nd.adv].jump
+		case int(nd.pos) == n && p.final[nd.state]:
+			nd.jump = noJump
+		default:
+			nd.jump = useless
+		}
+	}
 }
 
 // Nodes reports how many (position, layer, state) triples the forward pass
 // materialized — the quantity the MaxStates budget bounds.
 func (m *Matches) Nodes() int { return m.nodes }
 
-func (m *Matches) splitTarget(id int32) int32 {
-	sc := m.p.stateCount
-	i := int(id) / sc
-	j := m.p.layerOf[int(id)%sc]
-	return int32((i+1)*sc + m.p.layerOff[j+1] + m.p.dfas[j+1].Start)
-}
-
-// advTarget returns the advance successor of a useful node, or -1 when the
-// chain ends (end of word or a dead DFA step).
-func (m *Matches) advTarget(id int32) int32 {
-	sc := m.p.stateCount
-	i := int(id) / sc
-	if i >= len(m.word) {
-		return -1
-	}
-	local := int(id) % sc
-	j := m.p.layerOf[local]
-	q := local - m.p.layerOff[j]
-	nq := m.p.dfas[j].Step(q, m.word[i])
-	if nq < 0 {
-		return -1
-	}
-	return int32((i+1)*sc + m.p.layerOff[j] + nq)
-}
-
 // descend extends the stack from layer len(stack) to layer k by repeatedly
 // jumping to the next split-useful node and taking its split edge — the
 // lexicographically least completion of the current prefix. u is the useful
 // node enumeration stands on at layer len(stack).
 func (m *Matches) descend(u int32) {
-	k := len(m.p.marks)
-	for j := len(m.stack); j < k; j++ {
-		u = m.jump[u] // total on useful nodes below layer k: an accepting path needs ≥1 more split
-		m.stack = append(m.stack, u)
-		u = m.splitTarget(u)
+	nodes := m.a.nodes
+	for j := len(m.a.stack); j < m.k; j++ {
+		u = nodes[u].jump // a split node: an accepting path needs ≥1 more split
+		m.a.stack = append(m.a.stack, u)
+		u = nodes[u].split
 	}
 }
 
 func (m *Matches) vector() []int {
-	out := make([]int, len(m.stack))
-	for j, id := range m.stack {
-		out[j] = int(id) / m.p.stateCount
+	out := make([]int, len(m.a.stack))
+	for j, u := range m.a.stack {
+		out[j] = int(m.a.nodes[u].pos)
 	}
 	return out
 }
 
+// release ends the cursor and returns its arena to the pool.
+func (m *Matches) release(err error) {
+	arenas.Put(m.a)
+	m.a, m.err = nil, err
+}
+
 // Next returns the next extraction vector in lexicographic order, or
 // ok=false when the enumeration is exhausted. Each call does O(k) pointer
-// hops — the constant-delay contract — and polls the Options deadline.
+// hops — the constant-delay contract — and polls the Options deadline. Once
+// Next has reported exhaustion or an error, every later call repeats it.
 func (m *Matches) Next() (vector []int, ok bool, err error) {
-	if m.done {
-		return nil, false, nil
+	if m.a == nil {
+		return nil, false, m.err
 	}
-	if err := m.p.opt.Err(); err != nil {
-		return nil, false, fmt.Errorf("spanner: enumeration: %w", err)
+	if err := m.opt.Err(); err != nil {
+		m.release(fmt.Errorf("spanner: enumeration: %w", err))
+		return nil, false, m.err
 	}
+	nodes := m.a.nodes
 	if !m.started {
 		m.started = true
-		start := int32(m.p.dfas[0].Start) // node (0, 0, start) has id = local id
-		if int(start) >= len(m.useful) || !m.useful[start] {
-			m.done = true
+		if nodes[0].jump == useless { // node 0 is (0, 0, start)
+			m.release(nil)
 			return nil, false, nil
 		}
-		m.descend(start)
+		m.descend(0)
 		return m.vector(), true, nil
 	}
 	// Successor: pop split choices deepest-first until one has a later
 	// alternative (a split-useful node further along its advance chain),
 	// then complete minimally again.
-	for len(m.stack) > 0 {
-		u := m.stack[len(m.stack)-1]
-		m.stack = m.stack[:len(m.stack)-1]
-		v := m.advTarget(u)
-		if v < 0 || !m.useful[v] {
+	for stack := m.a.stack; len(stack) > 0; {
+		u := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		v := nodes[u].adv
+		if v < 0 {
 			continue
 		}
-		if w := m.jump[v]; w >= 0 {
-			m.stack = append(m.stack, w)
-			m.descend(m.splitTarget(w))
+		if w := nodes[v].jump; w >= 0 {
+			m.a.stack = append(stack, w)
+			m.descend(nodes[w].split)
 			return m.vector(), true, nil
 		}
 	}
-	m.done = true
+	m.release(nil)
 	return nil, false, nil
 }
 

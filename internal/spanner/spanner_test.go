@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"resilex/internal/extract"
@@ -235,6 +236,43 @@ func TestRunDeadline(t *testing.T) {
 	cancel2()
 	if _, _, err := m.Next(); !errors.Is(err, machine.ErrDeadline) {
 		t.Fatalf("Next under a cancelled context: err = %v, want ErrDeadline", err)
+	}
+}
+
+// TestRunMemoryBoundedByNodes: the pass allocates for the nodes it
+// reaches, not for every (position, state) cell. A megasymbol word of
+// out-of-Σ symbols reaches one node under the 13-state record expression;
+// a dense (n+1)·states table would take about 100 MB.
+func TestRunMemoryBoundedByNodes(t *testing.T) {
+	e := newSenv()
+	const src = "(q p q r)* q <p> q <r> (q p q r)*"
+	prog, err := Compile(e.tuple(t, src, machine.Options{}), machine.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := len(prog.final); got != 13 {
+		t.Fatalf("fixture: %q has %d local states, want 13", src, got)
+	}
+	word := make([]symtab.Symbol, 1<<20)
+	for i := range word {
+		word[i] = symtab.None
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	m, err := prog.Run(word)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vecs, err := m.All()
+	runtime.ReadMemStats(&after)
+	if err != nil || len(vecs) != 0 {
+		t.Fatalf("All = %v, %v; want no vectors", vecs, err)
+	}
+	if n := m.Nodes(); n != 1 {
+		t.Fatalf("Nodes() = %d, want 1", n)
+	}
+	if d := after.TotalAlloc - before.TotalAlloc; d >= 8<<20 {
+		t.Fatalf("Run allocated %d bytes for one node, want < 8 MB", d)
 	}
 }
 

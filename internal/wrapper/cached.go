@@ -5,6 +5,7 @@ import (
 
 	"resilex/internal/extract"
 	"resilex/internal/machine"
+	"resilex/internal/symtab"
 )
 
 // LoadCached is Load backed by the compiled-artifact cache: the expensive
@@ -115,5 +116,5 @@ func (p persisted) tuple(ctx context.Context, opt machine.Options, cache *extrac
 	}
 	cfg := p.config(opt)
 	mapper := cfg.mapper(comp.Tab)
-	return &TupleWrapper{tab: comp.Tab, mapper: mapper, res: mapper.Resolver(comp.Tuple.Sigma()), tuple: comp.Tuple, cfg: cfg}, nil
+	return newTupleWrapper(comp.Tab, mapper, comp.Tuple, cfg, nil, symtab.Alphabet{})
 }

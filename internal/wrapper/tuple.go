@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"sync"
 
 	"resilex/internal/extract"
 	"resilex/internal/htmltok"
@@ -22,6 +21,7 @@ type TupleWrapper struct {
 	tab    *symtab.Table
 	mapper *htmltok.Mapper   // training and refresh: interns into tab
 	res    *htmltok.Resolver // live pages, against the tuple's own Σ
+	prog   *spanner.Program  // the multi-split program behind ExtractAll
 	tuple  *extract.Tuple
 	cfg    Config
 
@@ -29,13 +29,21 @@ type TupleWrapper struct {
 	// LoadTuple.
 	examples []learn.TupleExample
 	sigma    symtab.Alphabet
+}
 
-	// Lazily compiled multi-split spanner program backing ExtractAll.
-	prog struct {
-		once sync.Once
-		p    *spanner.Program
-		err  error
+// newTupleWrapper assembles a tuple wrapper around its compiled tuple and
+// builds what every request shares, once: the token resolver over the
+// tuple's own Σ and the spanner program. TrainTuple, Refresh and the
+// loaders all construct through it.
+func newTupleWrapper(tab *symtab.Table, mapper *htmltok.Mapper, tuple *extract.Tuple, cfg Config, examples []learn.TupleExample, sigma symtab.Alphabet) (*TupleWrapper, error) {
+	prog, err := spanner.Compile(tuple, cfg.Options)
+	if err != nil {
+		return nil, err
 	}
+	return &TupleWrapper{
+		tab: tab, mapper: mapper, res: mapper.Resolver(tuple.Sigma()), tuple: tuple, cfg: cfg, prog: prog,
+		examples: examples, sigma: sigma,
+	}, nil
 }
 
 // TrainTuple builds a tuple wrapper from marked samples. Every sample must
@@ -72,10 +80,7 @@ func TrainTuple(samples []Sample, cfg Config) (*TupleWrapper, error) {
 		// Maximization failure keeps the induced tuple: correct on the
 		// training distribution, merely less resilient.
 	}
-	return &TupleWrapper{
-		tab: tab, mapper: mapper, res: mapper.Resolver(tuple.Sigma()), tuple: tuple, cfg: cfg,
-		examples: examples, sigma: sigma,
-	}, nil
+	return newTupleWrapper(tab, mapper, tuple, cfg, examples, sigma)
 }
 
 // Refresh re-induces the tuple wrapper with one more marked sample (every
@@ -103,10 +108,7 @@ func (w *TupleWrapper) Refresh(sample Sample) (*TupleWrapper, error) {
 			tuple = maxed
 		}
 	}
-	return &TupleWrapper{
-		tab: w.tab, mapper: w.mapper, res: w.mapper.Resolver(tuple.Sigma()), tuple: tuple, cfg: w.cfg,
-		examples: examples, sigma: sigma,
-	}, nil
+	return newTupleWrapper(w.tab, w.mapper, tuple, w.cfg, examples, sigma)
 }
 
 // markedIndices returns the token indices of every data-target-marked tag,
@@ -185,17 +187,6 @@ func (w *TupleWrapper) Tuple() *extract.Tuple { return w.tuple }
 // String renders the tuple expression.
 func (w *TupleWrapper) String() string { return w.tuple.String(w.tab) }
 
-// program returns the wrapper's compiled multi-split spanner program,
-// building it on first use. The program is immutable and shared by every
-// subsequent ExtractAll; compile failure is sticky only for this wrapper
-// instance.
-func (w *TupleWrapper) program() (*spanner.Program, error) {
-	w.prog.once.Do(func() {
-		w.prog.p, w.prog.err = spanner.Compile(w.tuple, w.cfg.Options)
-	})
-	return w.prog.p, w.prog.err
-}
-
 // ExtractAll runs the tuple wrapper as a document spanner: every extraction
 // vector on the page, one []Region per record, in document order. Where
 // Extract demands the unique vector (and errors on ambiguity), ExtractAll
@@ -209,12 +200,8 @@ func (w *TupleWrapper) ExtractAll(html string) ([][]Region, error) {
 // ExtractAllContext is ExtractAll bounded by ctx in addition to the
 // wrapper's own training options.
 func (w *TupleWrapper) ExtractAllContext(ctx context.Context, html string) ([][]Region, error) {
-	prog, err := w.program()
-	if err != nil {
-		return nil, err
-	}
 	doc := w.res.Resolve(html)
-	m, err := prog.RunContext(ctx, doc.Syms)
+	m, err := w.prog.RunContext(ctx, doc.Syms)
 	if err != nil {
 		return nil, err
 	}
