@@ -40,6 +40,11 @@ import (
 // client error, not an allocation.
 const defaultMaxBody = 64 << 20
 
+// maxReadHint caps the buffer readBody sizes from a declared Content-Length,
+// so an overstated header cannot make the server allocate more than this
+// before any bytes arrive.
+const maxReadHint = 1 << 20
+
 // Config assembles a Server. The zero value is a memory-only server with
 // default limits.
 type Config struct {
@@ -312,8 +317,9 @@ func lookupPage[W wrapper.Any](s *Server, w http.ResponseWriter, key, noun strin
 }
 
 // readBody drains a size-bounded request body after checking the declared
-// media type. A false return means the response has been written: 413 for
-// an oversized body, 415 for a foreign Content-Type — both counted in
+// media type, into a buffer sized from the declared Content-Length (see
+// readAll). A false return means the response has been written: 413 for an
+// oversized body, 415 for a foreign Content-Type — both counted in
 // serve_rejected_total. An absent Content-Type is accepted as wantType.
 func (s *Server) readBody(w http.ResponseWriter, r *http.Request, wantType string) ([]byte, bool) {
 	if ct := r.Header.Get("Content-Type"); ct != "" {
@@ -324,7 +330,7 @@ func (s *Server) readBody(w http.ResponseWriter, r *http.Request, wantType strin
 			return nil, false
 		}
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.maxBody))
+	body, err := readAll(http.MaxBytesReader(w, r.Body, s.maxBody), r.ContentLength, s.maxBody)
 	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
@@ -336,6 +342,31 @@ func (s *Server) readBody(w http.ResponseWriter, r *http.Request, wantType strin
 		return nil, false
 	}
 	return body, true
+}
+
+// readAll is io.ReadAll over a buffer that starts one byte past
+// min(declared, limit, maxReadHint), so a body no longer than that reads to
+// EOF without growing it. Past that, and from 512 bytes for a body of
+// undeclared length (-1), the buffer grows as io.ReadAll's does.
+func readAll(r io.Reader, declared, limit int64) ([]byte, error) {
+	size := int64(512)
+	if declared >= 0 {
+		size = min(declared, limit, maxReadHint) + 1
+	}
+	b := make([]byte, 0, size)
+	for {
+		n, err := r.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err != nil {
+			if err == io.EOF {
+				err = nil
+			}
+			return b, err
+		}
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)] // let append pick the growth
+		}
+	}
 }
 
 // traceContext establishes the request's trace position: joining the trace
@@ -370,17 +401,21 @@ func (s *Server) handleExtract(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	var req extractRequest
-	if err := json.Unmarshal(body, &req); err != nil {
+	docs, err := DecodeExtractRequest(body)
+	if err != nil {
 		s.reject(w, http.StatusBadRequest, "decode", fmt.Errorf("decoding request: %w", err))
 		return
 	}
+	docBytes := 0
+	for _, d := range docs {
+		docBytes += len(d.HTML)
+	}
 	ctx, tc := s.traceContext(w, r)
 	ctx, sp := s.obs.StartSpan(ctx, "serve.extract")
-	sp.SetAttr("docs", int64(len(req.Docs)))
-	sp.SetAttr("doc_bytes", int64(len(body)))
+	sp.SetAttr("docs", int64(len(docs)))
+	sp.SetAttr("doc_bytes", int64(docBytes))
 	start := time.Now()
-	results, outcome := s.extractBatch(ctx, req.Docs)
+	results, outcome := s.extractBatch(ctx, docs)
 	elapsed := time.Since(start)
 	out := struct {
 		Results []extractResult `json:"results"`
@@ -406,8 +441,8 @@ func (s *Server) handleExtract(w http.ResponseWriter, r *http.Request) {
 	s.obs.Histogram("serve_extract_duration_us").ObserveExemplar(elapsed.Microseconds(), tc.TraceID)
 	s.wideEvent("serve.request",
 		"trace", tc.TraceID,
-		"docs", len(req.Docs),
-		"doc_bytes", len(body),
+		"docs", len(docs),
+		"doc_bytes", docBytes,
 		"ok", okCount,
 		"rung", outcome.rung(),
 		"version", outcome.version,

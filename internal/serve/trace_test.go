@@ -230,7 +230,7 @@ func spanNames(spans []obs.SpanRecord) []string {
 
 // TestWideEventSampling: with a logger installed and a sampling interval of
 // 2, every second request emits one serve.request wide event carrying the
-// request's trace ID, rung and outcome fields.
+// request's trace ID, rung, outcome fields and decoded page bytes.
 func TestWideEventSampling(t *testing.T) {
 	o := obs.New()
 	type event struct {
@@ -286,6 +286,10 @@ func TestWideEventSampling(t *testing.T) {
 	e := reqs[0].kv
 	if e["docs"] != 1 || e["ok"] != 1 || e["rung"] != "active" {
 		t.Fatalf("wide event fields = %v", e)
+	}
+	// doc_bytes counts decoded page bytes, not the body's JSON escapes.
+	if e["doc_bytes"] != len(pageTop) {
+		t.Fatalf("wide event doc_bytes = %v, want %d (body is %d bytes)", e["doc_bytes"], len(pageTop), len(body))
 	}
 	trace, _ := e["trace"].(string)
 	if len(trace) != 32 {
