@@ -64,7 +64,11 @@ func run() int {
 		obs = resilex.NewObserver()
 		base = resilex.WithObserver(base, obs)
 	}
-	defer dump(obs, *metrics, *trace, *metricsFormat, *metricsOut)
+	defer func() {
+		if err := resilex.DumpObserver(obs, *metrics, *trace, *metricsFormat, *metricsOut); err != nil {
+			fatal(err)
+		}
+	}()
 	opt := resilex.Options{MaxStates: *budget}
 	// bound returns a context honoring -timeout, for loading and per page.
 	bound := func() (context.Context, context.CancelFunc) {
@@ -151,41 +155,6 @@ func run() int {
 		}
 	}
 	return failures
-}
-
-// dump writes the observability snapshot collected during the run: the span
-// tree (with -trace) to stderr and the metric snapshot (with -metrics) to
-// -metrics-out or stderr.
-func dump(obs *resilex.Observer, metrics, trace bool, format, outPath string) {
-	if obs == nil {
-		return
-	}
-	if trace {
-		obs.Trace.WriteTree(os.Stderr)
-	}
-	if !metrics {
-		return
-	}
-	out := os.Stderr
-	if outPath != "" {
-		f, err := os.Create(outPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "extract:", err)
-			return
-		}
-		defer f.Close()
-		out = f
-	}
-	var err error
-	switch format {
-	case "prometheus", "prom":
-		err = obs.Metrics.WritePrometheus(out)
-	default:
-		err = resilex.WriteObserverSnapshot(out, obs)
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "extract:", err)
-	}
 }
 
 func fatal(err error) int {

@@ -61,7 +61,11 @@ func run() int {
 	if *metrics || *trace || *listen != "" || *benchDir != "" {
 		o = obs.New()
 	}
-	defer dump(o, *metrics, *trace, *metricsFormat, *metricsOut)
+	defer func() {
+		if err := obs.Dump(o, *metrics, *trace, *metricsFormat, *metricsOut); err != nil {
+			fmt.Fprintln(os.Stderr, "resilience:", err)
+		}
+	}()
 	if *listen != "" {
 		ln, err := net.Listen("tcp", *listen)
 		if err != nil {
@@ -224,39 +228,4 @@ func run() int {
 		return 2
 	}
 	return 0
-}
-
-// dump writes the observability snapshot collected during the run: the span
-// tree (with -trace) to stderr and the metric snapshot (with -metrics) to
-// -metrics-out or stderr.
-func dump(o *obs.Observer, metrics, trace bool, format, outPath string) {
-	if o == nil {
-		return
-	}
-	if trace {
-		o.Trace.WriteTree(os.Stderr)
-	}
-	if !metrics {
-		return
-	}
-	out := os.Stderr
-	if outPath != "" {
-		f, err := os.Create(outPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "resilience:", err)
-			return
-		}
-		defer f.Close()
-		out = f
-	}
-	var err error
-	switch format {
-	case "prometheus", "prom":
-		err = o.Metrics.WritePrometheus(out)
-	default:
-		err = obs.WriteSnapshotJSON(out, o)
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "resilience:", err)
-	}
 }

@@ -22,19 +22,21 @@
 //	                       → {"results":[{"index":0,"key":"site","ok":true,…},…]},
 //	                       one result per document, in input order
 //	POST   /extract/stream/{key}  single-document streaming extraction: the raw
-//	                       page is the request body and is piped chunk by chunk
-//	                       through the one-pass matcher without ever being
-//	                       materialized — memory stays O(1) beyond the match
-//	                       region and the warm path allocates nothing; a tuple
-//	                       key answers 422 (serve_rejected_total{reason="arity"}),
-//	                       an unknown key 404 (see the README's "Streaming
-//	                       extraction" walkthrough)
+//	                       page (text/html) is the request body and is piped
+//	                       chunk by chunk through the one-pass matcher without
+//	                       ever being materialized — memory stays O(1) beyond
+//	                       the match region and the warm path allocates
+//	                       nothing; a tuple key answers 422
+//	                       (serve_rejected_total{reason="arity"}), an unknown
+//	                       key 404 (see the README's "Streaming extraction"
+//	                       walkthrough)
 //	POST   /extract/tuples/{key}  single-document record extraction for a key
 //	                       registered with a tuple (k-ary) wrapper: the raw page
-//	                       is the request body, the response enumerates every
-//	                       extraction vector — one k-slot record per vector, in
-//	                       document order — computed by the one-pass multi-split
-//	                       spanner; a single-pivot key answers 422 (counted under
+//	                       (text/html) is the request body, the response
+//	                       enumerates every extraction vector — one k-slot
+//	                       record per vector, in document order — computed by
+//	                       the one-pass multi-split spanner; a single-pivot key
+//	                       answers 422 (counted under
 //	                       serve_rejected_total{reason="arity"}), an unknown key
 //	                       404 (see the README's "Extracting records" walkthrough)
 //	PUT    /wrappers/{key} register or replace a site wrapper of either kind from
@@ -63,6 +65,13 @@
 //	GET    /debug/traces/{id}  the assembled span tree of one request — on a
 //	                       router this merges the peers' halves of the trace
 //	GET    /debug/pprof/   runtime profiles
+//
+// Every route that takes a body admits it the same way, in every mode: an
+// absent Content-Type is accepted, a declared one must be the route's media
+// type — application/json for /extract and the wrapper writes, text/html for
+// the two page routes — or the request is a 415; a body over -max-body is a
+// 413. A node counts both under serve_rejected_total{reason}, the router
+// under cluster_route_total{outcome="reject"}.
 //
 // Every request is traced: the server joins a trace propagated in the
 // X-Resilex-Trace header or mints a fresh trace ID at ingress, echoes it in

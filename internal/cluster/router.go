@@ -7,20 +7,15 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"mime"
 	"net/http"
 	"net/url"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
 
 	"resilex/internal/obs"
 )
-
-// defaultMaxBody bounds request bodies the router will buffer for proxying.
-const defaultMaxBody = 64 << 20
 
 // RouterConfig tunes the failover-aware router front-end.
 type RouterConfig struct {
@@ -42,7 +37,7 @@ type RouterConfig struct {
 	// ProxyTimeout bounds each individual proxy attempt (each failover leg
 	// separately). Default 5s.
 	ProxyTimeout time.Duration
-	// MaxBodyBytes bounds request bodies; 0 selects 64 MiB.
+	// MaxBodyBytes bounds request bodies; 0 selects DefaultMaxBody (64 MiB).
 	MaxBodyBytes int64
 	// Membership tunes the health layer; its Observer defaults to the
 	// router's.
@@ -93,7 +88,7 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		cfg.ProxyTimeout = 5 * time.Second
 	}
 	if cfg.MaxBodyBytes <= 0 {
-		cfg.MaxBodyBytes = defaultMaxBody
+		cfg.MaxBodyBytes = DefaultMaxBody
 	}
 	if cfg.Membership.Observer == nil {
 		cfg.Membership.Observer = cfg.Observer
@@ -134,11 +129,9 @@ func (rt *Router) Run(ctx context.Context) { rt.health.Run(ctx) }
 func (rt *Router) Mux() *http.ServeMux {
 	mux := obs.HandlerWith(rt.obs, rt.mergeTrace)
 	mux.HandleFunc("POST /extract", rt.handleExtract)
-	mux.HandleFunc("PUT /wrappers/{key}", rt.handleWrite(OpPut))
-	mux.HandleFunc("DELETE /wrappers/{key}", rt.handleWrite(OpDelete))
-	mux.HandleFunc("PUT /wrappers/{key}/canary", rt.handleWrite(OpCanary))
-	mux.HandleFunc("POST /wrappers/{key}/promote", rt.handleWrite(OpPromote))
-	mux.HandleFunc("POST /wrappers/{key}/rollback", rt.handleWrite(OpRollback))
+	for _, wr := range WriteRoutes {
+		mux.HandleFunc(wr.Pattern, rt.handleWrite(wr.Kind))
+	}
 	mux.HandleFunc("GET /wrappers/{key}/versions", rt.handleVersions)
 	mux.HandleFunc("GET /healthz", rt.handleHealthz)
 	return mux
@@ -151,17 +144,11 @@ func (rt *Router) routeOutcome(outcome string) {
 	rt.obs.Counter(obs.WithLabels("cluster_route_total", "outcome", outcome)).Inc()
 }
 
-// traceContext establishes the request's trace position at the cluster
-// ingress: joining a trace propagated by the client or minting a fresh trace
-// ID, echoed in the response header so the caller can fetch the assembled
-// trace from this router's GET /debug/traces/{id}.
-func (rt *Router) traceContext(w http.ResponseWriter, r *http.Request) (context.Context, obs.TraceContext) {
-	tc := obs.ParseTraceHeader(r.Header.Get(obs.TraceHeader))
-	if tc.TraceID == "" {
-		tc.TraceID = obs.NewTraceID()
-	}
-	w.Header().Set(obs.TraceHeader, tc.TraceID)
-	return obs.ContextWithTrace(obs.NewContext(r.Context(), rt.obs), tc), tc
+// refuse answers a request refused before routing (see ReadBody) and
+// counts it as a reject.
+func (rt *Router) refuse(w http.ResponseWriter, rej *Rejection) {
+	rt.routeOutcome("reject")
+	WriteError(w, rej.Status, rej.Err)
 }
 
 // mergeTrace assembles the cross-process view of one trace: the router's
@@ -221,58 +208,14 @@ func (rt *Router) mergeTrace(id string, local []obs.SpanRecord) []obs.SpanRecord
 	return out
 }
 
-// readBody drains a size-bounded request body and enforces the declared
-// media type. A false return means the response has been written (413 on an
-// oversized body, 415 on a foreign Content-Type) and counted as a reject.
-func (rt *Router) readBody(w http.ResponseWriter, r *http.Request, wantType string) ([]byte, bool) {
-	if !checkContentType(w, r, wantType) {
-		rt.routeOutcome("reject")
-		return nil, false
-	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, rt.cfg.MaxBodyBytes))
-	if err != nil {
-		rt.routeOutcome("reject")
-		status := http.StatusBadRequest
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			status = http.StatusRequestEntityTooLarge
-		}
-		writeJSONError(w, status, fmt.Errorf("reading body: %w", err))
-		return nil, false
-	}
-	return body, true
-}
-
-// checkContentType enforces the declared media type when one is present; an
-// absent Content-Type is accepted as the expected one. On mismatch it
-// answers 415 and returns false.
-func checkContentType(w http.ResponseWriter, r *http.Request, want string) bool {
-	ct := r.Header.Get("Content-Type")
-	if ct == "" {
-		return true
-	}
-	mt, _, err := mime.ParseMediaType(ct)
-	if err != nil || mt != want {
-		writeJSONError(w, http.StatusUnsupportedMediaType,
-			fmt.Errorf("unsupported Content-Type %q, want %s", ct, want))
-		return false
-	}
-	return true
-}
-
-func writeJSONError(w http.ResponseWriter, status int, err error) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
-}
-
 // handleExtract routes a batch to the shard owning its keys, with failover
 // across the key's replicas and optional hedging. Batches whose keys place
 // on different primaries are rejected (cross-shard fan-out is a ROADMAP
 // follow-up, not silent partial behavior).
 func (rt *Router) handleExtract(w http.ResponseWriter, r *http.Request) {
-	body, ok := rt.readBody(w, r, "application/json")
-	if !ok {
+	body, rej := ReadBody(w, r, "application/json", rt.cfg.MaxBodyBytes)
+	if rej != nil {
+		rt.refuse(w, rej)
 		return
 	}
 	var req struct {
@@ -281,8 +224,7 @@ func (rt *Router) handleExtract(w http.ResponseWriter, r *http.Request) {
 		} `json:"docs"`
 	}
 	if err := json.Unmarshal(body, &req); err != nil {
-		rt.routeOutcome("reject")
-		writeJSONError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+		rt.refuse(w, &Rejection{http.StatusBadRequest, "decode", fmt.Errorf("decoding request: %w", err)})
 		return
 	}
 	if len(req.Docs) == 0 {
@@ -294,10 +236,10 @@ func (rt *Router) handleExtract(w http.ResponseWriter, r *http.Request) {
 	owners, err := rt.placeBatch(req.Docs)
 	if err != nil {
 		rt.routeOutcome("cross_shard")
-		writeJSONError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
-	ctx, tc := rt.traceContext(w, r)
+	ctx, tc := obs.JoinTrace(w, r, rt.obs)
 	ctx, sp := rt.obs.StartSpan(ctx, "router.extract")
 	sp.SetAttr("docs", int64(len(req.Docs)))
 	start := time.Now()
@@ -308,7 +250,7 @@ func (rt *Router) handleExtract(w http.ResponseWriter, r *http.Request) {
 		sp.End()
 		rt.obs.Histogram("cluster_route_duration_us").ObserveExemplar(elapsed.Microseconds(), tc.TraceID)
 		rt.routeOutcome("error")
-		writeJSONError(w, http.StatusBadGateway, fmt.Errorf("no replica could serve the batch: %w", err))
+		WriteError(w, http.StatusBadGateway, fmt.Errorf("no replica could serve the batch: %w", err))
 		return
 	}
 	sp.SetStr("node", res.node)
@@ -585,40 +527,26 @@ var writeRows = map[OpKind]struct {
 func (rt *Router) handleWrite(kind OpKind) http.HandlerFunc {
 	row := writeRows[kind]
 	return func(w http.ResponseWriter, r *http.Request) {
-		op := Op{Kind: kind, Key: r.PathValue("key")}
-		switch kind {
-		case OpPut, OpCanary:
-			body, ok := rt.readBody(w, r, "application/json")
-			if !ok {
-				return
-			}
-			op.Payload = body
-		case OpPromote, OpRollback:
-			if q := r.URL.Query().Get("version"); q != "" {
-				v, err := strconv.ParseUint(q, 10, 64)
-				if err != nil {
-					rt.routeOutcome("reject")
-					writeJSONError(w, http.StatusBadRequest, fmt.Errorf("bad version %q: %w", q, err))
-					return
-				}
-				op.Version = v
-			}
+		op, rej := WriteOp(w, r, kind, rt.cfg.MaxBodyBytes)
+		if rej != nil {
+			rt.refuse(w, rej)
+			return
 		}
-		ctx, _ := rt.traceContext(w, r)
+		ctx, _ := obs.JoinTrace(w, r, rt.obs)
 		outcomes := rt.replicate(ctx, rt.ring.Owners(op.Key, rt.cfg.Replicas), op)
 		applied, unknown, firstErr := summarize(outcomes, row.want)
 		switch {
 		case applied > 0:
 			rt.routeOutcome("ok")
-			writeJSONStatus(w, row.want, map[string]any{
+			WriteJSON(w, row.want, map[string]any{
 				"key": op.Key, row.field: applied, "owners": outcomes,
 			})
 		case kind == OpDelete && unknown > 0 && unknown == len(outcomes):
 			rt.routeOutcome("ok")
-			writeJSONError(w, http.StatusNotFound, fmt.Errorf("no wrapper registered for %q", op.Key))
+			WriteError(w, http.StatusNotFound, fmt.Errorf("no wrapper registered for %q", op.Key))
 		default:
 			rt.routeOutcome("error")
-			writeJSONError(w, statusOf(firstErr, http.StatusBadGateway), fmt.Errorf("%s: %s", row.fail, firstErr))
+			WriteError(w, statusOf(firstErr, http.StatusBadGateway), fmt.Errorf("%s: %s", row.fail, firstErr))
 		}
 	}
 }
@@ -630,13 +558,13 @@ func (rt *Router) handleVersions(w http.ResponseWriter, r *http.Request) {
 	owners := rt.ring.Owners(key, rt.cfg.Replicas)
 	if len(owners) == 0 {
 		rt.routeOutcome("error")
-		writeJSONError(w, http.StatusBadGateway, errors.New("cluster: placement ring is empty"))
+		WriteError(w, http.StatusBadGateway, errors.New("cluster: placement ring is empty"))
 		return
 	}
 	res, err := rt.attemptChain(r.Context(), http.MethodGet, "/wrappers/"+url.PathEscape(key)+"/versions", "", nil, rt.health.Order(owners))
 	if err != nil {
 		rt.routeOutcome("error")
-		writeJSONError(w, http.StatusBadGateway, fmt.Errorf("no replica could report versions: %w", err))
+		WriteError(w, http.StatusBadGateway, fmt.Errorf("no replica could report versions: %w", err))
 		return
 	}
 	rt.routeOutcome("ok")
@@ -678,12 +606,6 @@ func statusOf(firstErr string, fallback int) int {
 	return fallback
 }
 
-func writeJSONStatus(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
-}
-
 // handleHealthz reports the router's own liveness plus its view of the
 // ring: member count, up count, replication factor, and per-node health.
 func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -694,7 +616,7 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 			up++
 		}
 	}
-	writeJSONStatus(w, http.StatusOK, map[string]any{
+	WriteJSON(w, http.StatusOK, map[string]any{
 		"status":   "ok",
 		"mode":     "router",
 		"replicas": rt.cfg.Replicas,

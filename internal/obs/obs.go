@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"os"
 	"strings"
 	"time"
 )
@@ -169,6 +170,43 @@ type snapshotSpan struct {
 	Attrs      map[string]int64  `json:"attrs,omitempty"`
 	Strs       map[string]string `json:"strs,omitempty"`
 	Error      string            `json:"error,omitempty"`
+}
+
+// Dump writes what an observed run collected, as the CLIs' -trace,
+// -metrics, -metrics-format and -metrics-out flags ask: the span tree
+// (trace) to stderr, and the metric snapshot (metrics) to the file outPath,
+// or to stderr when outPath is empty — Prometheus text when format is
+// "prometheus" or "prom", the JSON snapshot otherwise. A nil observer
+// writes nothing.
+func Dump(o *Observer, metrics, trace bool, format, outPath string) error {
+	if o == nil {
+		return nil
+	}
+	if trace {
+		o.Trace.WriteTree(os.Stderr)
+	}
+	if !metrics {
+		return nil
+	}
+	out := os.Stderr
+	if outPath != "" {
+		f, err := os.Create(outPath)
+		if err != nil {
+			return err
+		}
+		defer f.Close() // for the error paths; success checks Close below
+		out = f
+	}
+	var err error
+	if format == "prometheus" || format == "prom" {
+		err = o.Metrics.WritePrometheus(out)
+	} else {
+		err = WriteSnapshotJSON(out, o)
+	}
+	if err == nil && out != os.Stderr {
+		err = out.Close()
+	}
+	return err
 }
 
 // WriteSnapshotJSON writes the combined observability snapshot the CLIs emit

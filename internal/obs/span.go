@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"net/http"
 	"sort"
 	"strings"
 	"sync"
@@ -206,6 +207,20 @@ func ParseTraceHeader(v string) TraceContext {
 		return TraceContext{}
 	}
 	return TraceContext{TraceID: id, SpanID: span}
+}
+
+// JoinTrace is the trace ingress of an HTTP front (a shard or the cluster
+// router): it joins the trace propagated in TraceHeader or mints a fresh
+// trace ID, echoes the ID in the response header so the caller can fetch
+// the assembled trace from GET /debug/traces/{id}, and returns the request
+// context carrying o and the trace position.
+func JoinTrace(w http.ResponseWriter, r *http.Request, o *Observer) (context.Context, TraceContext) {
+	tc := ParseTraceHeader(r.Header.Get(TraceHeader))
+	if tc.TraceID == "" {
+		tc.TraceID = NewTraceID()
+	}
+	w.Header().Set(TraceHeader, tc.TraceID)
+	return ContextWithTrace(NewContext(r.Context(), o), tc), tc
 }
 
 // validTraceID accepts lower-case hex ids between 8 and 64 chars — wide

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"resilex/internal/cluster"
 	"resilex/internal/obs"
 	"resilex/internal/wrapper"
 )
@@ -259,7 +260,7 @@ func TestReadBodyOverstatedLength(t *testing.T) {
 		name     string
 		declared int64
 	}{
-		{"overstated", defaultMaxBody},
+		{"overstated", cluster.DefaultMaxBody},
 		{"chunked", -1},
 		{"understated", 16},
 	} {

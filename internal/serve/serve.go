@@ -14,16 +14,13 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"mime"
 	"net"
 	"net/http"
 	"os"
 	"path/filepath"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -35,15 +32,6 @@ import (
 	"resilex/internal/obs"
 	"resilex/internal/wrapper"
 )
-
-// defaultMaxBody bounds every request body: batches beyond this are a
-// client error, not an allocation.
-const defaultMaxBody = 64 << 20
-
-// maxReadHint caps the buffer readBody sizes from a declared Content-Length,
-// so an overstated header cannot make the server allocate more than this
-// before any bytes arrive.
-const maxReadHint = 1 << 20
 
 // Config assembles a Server. The zero value is a memory-only server with
 // default limits.
@@ -60,7 +48,8 @@ type Config struct {
 	// FleetData, when non-nil, is a persisted fleet (deploy file) loaded
 	// before the registry restore, so runtime registrations override it.
 	FleetData []byte
-	// MaxBodyBytes bounds request bodies; 0 selects 64 MiB.
+	// MaxBodyBytes bounds request bodies; 0 selects cluster.DefaultMaxBody
+	// (64 MiB).
 	MaxBodyBytes int64
 	// Observer receives all serving telemetry. nil disables observation.
 	Observer *obs.Observer
@@ -123,7 +112,7 @@ type Server struct {
 // disk instead of recompiling.
 func New(cfg Config) (*Server, error) {
 	if cfg.MaxBodyBytes <= 0 {
-		cfg.MaxBodyBytes = defaultMaxBody
+		cfg.MaxBodyBytes = cluster.DefaultMaxBody
 	}
 	mem := extract.NewCache(cfg.CacheCap, cfg.Observer)
 	var disk *extract.DiskCache
@@ -235,8 +224,8 @@ func (s *Server) Mux() *http.ServeMux {
 	mux.HandleFunc("POST /extract", s.handleExtract)
 	mux.HandleFunc("POST /extract/stream/{key}", s.handleExtractStream)
 	mux.HandleFunc("POST /extract/tuples/{key}", s.handleExtractTuples)
-	for _, wr := range writeRoutes {
-		mux.HandleFunc(wr.pattern, s.handleWrite(wr.kind, wr.span))
+	for _, wr := range cluster.WriteRoutes {
+		mux.HandleFunc(wr.Pattern, s.handleWrite(wr.Kind, "serve."+wr.Name))
 	}
 	mux.HandleFunc("GET /wrappers/{key}/versions", s.handleVersions)
 	mux.HandleFunc("POST /cluster/apply", s.handleClusterApply)
@@ -290,7 +279,27 @@ type extractResult struct {
 // operator can tell a misbehaving client from an undersized limit.
 func (s *Server) reject(w http.ResponseWriter, status int, reason string, err error) {
 	s.obs.Counter(obs.WithLabels("serve_rejected_total", "reason", reason)).Inc()
-	writeError(w, status, err)
+	cluster.WriteError(w, status, err)
+}
+
+// refuse answers a request the shared front refused (see cluster.ReadBody),
+// naming the limit when the body was too large.
+func (s *Server) refuse(w http.ResponseWriter, rej *cluster.Rejection) {
+	err := rej.Err
+	if rej.Status == http.StatusRequestEntityTooLarge {
+		err = fmt.Errorf("request body exceeds %d bytes", s.maxBody)
+	}
+	s.reject(w, rej.Status, rej.Reason, err)
+}
+
+// failStatus is the status of a request whose wrapper compile or extraction
+// failed with err: 503 when a construction budget or deadline ran out — the
+// same request may succeed later — and status otherwise.
+func failStatus(err error, status int) int {
+	if errors.Is(err, machine.ErrBudget) || errors.Is(err, machine.ErrDeadline) {
+		return http.StatusServiceUnavailable
+	}
+	return status
 }
 
 // lookupPage resolves a page route's key (stream or tuples) to the key's
@@ -305,7 +314,7 @@ func lookupPage[W wrapper.Any](s *Server, w http.ResponseWriter, key, noun strin
 	switch {
 	case ok:
 	case lw == nil:
-		writeError(w, http.StatusNotFound, fmt.Errorf("no %s registered for %q", noun, key))
+		cluster.WriteError(w, http.StatusNotFound, fmt.Errorf("no %s registered for %q", noun, key))
 	default:
 		err := fmt.Errorf("wrapper %q is single-pivot; use POST /extract or /extract/stream/%s", key, key)
 		if _, tuple := lw.(*wrapper.TupleWrapper); tuple {
@@ -314,72 +323,6 @@ func lookupPage[W wrapper.Any](s *Server, w http.ResponseWriter, key, noun strin
 		s.reject(w, http.StatusUnprocessableEntity, "arity", err)
 	}
 	return wr, ok
-}
-
-// readBody drains a size-bounded request body after checking the declared
-// media type, into a buffer sized from the declared Content-Length (see
-// readAll). A false return means the response has been written: 413 for an
-// oversized body, 415 for a foreign Content-Type — both counted in
-// serve_rejected_total. An absent Content-Type is accepted as wantType.
-func (s *Server) readBody(w http.ResponseWriter, r *http.Request, wantType string) ([]byte, bool) {
-	if ct := r.Header.Get("Content-Type"); ct != "" {
-		mt, _, err := mime.ParseMediaType(ct)
-		if err != nil || mt != wantType {
-			s.reject(w, http.StatusUnsupportedMediaType, "content_type",
-				fmt.Errorf("unsupported Content-Type %q, want %s", ct, wantType))
-			return nil, false
-		}
-	}
-	body, err := readAll(http.MaxBytesReader(w, r.Body, s.maxBody), r.ContentLength, s.maxBody)
-	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			s.reject(w, http.StatusRequestEntityTooLarge, "body_too_large",
-				fmt.Errorf("request body exceeds %d bytes", s.maxBody))
-		} else {
-			s.reject(w, http.StatusBadRequest, "body_read", fmt.Errorf("reading body: %w", err))
-		}
-		return nil, false
-	}
-	return body, true
-}
-
-// readAll is io.ReadAll over a buffer that starts one byte past
-// min(declared, limit, maxReadHint), so a body no longer than that reads to
-// EOF without growing it. Past that, and from 512 bytes for a body of
-// undeclared length (-1), the buffer grows as io.ReadAll's does.
-func readAll(r io.Reader, declared, limit int64) ([]byte, error) {
-	size := int64(512)
-	if declared >= 0 {
-		size = min(declared, limit, maxReadHint) + 1
-	}
-	b := make([]byte, 0, size)
-	for {
-		n, err := r.Read(b[len(b):cap(b)])
-		b = b[:len(b)+n]
-		if err != nil {
-			if err == io.EOF {
-				err = nil
-			}
-			return b, err
-		}
-		if len(b) == cap(b) {
-			b = append(b, 0)[:len(b)] // let append pick the growth
-		}
-	}
-}
-
-// traceContext establishes the request's trace position: joining the trace
-// propagated in X-Resilex-Trace (router-routed requests) or minting a fresh
-// trace ID at ingress, echoed back in the response header so callers can
-// fetch the assembled trace from GET /debug/traces/{id}.
-func (s *Server) traceContext(w http.ResponseWriter, r *http.Request) (context.Context, obs.TraceContext) {
-	tc := obs.ParseTraceHeader(r.Header.Get(obs.TraceHeader))
-	if tc.TraceID == "" {
-		tc.TraceID = obs.NewTraceID()
-	}
-	w.Header().Set(obs.TraceHeader, tc.TraceID)
-	return obs.ContextWithTrace(obs.NewContext(r.Context(), s.obs), tc), tc
 }
 
 // wideEvent emits one sampled wide request event — the single log line that
@@ -397,8 +340,9 @@ func (s *Server) wideEvent(name string, kv ...any) {
 
 func (s *Server) handleExtract(w http.ResponseWriter, r *http.Request) {
 	s.obs.Counter("serve_requests_total").Inc()
-	body, ok := s.readBody(w, r, "application/json")
-	if !ok {
+	body, rej := cluster.ReadBody(w, r, "application/json", s.maxBody)
+	if rej != nil {
+		s.refuse(w, rej)
 		return
 	}
 	docs, err := DecodeExtractRequest(body)
@@ -410,7 +354,7 @@ func (s *Server) handleExtract(w http.ResponseWriter, r *http.Request) {
 	for _, d := range docs {
 		docBytes += len(d.HTML)
 	}
-	ctx, tc := s.traceContext(w, r)
+	ctx, tc := obs.JoinTrace(w, r, s.obs)
 	ctx, sp := s.obs.StartSpan(ctx, "serve.extract")
 	sp.SetAttr("docs", int64(len(docs)))
 	sp.SetAttr("doc_bytes", int64(docBytes))
@@ -450,7 +394,7 @@ func (s *Server) handleExtract(w http.ResponseWriter, r *http.Request) {
 		"fallbacks", outcome.fallbacks,
 		"duration_us", elapsed.Microseconds(),
 	)
-	writeJSON(w, http.StatusOK, out)
+	cluster.WriteJSON(w, http.StatusOK, out)
 }
 
 // batchOutcome summarizes how a batch was served for the request span and
@@ -559,44 +503,16 @@ func (s *Server) extractBatch(ctx context.Context, docs []wrapper.BatchDoc) ([]w
 	return results, outcome
 }
 
-// writeRoutes are the direct write routes, one per op kind, each traced
-// under its own span.
-var writeRoutes = []struct {
-	pattern, span string
-	kind          cluster.OpKind
-}{
-	{"PUT /wrappers/{key}", "serve.put", cluster.OpPut},
-	{"DELETE /wrappers/{key}", "serve.delete", cluster.OpDelete},
-	{"PUT /wrappers/{key}/canary", "serve.canary_put", cluster.OpCanary},
-	{"POST /wrappers/{key}/promote", "serve.promote", cluster.OpPromote},
-	{"POST /wrappers/{key}/rollback", "serve.rollback", cluster.OpRollback},
-}
-
-// handleWrite is the direct write handler of one kind: it turns the path
-// key, the body (put and canary carry the wrapper's persisted JSON) and the
-// optional ?version=N guard (promote and rollback) into the op apply
-// decides. A canary immediately starts receiving the configured traffic
-// fraction.
+// handleWrite is the direct write handler of one kind: it turns the request
+// into the op apply decides (see cluster.WriteOp). A canary immediately
+// starts receiving the configured traffic fraction.
 func (s *Server) handleWrite(kind cluster.OpKind, span string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		s.obs.Counter("serve_requests_total").Inc()
-		op := cluster.Op{Kind: kind, Key: r.PathValue("key")}
-		switch kind {
-		case cluster.OpPut, cluster.OpCanary:
-			body, ok := s.readBody(w, r, "application/json")
-			if !ok {
-				return
-			}
-			op.Payload = body
-		case cluster.OpPromote, cluster.OpRollback:
-			if q := r.URL.Query().Get("version"); q != "" {
-				v, err := strconv.ParseUint(q, 10, 64)
-				if err != nil {
-					s.reject(w, http.StatusBadRequest, "decode", fmt.Errorf("bad version %q: %w", q, err))
-					return
-				}
-				op.Version = v
-			}
+		op, rej := cluster.WriteOp(w, r, kind, s.maxBody)
+		if rej != nil {
+			s.refuse(w, rej)
+			return
 		}
 		s.applyTraced(w, r, span, op)
 	}
@@ -610,8 +526,9 @@ func (s *Server) handleWrite(kind cluster.OpKind, span string) http.HandlerFunc 
 // distinguishable failure modes, both counted.
 func (s *Server) handleClusterApply(w http.ResponseWriter, r *http.Request) {
 	s.obs.Counter("serve_requests_total").Inc()
-	body, ok := s.readBody(w, r, cluster.OpContentType)
-	if !ok {
+	body, rej := cluster.ReadBody(w, r, cluster.OpContentType, s.maxBody)
+	if rej != nil {
+		s.refuse(w, rej)
 		return
 	}
 	if !cluster.IsOpFrame(body) {
@@ -636,7 +553,7 @@ func (s *Server) handleClusterApply(w http.ResponseWriter, r *http.Request) {
 // (joining the caller's trace, echoed in X-Resilex-Trace) and writes the
 // response: the write's body, or its error under the status apply chose.
 func (s *Server) applyTraced(w http.ResponseWriter, r *http.Request, span string, op cluster.Op) {
-	ctx, _ := s.traceContext(w, r)
+	ctx, _ := obs.JoinTrace(w, r, s.obs)
 	ctx, sp := s.obs.StartSpan(ctx, span)
 	sp.SetStr("op", op.Kind.String())
 	sp.SetStr("key", op.Key)
@@ -644,10 +561,10 @@ func (s *Server) applyTraced(w http.ResponseWriter, r *http.Request, span string
 	sp.SetError(err)
 	sp.End()
 	if err != nil {
-		writeError(w, res.status, err)
+		cluster.WriteError(w, res.status, err)
 		return
 	}
-	writeJSON(w, res.status, res)
+	cluster.WriteJSON(w, res.status, res)
 }
 
 // handleVersions reports the version state of one key — active/canary/prior
@@ -658,7 +575,7 @@ func (s *Server) handleVersions(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
 	vs, win, ok := s.snapshot(key)
 	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("no versions recorded for %q", key))
+		cluster.WriteError(w, http.StatusNotFound, fmt.Errorf("no versions recorded for %q", key))
 		return
 	}
 	body := map[string]any{
@@ -673,7 +590,7 @@ func (s *Server) handleVersions(w http.ResponseWriter, r *http.Request) {
 			body[slot] = map[string]uint64{"version": v}
 		}
 	}
-	writeJSON(w, http.StatusOK, body)
+	cluster.WriteJSON(w, http.StatusOK, body)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -700,15 +617,5 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 			"corrupt":   ds.Corrupt,
 		}
 	}
-	writeJSON(w, http.StatusOK, body)
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, map[string]string{"error": err.Error()})
+	cluster.WriteJSON(w, http.StatusOK, body)
 }

@@ -2,11 +2,12 @@ package serve
 
 import (
 	"errors"
-	"fmt"
+	"io"
 	"net/http"
 	"time"
 
-	"resilex/internal/machine"
+	"resilex/internal/cluster"
+	"resilex/internal/obs"
 	"resilex/internal/wrapper"
 )
 
@@ -17,7 +18,8 @@ import (
 // page is tokenized and matched chunk by chunk as it arrives, memory stays
 // O(1) beyond the match region, and the warm path performs no allocations
 // (see ARCHITECTURE.md §8). Every wrapper streams, so the route has no
-// materialized fallback.
+// materialized fallback. The body is admitted like every page body (see
+// cluster.AdmitType): a declared media type other than text/html is a 415.
 //
 // The route serves the key's active version only: canary routing needs the
 // request-counting stride bookkeeping of the batch path, and a staged
@@ -31,7 +33,11 @@ func (s *Server) handleExtractStream(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	ctx, tc := s.traceContext(w, r)
+	if rej := cluster.AdmitType(r, "text/html"); rej != nil {
+		s.refuse(w, rej)
+		return
+	}
+	ctx, tc := obs.JoinTrace(w, r, s.obs)
 	ctx, sp := s.obs.StartSpan(ctx, "serve.stream")
 	sp.SetStr("key", key)
 	start := time.Now()
@@ -39,10 +45,10 @@ func (s *Server) handleExtractStream(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		sp.SetError(err)
 		sp.End()
-		writeError(w, http.StatusInternalServerError, err)
+		cluster.WriteError(w, http.StatusInternalServerError, err)
 		return
 	}
-	body := http.MaxBytesReader(w, r.Body, s.maxBody)
+	body := &countingReader{r: http.MaxBytesReader(w, r.Body, s.maxBody)}
 
 	res := extractResult{Key: key}
 	err = se.ExtractReaderTo(ctx, body, func(sr wrapper.StreamRegion) error {
@@ -53,6 +59,7 @@ func (s *Server) handleExtractStream(w http.ResponseWriter, r *http.Request) {
 		res.Source = string(sr.Source)
 		return nil
 	})
+	sp.SetAttr("doc_bytes", body.n)
 	switch {
 	case err == nil:
 	case errors.Is(err, wrapper.ErrNotExtracted):
@@ -63,15 +70,10 @@ func (s *Server) handleExtractStream(w http.ResponseWriter, r *http.Request) {
 	default:
 		sp.SetError(err)
 		sp.End()
-		var tooBig *http.MaxBytesError
-		switch {
-		case errors.As(err, &tooBig):
-			s.reject(w, http.StatusRequestEntityTooLarge,
-				"body_too_large", fmt.Errorf("request body exceeds %d bytes", s.maxBody))
-		case errors.Is(err, machine.ErrDeadline) || errors.Is(err, machine.ErrBudget):
-			writeError(w, http.StatusServiceUnavailable, err)
-		default:
-			s.reject(w, http.StatusBadRequest, "body_read", err)
+		if status := failStatus(err, 0); status != 0 {
+			cluster.WriteError(w, status, err)
+		} else {
+			s.refuse(w, cluster.ReadRejection(err))
 		}
 		return
 	}
@@ -82,10 +84,23 @@ func (s *Server) handleExtractStream(w http.ResponseWriter, r *http.Request) {
 	s.wideEvent("serve.stream_request",
 		"trace", tc.TraceID,
 		"key", key,
+		"doc_bytes", body.n,
 		"ok", res.OK,
 		"duration_us", elapsed.Microseconds(),
 	)
-	writeJSON(w, http.StatusOK, res)
+	cluster.WriteJSON(w, http.StatusOK, res)
+}
+
+// countingReader counts the bytes the stream route reads, for doc_bytes.
+type countingReader struct {
+	r io.Reader
+	n int64
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += int64(n)
+	return n, err
 }
 
 func boolAttr(b bool) int64 {

@@ -7,6 +7,8 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"resilex/internal/obs"
 )
 
 // streamRequest posts body to /extract/stream/{key} through a reader that
@@ -126,5 +128,66 @@ func TestServeExtractStreamMetrics(t *testing.T) {
 	}
 	if v := s.obs.Counter("extract_stream_chunks_total").Value(); v < 5 {
 		t.Errorf("extract_stream_chunks_total = %d, want several at 11-byte chunks", v)
+	}
+}
+
+// TestServeExtractStreamContentType: the stream route admits its body like
+// the tuples route — a declared media type other than text/html is a 415,
+// counted under serve_rejected_total{reason="content_type"}, while text/html
+// with parameters streams as usual.
+func TestServeExtractStreamContentType(t *testing.T) {
+	s, _ := testServer(t)
+	for _, c := range []struct {
+		ctype  string
+		status int
+	}{
+		{"application/json", http.StatusUnsupportedMediaType},
+		{"text/html; charset=utf-8", http.StatusOK},
+	} {
+		req := httptest.NewRequest("POST", "/extract/stream/vs", strings.NewReader(pageTop))
+		req.Header.Set("Content-Type", c.ctype)
+		rec := httptest.NewRecorder()
+		s.Mux().ServeHTTP(rec, req)
+		if rec.Code != c.status {
+			t.Errorf("Content-Type %s: status %d, want %d: %s", c.ctype, rec.Code, c.status, rec.Body)
+		}
+	}
+	if n := s.obs.Counter(obs.WithLabels("serve_rejected_total", "reason", "content_type")).Value(); n != 1 {
+		t.Errorf("content_type rejections = %d, want 1", n)
+	}
+}
+
+// TestServeExtractStreamDocBytes: the stream route counts the page bytes it
+// read on its serve.stream span and its serve.stream_request wide event,
+// like the batch and tuples routes.
+func TestServeExtractStreamDocBytes(t *testing.T) {
+	s, _ := testServer(t)
+	var event map[string]any
+	s.obs.Log = obs.FuncLogger(func(name string, kv ...any) {
+		if name == "serve.stream_request" {
+			event = map[string]any{}
+			for i := 0; i+1 < len(kv); i += 2 {
+				event[kv[i].(string)] = kv[i+1]
+			}
+		}
+	})
+	rec := streamRequest(t, s, "vs", pageTop, 7)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status %d: %s", rec.Code, rec.Body)
+	}
+	want := int64(len(pageTop))
+	if event["doc_bytes"] != want {
+		t.Errorf("wide event doc_bytes = %v, want %d", event["doc_bytes"], want)
+	}
+	var got int64 = -1
+	for _, sp := range s.obs.Traces.Trace(rec.Header().Get(obs.TraceHeader)) {
+		for _, a := range sp.Attrs {
+			if sp.Name == "serve.stream" && a.Key == "doc_bytes" {
+				got = a.Value
+			}
+		}
+	}
+	if got != want {
+		t.Errorf("serve.stream doc_bytes = %d, want %d", got, want)
 	}
 }

@@ -1,11 +1,11 @@
 package serve
 
 import (
-	"errors"
 	"net/http"
 	"time"
 
-	"resilex/internal/machine"
+	"resilex/internal/cluster"
+	"resilex/internal/obs"
 	"resilex/internal/wrapper"
 )
 
@@ -33,11 +33,12 @@ func (s *Server) handleExtractTuples(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	body, ok := s.readBody(w, r, "text/html")
-	if !ok {
+	body, rej := cluster.ReadBody(w, r, "text/html", s.maxBody)
+	if rej != nil {
+		s.refuse(w, rej)
 		return
 	}
-	ctx, tc := s.traceContext(w, r)
+	ctx, tc := obs.JoinTrace(w, r, s.obs)
 	ctx, sp := s.obs.StartSpan(ctx, "serve.tuples")
 	sp.SetStr("key", key)
 	sp.SetAttr("doc_bytes", int64(len(body)))
@@ -47,11 +48,7 @@ func (s *Server) handleExtractTuples(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		sp.SetError(err)
 		sp.End()
-		if errors.Is(err, machine.ErrBudget) || errors.Is(err, machine.ErrDeadline) {
-			writeError(w, http.StatusServiceUnavailable, err)
-		} else {
-			writeError(w, http.StatusInternalServerError, err)
-		}
+		cluster.WriteError(w, failStatus(err, http.StatusInternalServerError), err)
 		return
 	}
 	out := struct {
@@ -84,5 +81,5 @@ func (s *Server) handleExtractTuples(w http.ResponseWriter, r *http.Request) {
 		"records", len(records),
 		"duration_us", elapsed.Microseconds(),
 	)
-	writeJSON(w, http.StatusOK, out)
+	cluster.WriteJSON(w, http.StatusOK, out)
 }

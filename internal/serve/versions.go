@@ -11,7 +11,6 @@ import (
 
 	"resilex/internal/cluster"
 	"resilex/internal/extract"
-	"resilex/internal/machine"
 	"resilex/internal/obs"
 	"resilex/internal/wrapper"
 )
@@ -204,10 +203,7 @@ func (s *Server) apply(ctx context.Context, op cluster.Op) (res writeResult, err
 		var tier *string
 		ctx, tier = extract.WithTierNote(ctx)
 		if lw, err = wrapper.LoadAny(ctx, op.Payload, s.opt, s.cache); err != nil {
-			res.status = http.StatusBadRequest
-			if errors.Is(err, machine.ErrBudget) || errors.Is(err, machine.ErrDeadline) {
-				res.status = http.StatusServiceUnavailable
-			}
+			res.status = failStatus(err, http.StatusBadRequest)
 			return res, err
 		}
 		if op.Kind == cluster.OpPut {

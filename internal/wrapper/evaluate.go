@@ -1,6 +1,7 @@
 package wrapper
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 )
@@ -127,11 +128,11 @@ func (w *TupleWrapper) EvaluateTuple(pages []TupleLabeledPage) Report {
 		if bad {
 			continue
 		}
-		vector, ok, err := w.tuple.Extract(doc.Syms)
-		if err != nil || !ok {
-			detail := "expression does not parse the page"
-			if err != nil {
-				detail = err.Error()
+		vector, err := w.unique(doc.Syms)
+		if err != nil {
+			detail := err.Error()
+			if errors.Is(err, ErrNotExtracted) {
+				detail = "expression does not parse the page"
 			}
 			rep.Pages = append(rep.Pages, PageResult{Outcome: Miss, Want: want[0], Detail: detail})
 			continue

@@ -21,7 +21,7 @@ type TupleWrapper struct {
 	tab    *symtab.Table
 	mapper *htmltok.Mapper   // training and refresh: interns into tab
 	res    *htmltok.Resolver // live pages, against the tuple's own Σ
-	prog   *spanner.Program  // the multi-split program behind ExtractAll
+	prog   *spanner.Program  // the multi-split program behind every extraction
 	tuple  *extract.Tuple
 	cfg    Config
 
@@ -137,21 +137,48 @@ func markedIndices(doc htmltok.Document, html string) ([]int, error) {
 	return out, nil
 }
 
-// Extract runs the tuple wrapper on a page, returning one region per slot.
+// Extract runs the tuple wrapper on a page that holds one record, returning
+// one region per slot: ErrNotExtracted when the page holds no record, an
+// error wrapping extract.ErrAmbiguous when it holds a second (ExtractAll
+// enumerates them all).
 func (w *TupleWrapper) Extract(html string) ([]Region, error) {
 	doc := w.res.Resolve(html)
-	vector, ok, err := w.tuple.Extract(doc.Syms)
+	vector, err := w.unique(doc.Syms)
 	if err != nil {
 		return nil, err
-	}
-	if !ok {
-		return nil, ErrNotExtracted
 	}
 	out := make([]Region, len(vector))
 	for j, pos := range vector {
 		out[j] = Region{TokenIndex: pos, Span: doc.SpanOf(pos), Source: doc.Source(pos)}
 	}
 	return out, nil
+}
+
+// unique runs the wrapper's spanner program over a page's symbols and
+// returns the page's only extraction vector: ErrNotExtracted when there is
+// none, an error wrapping extract.ErrAmbiguous when there is a second.
+func (w *TupleWrapper) unique(word []symtab.Symbol) ([]int, error) {
+	// Not Run: the program keeps the options it was compiled under, whose
+	// context (a load deadline) may have ended since.
+	m, err := w.prog.RunContext(context.Background(), word)
+	if err != nil {
+		return nil, err
+	}
+	first, ok, err := m.Next()
+	switch {
+	case err != nil:
+		return nil, err
+	case !ok:
+		return nil, ErrNotExtracted
+	}
+	second, ok, err := m.Next()
+	switch {
+	case err != nil:
+		return nil, err
+	case ok:
+		return nil, fmt.Errorf("%w: the tuple fits the page as %v and as %v", extract.ErrAmbiguous, first, second)
+	}
+	return first, nil
 }
 
 // Arity returns the number of extracted slots.

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"resilex/internal/extract"
 	"resilex/internal/machine"
 )
 
@@ -292,5 +293,71 @@ func TestExtractAllContextCancel(t *testing.T) {
 	cancel()
 	if _, err := w.ExtractAllContext(ctx, recordsPage); !errors.Is(err, machine.ErrDeadline) {
 		t.Fatalf("cancelled ExtractAll: %v", err)
+	}
+}
+
+// TestTupleExtractMatchesTupleOracle differentials Extract and EvaluateTuple,
+// which run the wrapper's spanner program, against Tuple.Extract over the
+// oracle's tokenization of the same page: the trained wrapper on the tuple
+// fixtures, the record-shaped wrapper (ambiguous on a multi-row page), and
+// a page wrapped in a tag outside Σ. Where the oracle finds no vector,
+// Extract is ErrNotExtracted; where it finds one, Extract returns its
+// regions; where it errs on a second, Extract's error wraps
+// extract.ErrAmbiguous. EvaluateTuple, labeled with the oracle's vector,
+// scores a Hit exactly where the oracle finds one.
+func TestTupleExtractMatchesTupleOracle(t *testing.T) {
+	trained, err := TrainTuple([]Sample{{HTML: tupleSample1}, {HTML: tupleSample2}}, Config{KeepText: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	records, err := LoadTuple(recordsPayload(t), machine.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	oneRow := `<table><tr><td>bolt</td><td>$0.10</td></tr></table>`
+	pages := []string{
+		tupleSample1, tupleSample2, tupleLive, recordsPage, oneRow,
+		"<blink>" + oneRow + "</blink>", "<blink>" + tupleLive + "</blink>", `<p>x</p>`,
+	}
+	var none, one, ambiguous int
+	for wi, tw := range []*TupleWrapper{trained, records} {
+		for i, page := range pages {
+			doc := oracleMap(tw.tab, tw.cfg, page)
+			vec, ok, oracleErr := tw.Tuple().Extract(doc.Syms)
+			got, err := tw.Extract(page)
+			label := TupleLabeledPage{HTML: page}
+			for j := 0; j < tw.Arity(); j++ {
+				pos := 0
+				if ok {
+					pos = vec[j]
+				}
+				label.Targets = append(label.Targets, TargetIndex(pos))
+			}
+			outcome := tw.EvaluateTuple([]TupleLabeledPage{label}).Pages[0].Outcome
+			switch {
+			case oracleErr != nil:
+				ambiguous++
+				if !errors.Is(err, extract.ErrAmbiguous) || outcome != Miss {
+					t.Errorf("wrapper %d page %d: Extract = %+v, %v; EvaluateTuple %v; oracle error %v", wi, i, got, err, outcome, oracleErr)
+				}
+			case !ok:
+				none++
+				if !errors.Is(err, ErrNotExtracted) || outcome != Miss {
+					t.Errorf("wrapper %d page %d: Extract = %+v, %v; EvaluateTuple %v; oracle finds no vector", wi, i, got, err, outcome)
+				}
+			default:
+				one++
+				var want []Region
+				for _, pos := range vec {
+					want = append(want, regionOf(doc, pos))
+				}
+				if err != nil || !reflect.DeepEqual(got, want) || outcome != Hit {
+					t.Errorf("wrapper %d page %d: Extract = %+v, %v; EvaluateTuple %v; oracle %+v", wi, i, got, err, outcome, want)
+				}
+			}
+		}
+	}
+	if none == 0 || one == 0 || ambiguous == 0 {
+		t.Errorf("oracle outcomes: %d none, %d one, %d ambiguous; the differential misses a case", none, one, ambiguous)
 	}
 }

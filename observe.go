@@ -73,3 +73,13 @@ func SlogLogger(l *slog.Logger) EventLogger {
 func WriteObserverSnapshot(w io.Writer, o *Observer) error {
 	return obs.WriteSnapshotJSON(w, o)
 }
+
+// DumpObserver writes what an observed run collected, the way the CLIs'
+// -trace and -metrics flags do: the span tree (trace) to stderr, and the
+// metric snapshot (metrics) to the file outPath, or to stderr when outPath
+// is empty — Prometheus text when format is "prometheus" or "prom", the
+// JSON snapshot of WriteObserverSnapshot otherwise. A nil observer writes
+// nothing.
+func DumpObserver(o *Observer, metrics, trace bool, format, outPath string) error {
+	return obs.Dump(o, metrics, trace, format, outPath)
+}
