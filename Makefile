@@ -16,9 +16,10 @@ all: build vet test
 # replicate, extract, failover, assemble the request trace across both
 # processes), the refresh smoke (drift -> canary -> promote, break ->
 # rollback), the streaming alloc gate (zero-alloc warm paths +
-# one-pass/two-pass differential fuzz smoke), and the spanner gate (the
-# one-pass k-ary spanner differentials against the naive k-nested oracle).
-check: fmt-check vet race fuzz-lint fuzz-smoke metrics-smoke metrics-lint doc-smoke cache-smoke cluster-smoke refresh-smoke alloc-gate spanner-gate
+# one-pass/two-pass differential fuzz smoke), the spanner gate (the
+# one-pass k-ary spanner differentials against the naive k-nested oracle),
+# and the example programs (the runnable library surface, run end to end).
+check: fmt-check vet race fuzz-lint fuzz-smoke metrics-smoke metrics-lint doc-smoke cache-smoke cluster-smoke refresh-smoke alloc-gate spanner-gate examples
 
 fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \

@@ -15,9 +15,11 @@
 //
 // With -metrics (or -trace or -listen) every automaton construction runs
 // under an observer: subset states, minimization passes, deadline polls and
-// per-phase wall time land in a metrics registry, per-experiment deltas land
-// in the emitted tables, and the E15 supervisor experiment reports per-site
-// rung/breaker telemetry from the same registry.
+// per-phase wall time land in a metrics registry, and per-experiment deltas
+// land in the emitted tables.
+//
+// An id in -run that names no experiment is a usage error (exit 2): nothing
+// runs, and the message lists the valid ids.
 package main
 
 import (
@@ -28,6 +30,7 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -54,34 +57,6 @@ func run() int {
 	listen := flag.String("listen", "", "serve /metrics, /metrics.json and /debug/pprof on this address for the duration of the run")
 	benchDir := flag.String("bench-dir", "", "write each experiment table (with phase counters) to <dir>/BENCH_<ID>.json")
 	flag.Parse()
-
-	// Any observability surface turns the observer on; -bench-dir needs it
-	// for the phase counters it writes.
-	var o *obs.Observer
-	if *metrics || *trace || *listen != "" || *benchDir != "" {
-		o = obs.New()
-	}
-	defer func() {
-		if err := obs.Dump(o, *metrics, *trace, *metricsFormat, *metricsOut); err != nil {
-			fmt.Fprintln(os.Stderr, "resilience:", err)
-		}
-	}()
-	if *listen != "" {
-		ln, err := net.Listen("tcp", *listen)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "resilience:", err)
-			return 1
-		}
-		defer ln.Close()
-		fmt.Fprintf(os.Stderr, "resilience: serving /metrics, /metrics.json, /debug/pprof on %s\n", ln.Addr())
-		go http.Serve(ln, obs.Handler(o))
-	}
-	if *benchDir != "" {
-		if err := os.MkdirAll(*benchDir, 0o755); err != nil {
-			fmt.Fprintln(os.Stderr, "resilience:", err)
-			return 1
-		}
-	}
 
 	type experiment struct {
 		id string
@@ -135,7 +110,6 @@ func run() int {
 		{"E11", func() bench.Table { return bench.E11MiddleRow(2, []int{3, 5, 7, 9, 11}) }},
 		{"E13", func() bench.Table { return bench.E13Tuple(perEdit, *seed) }},
 		{"E14", func() bench.Table { return bench.E14Alphabet([]int{2, 3, 4, 6}, perEdit/2, *seed) }},
-		{"E15", func() bench.Table { return bench.E15Supervisor() }},
 		{"E16", func() bench.Table { return bench.E16Throughput(e16docs, 0, *seed) }},
 		{"E17", func() bench.Table { return bench.E17Persistence("", e17trials, *seed) }},
 		{"E18", func() bench.Table { return bench.E18Cluster(e18keys, e18window, e18service) }},
@@ -145,12 +119,50 @@ func run() int {
 		{"E22", func() bench.Table { return bench.E22Spanner(e22iters) }},
 	}
 
+	ids := make([]string, len(experiments))
+	for i, ex := range experiments {
+		ids[i] = ex.id
+	}
 	want := map[string]bool{}
 	for _, id := range strings.Split(*runIDs, ",") {
-		if id = strings.TrimSpace(id); id != "" {
-			want[strings.ToUpper(id)] = true
+		if id = strings.ToUpper(strings.TrimSpace(id)); id == "" {
+			continue
+		}
+		if !slices.Contains(ids, id) {
+			fmt.Fprintf(os.Stderr, "resilience: -run: unknown experiment %s (valid: %s)\n", id, strings.Join(ids, " "))
+			return 2
+		}
+		want[id] = true
+	}
+
+	// Any observability surface turns the observer on; -bench-dir needs it
+	// for the phase counters it writes.
+	var o *obs.Observer
+	if *metrics || *trace || *listen != "" || *benchDir != "" {
+		o = obs.New()
+	}
+	defer func() {
+		if err := obs.Dump(o, *metrics, *trace, *metricsFormat, *metricsOut); err != nil {
+			fmt.Fprintln(os.Stderr, "resilience:", err)
+		}
+	}()
+	if *listen != "" {
+		ln, err := net.Listen("tcp", *listen)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "resilience:", err)
+			return 1
+		}
+		defer ln.Close()
+		fmt.Fprintf(os.Stderr, "resilience: serving /metrics, /metrics.json, /debug/pprof on %s\n", ln.Addr())
+		go http.Serve(ln, obs.Handler(o))
+	}
+	if *benchDir != "" {
+		if err := os.MkdirAll(*benchDir, 0o755); err != nil {
+			fmt.Fprintln(os.Stderr, "resilience:", err)
+			return 1
 		}
 	}
+
 	// runBounded runs one experiment under -timeout/-max-states with the
 	// observer threaded into every construction context, and attaches the
 	// experiment's phase-counter delta to its table. Workload generators
@@ -222,10 +234,6 @@ func run() int {
 	}
 	if failed > 0 && ran == 0 {
 		return 1
-	}
-	if ran == 0 {
-		fmt.Fprintln(os.Stderr, "resilience: no experiment matched -run (valid: E3 E4 E5 E6 E7 E8 E8H E10 E11 E13 E14 E15 E16 E17 E18 E19 E20 E21 E22)")
-		return 2
 	}
 	return 0
 }

@@ -28,9 +28,12 @@
 //   - An HTML front end: Train induces a wrapper from sample pages with a
 //     marked target (learning-stage merge heuristic + maximization) and
 //     Extract maps results back to byte regions of the live page.
-//   - A self-healing runtime: a Supervisor over a Fleet of wrappers runs a
-//     degradation ladder (wrapper → refresh → probe → structured miss) with
-//     per-site circuit breakers, bounded by deadlines and state budgets.
+//   - Healing when a redesign outruns a maximized expression: Wrapper.Refresh
+//     (RefreshWithin) re-induces from one more marked sample (Section 7;
+//     examples/maintenance), and Fleet.Add swaps the result in for the site.
+//     The server heals the same way off the request path — drift watch,
+//     re-induction, canary, then a metric-gated promote or rollback. Both
+//     are bounded by deadlines and state budgets.
 //
 // # Error taxonomy
 //
@@ -44,10 +47,10 @@
 //     MaxStates budget (the PSPACE-hard paths are budgeted, not hidden).
 //   - ErrDeadlineExceeded: the context bounding a construction or
 //     extraction expired; work is abandoned promptly at the next poll.
-//   - ErrMalformedInput: corrupt persisted wrapper/fleet JSON, or a page
-//     with no recognizable structure at all.
-//   - ErrUnknownKey, ErrQuarantined: fleet dispatch failures — no wrapper
-//     for the site, or its circuit breaker is open.
+//   - ErrMalformedInput: corrupt persisted wrapper/fleet JSON. A
+//     truncated, garbled or empty page is not malformed input: it is
+//     ErrNoMatch.
+//   - ErrUnknownKey: a fleet dispatch failure — no wrapper for the site.
 //   - ErrInternal: a recovered invariant failure; the facade's recover()
 //     backstop guarantees internal panics surface as this error instead of
 //     crashing the caller.

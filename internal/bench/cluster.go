@@ -129,7 +129,7 @@ func runClusterBench(cfg e18Config, payload []byte) e18Result {
 
 	// Pre-marshal one request body per key (mixed layouts, single-key
 	// batches — the router's placement unit).
-	layouts := []string{e15Top, e15Bottom, e15Novel}
+	layouts := []string{fig1Top, fig1Bottom, fig1Novel}
 	bodies := make([][]byte, cfg.keys)
 	for i, key := range keys {
 		var buf bytes.Buffer
@@ -224,8 +224,8 @@ func E18Cluster(keys int, window, service time.Duration) Table {
 		Header: []string{"shards", "R", "req/sec", "p50 ms", "p99 ms", "failed", "failovers", "speedup ×"},
 	}
 	w, err := wrapper.Train([]wrapper.Sample{
-		{HTML: e15Top, Target: wrapper.TargetMarker()},
-		{HTML: e15Bottom, Target: wrapper.TargetMarker()},
+		{HTML: fig1Top, Target: wrapper.TargetMarker()},
+		{HTML: fig1Bottom, Target: wrapper.TargetMarker()},
 	}, wrapper.Config{Skip: []string{"BR"}, Options: DefaultOptions})
 	if err != nil {
 		panic(err)

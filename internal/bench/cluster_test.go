@@ -14,8 +14,8 @@ import (
 // over to one.
 func TestE18FailoverZeroFailedRequests(t *testing.T) {
 	w, err := wrapper.Train([]wrapper.Sample{
-		{HTML: e15Top, Target: wrapper.TargetMarker()},
-		{HTML: e15Bottom, Target: wrapper.TargetMarker()},
+		{HTML: fig1Top, Target: wrapper.TargetMarker()},
+		{HTML: fig1Bottom, Target: wrapper.TargetMarker()},
 	}, wrapper.Config{Skip: []string{"BR"}})
 	if err != nil {
 		t.Fatal(err)
@@ -56,8 +56,8 @@ func TestE18ShardScaling(t *testing.T) {
 		t.Skip("timing-sensitive scaling check")
 	}
 	w, err := wrapper.Train([]wrapper.Sample{
-		{HTML: e15Top, Target: wrapper.TargetMarker()},
-		{HTML: e15Bottom, Target: wrapper.TargetMarker()},
+		{HTML: fig1Top, Target: wrapper.TargetMarker()},
+		{HTML: fig1Bottom, Target: wrapper.TargetMarker()},
 	}, wrapper.Config{Skip: []string{"BR"}})
 	if err != nil {
 		t.Fatal(err)

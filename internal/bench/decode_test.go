@@ -13,7 +13,7 @@ import (
 // against json.Unmarshal on the body a Go client sends for 8 Figure-1
 // pages: json.Marshal output, with every < and > escaped.
 func BenchmarkExtractDecode(b *testing.B) {
-	layouts := []string{e15Top, e15Bottom, e15Novel, e15Future}
+	layouts := []string{fig1Top, fig1Bottom, fig1Novel, fig1Future}
 	docs := make([]wrapper.BatchDoc, 8)
 	for i := range docs {
 		docs[i] = wrapper.BatchDoc{Key: fmt.Sprintf("site-%d", i), HTML: layouts[i%len(layouts)]}

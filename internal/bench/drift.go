@@ -19,7 +19,7 @@ import (
 // versioned registry, drift watcher, re-induction, stride-routed canary,
 // metric-gated promotion — against a real serve.Server over HTTP, twice:
 //
-//   - benign drift: the site redesigns (perturbed e15Future pages land in
+//   - benign drift: the site redesigns (perturbed fig1Future pages land in
 //     the sample spool AND in live traffic). The watcher detects the
 //     degradation, re-induces a candidate from the drifted samples, and the
 //     canary wins its observation window — promoted, with every request
@@ -45,18 +45,18 @@ func e19AlienPage(n int) string {
 </form></li></ul>`, n)
 }
 
-// e19DriftPages perturbs the e15Future redesign into n distinct drifted
+// e19DriftPages perturbs the fig1Future redesign into n distinct drifted
 // pages, preserving the data-target marker (perturb.HTMLPerturber tracks
 // the target span through every edit).
 func e19DriftPages(seed int64, n int) []string {
-	span, ok := perturb.FindTag(e15Future, "input", 1)
+	span, ok := perturb.FindTag(fig1Future, "input", 1)
 	if !ok {
-		panic("drift bench: e15Future lost its marked input")
+		panic("drift bench: fig1Future lost its marked input")
 	}
 	p := perturb.NewHTML(seed)
 	pages := make([]string, n)
 	for i := range pages {
-		pages[i], _ = p.Apply(e15Future, span, i+1)
+		pages[i], _ = p.Apply(fig1Future, span, i+1)
 	}
 	return pages
 }
@@ -93,8 +93,8 @@ type e19Result struct {
 func runDriftBench(benign bool, reqs, docsPer int, seed int64) e19Result {
 	o := obs.New()
 	w, err := wrapper.Train([]wrapper.Sample{
-		{HTML: e15Top, Target: wrapper.TargetMarker()},
-		{HTML: e15Bottom, Target: wrapper.TargetMarker()},
+		{HTML: fig1Top, Target: wrapper.TargetMarker()},
+		{HTML: fig1Bottom, Target: wrapper.TargetMarker()},
 	}, wrapper.Config{Skip: []string{"BR"}, Options: DefaultOptions})
 	if err != nil {
 		panic(err)
@@ -136,7 +136,7 @@ func runDriftBench(benign bool, reqs, docsPer int, seed int64) e19Result {
 	spool, traffic := drifted, drifted
 	if !benign {
 		spool = []string{e19AlienPage(0), e19AlienPage(1), e19AlienPage(2)}
-		traffic = []string{e15Top, e15Bottom}
+		traffic = []string{fig1Top, fig1Bottom}
 	}
 
 	// One traffic phase routes reqs·docsPer/4 extractions to the canary

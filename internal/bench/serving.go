@@ -36,8 +36,8 @@ func E16Throughput(docs, workers int, seed int64) Table {
 		Header: []string{"mode", "docs/sec", "p50 µs", "p99 µs", "cache hit %", "speedup ×"},
 	}
 	w, err := wrapper.Train([]wrapper.Sample{
-		{HTML: e15Top, Target: wrapper.TargetMarker()},
-		{HTML: e15Bottom, Target: wrapper.TargetMarker()},
+		{HTML: fig1Top, Target: wrapper.TargetMarker()},
+		{HTML: fig1Bottom, Target: wrapper.TargetMarker()},
 	}, wrapper.Config{Skip: []string{"BR"}, Options: DefaultOptions})
 	if err != nil {
 		panic(err)
@@ -50,7 +50,7 @@ func E16Throughput(docs, workers int, seed int64) Table {
 	// The document stream: a seeded shuffle over the three Figure 1
 	// layouts, so every mode sees the identical mixed workload.
 	rng := rand.New(rand.NewSource(seed))
-	layouts := []string{e15Top, e15Bottom, e15Novel}
+	layouts := []string{fig1Top, fig1Bottom, fig1Novel}
 	pages := make([]string, docs)
 	for i := range pages {
 		pages[i] = layouts[rng.Intn(len(layouts))]

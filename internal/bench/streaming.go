@@ -106,8 +106,8 @@ func E21Streaming(iters int) Table {
 // e21Wrapper trains E21's wrapper on the Figure 1 layouts.
 func e21Wrapper() *wrapper.Wrapper {
 	w, err := wrapper.Train([]wrapper.Sample{
-		{HTML: e15Top, Target: wrapper.TargetMarker()},
-		{HTML: e15Bottom, Target: wrapper.TargetMarker()},
+		{HTML: fig1Top, Target: wrapper.TargetMarker()},
+		{HTML: fig1Bottom, Target: wrapper.TargetMarker()},
 	}, wrapper.Config{Skip: []string{"BR"}, Options: DefaultOptions})
 	if err != nil {
 		panic(err)
@@ -118,9 +118,9 @@ func e21Wrapper() *wrapper.Wrapper {
 // e21Page is the Figure 1 bottom layout with filler rows inserted before
 // its form row; 1000 rows make the 52 KB page.
 func e21Page(filler int) string {
-	formAt := strings.Index(e15Bottom, "<tr><td><form")
+	formAt := strings.Index(fig1Bottom, "<tr><td><form")
 	if formAt < 0 {
-		panic("bench: e15Bottom lost its form row")
+		panic("bench: fig1Bottom lost its form row")
 	}
-	return e15Bottom[:formAt] + strings.Repeat(e21FillerRow, filler) + e15Bottom[formAt:]
+	return fig1Bottom[:formAt] + strings.Repeat(e21FillerRow, filler) + fig1Bottom[formAt:]
 }

@@ -3,26 +3,21 @@ package bench
 import (
 	"context"
 	"encoding/json"
-	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
-	"time"
 
-	"resilex/internal/faultinject"
 	"resilex/internal/obs"
-	"resilex/internal/wrapper"
 )
 
 // DefaultObserver, when set (cmd/resilience -metrics / -trace / -listen), is
 // the observer the experiments record into: DefaultOptions carries it into
-// every machine construction, and E15 feeds its supervisor telemetry through
-// it. nil keeps the harness unobserved.
+// every machine construction. nil keeps the harness unobserved.
 var DefaultObserver *obs.Observer
 
 // PhaseDelta returns the phase-counter deltas between two registry
 // snapshots — what one experiment cost in subset states explored,
-// minimization passes, deadline polls, maximization rounds, rung entries,
+// minimization passes, deadline polls, maximization rounds, cache hits,
 // and so on. The result goes into the Table's Phases field and from there
 // into the BENCH_*.json perf trajectory.
 func PhaseDelta(before, after obs.Snapshot) map[string]int64 {
@@ -39,9 +34,9 @@ func PhaseDelta(before, after obs.Snapshot) map[string]int64 {
 }
 
 // phaseCounter reports whether a registry counter belongs to the
-// construction/extraction/supervisor phase families the harness tracks.
+// construction/extraction phase families the harness tracks.
 func phaseCounter(name string) bool {
-	for _, p := range []string{"machine_", "extract_", "supervisor_"} {
+	for _, p := range []string{"machine_", "extract_"} {
 		if strings.HasPrefix(name, p) {
 			return true
 		}
@@ -58,126 +53,6 @@ func (t Table) WriteJSON(dir string) (string, error) {
 		return "", err
 	}
 	return path, os.WriteFile(path, data, 0o644)
-}
-
-// The Figure 1 pages at the HTML level (as in internal/wrapper's tests):
-// two training layouts, a novel redesign the maximized wrapper still parses,
-// and a future redesign it cannot — the refresh rung's territory.
-const (
-	e15Top = `<P>
-<H1>Virtual Supplier, Inc.</H1>
-<P>
-<form method="post" action="search.cgi">
-<input type="image" align="left" src="search.gif" />
-<input type="text" size="15" name="value" data-target />
-<br />
-<input type="radio" name="attr" value="1" checked> Keywords<br />
-<input type="radio" name="attr" value="2"> Manufacturer Part#
-</form>`
-
-	e15Bottom = `<table>
-<tr><th><img src="supplier.gif"></th></tr>
-<tr><td><h1>Virtual Supplier, Inc.</h1></td></tr>
-<tr><td><a href="cust.html">Customer Service</a></td></tr>
-<tr><td><form method="post" action="search.cgi">
-<input type="image" src="search.gif" />
-<input type="text" size="15" name="value" data-target />
-<input type="radio" name="attr" value="1" checked> Keywords<br />
-<input type="radio" name="attr" value="2"> Manufacturer Part#
-</form></td></tr>
-</table>`
-
-	e15Novel = `<table>
-<tr><td><h1>Virtual Supplier, Inc.</h1></td></tr>
-<tr><td><a href="deals.html">Hot Deals</a></td></tr>
-<tr><td><a href="cust.html">Customer Service</a></td></tr>
-<tr><td><form method="post" action="search.cgi">
-<input type="image" src="search.gif" />
-<input type="text" size="15" name="value" />
-<input type="radio" name="attr" value="1"> Keywords
-</form></td></tr>
-</table>`
-
-	e15Future = `<div class="search"><span>find parts</span>
-<form method="post" action="search.cgi">
-<input type="image" src="search.gif" />
-<input type="text" size="15" name="value" data-target />
-</form></div>`
-)
-
-// E15Supervisor drives the self-healing runtime through all four ladder
-// rungs and a full breaker lifecycle under fault injection, and reports each
-// site's telemetry snapshot — the resilience study's numbers read from the
-// supervisor's observability surface rather than ad-hoc counters.
-func E15Supervisor() Table {
-	t := Table{
-		ID:    "E15",
-		Title: "supervisor telemetry across the degradation ladder",
-		Claim: "runtime extension: every rung and breaker transition of the self-healing ladder is observable per site",
-		Header: []string{"site", "breaker", "wrapper s/e", "refresh s/e",
-			"probe s/e", "miss", "transitions"},
-	}
-	w, err := wrapper.Train([]wrapper.Sample{
-		{HTML: e15Top, Target: wrapper.TargetMarker()},
-		{HTML: e15Bottom, Target: wrapper.TargetMarker()},
-	}, wrapper.Config{Skip: []string{"BR"}, Options: DefaultOptions})
-	if err != nil {
-		panic(err)
-	}
-	fleet := wrapper.NewFleet()
-	fleet.Add("vs", w)
-
-	// A virtual clock makes the breaker transitions (and their timestamps)
-	// deterministic.
-	clock := time.Unix(1_000_000_000, 0).UTC()
-	sup := wrapper.NewSupervisor(fleet, wrapper.SupervisorConfig{
-		Observer:         DefaultObserver,
-		BreakerThreshold: 2,
-		Cooldown:         time.Minute,
-		Marker: func(html string) (wrapper.Target, bool) {
-			if strings.Contains(html, wrapper.MarkerAttr) {
-				return wrapper.TargetMarker(), true
-			}
-			return wrapper.Target{}, false
-		},
-		Now:   func() time.Time { return clock },
-		Sleep: func(time.Duration) {},
-	})
-
-	ctx := contextWithObserver()
-	garbled := faultinject.GarbleTags(e15Novel, 1)
-	// Rung 1: the trained wrapper serves a novel-but-parseable layout.
-	sup.Extract(ctx, "vs", e15Novel)
-	// Rung 2: the future redesign misses; the marker oracle refreshes.
-	sup.Extract(ctx, "vs", e15Future)
-	// Two garbled pages open the breaker; the third is quarantined (miss).
-	sup.Extract(ctx, "vs", garbled)
-	sup.Extract(ctx, "vs", garbled)
-	sup.Extract(ctx, "vs", garbled)
-	// Cooldown elapses: a half-open trial on a good page closes the breaker.
-	clock = clock.Add(2 * time.Minute)
-	sup.Extract(ctx, "vs", e15Novel)
-	// Rung 3: an unknown key is served by the fleet probe.
-	sup.Extract(ctx, "ghost", e15Novel)
-
-	tel := sup.Telemetry()
-	for _, site := range []string{"ghost", "vs"} {
-		st := tel[site]
-		se := func(rung string) string {
-			return fmt.Sprintf("%d/%d", st.RungServes[rung], st.RungEntries[rung])
-		}
-		trs := make([]string, len(st.Transitions))
-		for i, tr := range st.Transitions {
-			trs[i] = tr.String()
-		}
-		t.Rows = append(t.Rows, []string{
-			site, st.Breaker.String(),
-			se("wrapper"), se("refresh"), se("probe"),
-			fmt.Sprint(st.RungEntries["miss"]),
-			strings.Join(trs, " "),
-		})
-	}
-	return t
 }
 
 // contextWithObserver threads DefaultObserver into the experiment context so

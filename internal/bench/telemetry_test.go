@@ -1,68 +1,27 @@
 package bench
 
 import (
+	"context"
 	"encoding/json"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
+	"resilex/internal/machine"
 	"resilex/internal/obs"
 )
 
-// TestE15Supervisor runs the ladder experiment under an observer and checks
-// the telemetry rows, the registry counters, and the BENCH_E15.json output.
-func TestE15Supervisor(t *testing.T) {
+// TestPhasesReachBenchJSON runs an experiment the way cmd/resilience
+// -bench-dir does — its constructions observed through DefaultOptions — and
+// checks the phase-counter delta lands in BENCH_<ID>.json and reads back.
+func TestPhasesReachBenchJSON(t *testing.T) {
 	o := obs.New()
 	DefaultObserver = o
-	defer func() { DefaultObserver = nil }()
+	DefaultOptions = machine.Options{}.WithContext(obs.NewContext(context.Background(), o))
+	defer func() { DefaultObserver, DefaultOptions = nil, machine.Options{} }()
 
-	table := E15Supervisor()
-	if len(table.Rows) != 2 {
-		t.Fatalf("rows = %v", table.Rows)
-	}
-	rows := map[string][]string{}
-	for _, r := range table.Rows {
-		rows[r[0]] = r
-	}
-	vs, ghost := rows["vs"], rows["ghost"]
-	if vs == nil || ghost == nil {
-		t.Fatalf("missing site rows: %v", table.Rows)
-	}
-	// vs: breaker closed again after the lifecycle; rung 1 entered five
-	// times (novel, future, two garbled, half-open trial) and served twice
-	// (novel + trial); one refresh serve; a full transition cycle.
-	if vs[1] != "closed" {
-		t.Errorf("vs breaker = %q", vs[1])
-	}
-	if vs[2] != "2/5" {
-		t.Errorf("vs wrapper serves/entries = %q", vs[2])
-	}
-	if !strings.HasPrefix(vs[3], "1/") {
-		t.Errorf("vs refresh serves/entries = %q", vs[3])
-	}
-	if !strings.Contains(vs[6], "closed→open@") ||
-		!strings.Contains(vs[6], "half-open→closed@") {
-		t.Errorf("vs transitions = %q", vs[6])
-	}
-	// ghost: exactly one probe entry, served.
-	if ghost[4] != "1/1" {
-		t.Errorf("ghost probe serves/entries = %q", ghost[4])
-	}
-
-	// The registry saw both the supervisor counters and the machine phases
-	// of the training/refresh constructions.
-	snap := o.Metrics.Snapshot()
-	if snap.Counters[`supervisor_rung_serves_total{site="vs",rung="refresh"}`] != 1 {
-		t.Errorf("refresh serve counter missing: %v", snap.Counters)
-	}
-	if snap.Counters["machine_subset_states_total"] == 0 {
-		t.Errorf("no machine phases recorded: %v", snap.Counters)
-	}
-
-	// PhaseDelta against an empty snapshot picks up exactly the phase
-	// counters, and the table round-trips to BENCH_E15.json with them.
-	table.Phases = PhaseDelta(obs.Snapshot{}, snap)
+	table := E4Maximality([]int{2, 4})
+	table.Phases = PhaseDelta(obs.Snapshot{}, o.Metrics.Snapshot())
 	if table.Phases["machine_subset_states_total"] == 0 {
 		t.Errorf("phase delta missing subset states: %v", table.Phases)
 	}
@@ -71,12 +30,11 @@ func TestE15Supervisor(t *testing.T) {
 			t.Errorf("non-phase counter leaked into delta: %s", name)
 		}
 	}
-	dir := t.TempDir()
-	path, err := table.WriteJSON(dir)
+	path, err := table.WriteJSON(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if filepath.Base(path) != "BENCH_E15.json" {
+	if filepath.Base(path) != "BENCH_E4.json" {
 		t.Errorf("path = %s", path)
 	}
 	data, err := os.ReadFile(path)
@@ -87,7 +45,7 @@ func TestE15Supervisor(t *testing.T) {
 	if err := json.Unmarshal(data, &back); err != nil {
 		t.Fatal(err)
 	}
-	if back.ID != "E15" || back.Phases["machine_subset_states_total"] == 0 {
+	if back.ID != "E4" || len(back.Rows) != 2 || back.Phases["machine_subset_states_total"] != table.Phases["machine_subset_states_total"] {
 		t.Errorf("round-trip lost data: %+v", back)
 	}
 }
@@ -101,14 +59,14 @@ func TestPhaseDeltaFilters(t *testing.T) {
 	after := obs.Snapshot{Counters: map[string]int64{
 		"machine_subset_states_total":   25,
 		"machine_minimize_passes_total": 4,
-		"supervisor_rung_entries_total": 2,
+		"extract_cache_hits_total":      2,
 		"unrelated_total":               99,
 	}}
 	got := PhaseDelta(before, after)
 	want := map[string]int64{
 		"machine_subset_states_total":   15,
 		"machine_minimize_passes_total": 4,
-		"supervisor_rung_entries_total": 2,
+		"extract_cache_hits_total":      2,
 	}
 	if len(got) != len(want) {
 		t.Fatalf("delta = %v, want %v", got, want)

@@ -1,8 +1,8 @@
 // Package cluster turns the single-node serving path into a shardable
 // fleet: a consistent-hash ring places wrapper keys on shard nodes with a
 // configurable replication factor, a membership layer polls each shard's
-// /healthz with the supervisor-style breaker pattern and marks nodes
-// up/down with observable transitions, and a router front-end proxies
+// /healthz behind a circuit breaker and marks nodes up/down with
+// observable transitions, and a router front-end proxies
 // extraction and wrapper mutations to the owning shard — failing over to
 // the next replica on error or timeout, optionally hedging tail requests,
 // and fanning every wrapper write (put, delete, canary, promote, rollback)

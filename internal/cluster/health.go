@@ -13,11 +13,11 @@ import (
 )
 
 // NodeState is a shard node's availability as the membership layer sees it.
-// The states mirror the per-site circuit breaker of wrapper.Supervisor:
-// NodeUp is a closed breaker (route normally), NodeDown is an open one
-// (skip the node, keep probing), and the first successful probe of a down
-// node readmits it — the half-open trial collapsed into the poll loop,
-// since a health probe is already exactly one cheap trial request.
+// The states are a circuit breaker's: NodeUp is a closed breaker (route
+// normally), NodeDown is an open one (skip the node, keep probing), and the
+// first successful probe of a down node readmits it — the half-open trial
+// collapsed into the poll loop, since a health probe is already exactly one
+// cheap trial request.
 type NodeState int
 
 // Node availability states.

@@ -1,15 +1,15 @@
 // Package faultinject is the deterministic fault-injection harness for the
-// self-healing extraction runtime. Where internal/perturb models the paper's
-// Section 3 change model (benign page evolution), faultinject models the
-// operational failure modes a deployed robot meets: truncated transfers,
-// malformed markup, starvation-level state budgets, and expired deadlines.
-// Every injector is pure and seeded, so a failing schedule replays exactly.
+// extraction runtime. Where internal/perturb models the paper's Section 3
+// change model (benign page evolution), faultinject models the operational
+// failure modes a deployed robot meets: truncated transfers, malformed
+// markup, starvation-level state budgets, and expired deadlines. Every
+// injector is pure and seeded, so a failing schedule replays exactly.
 //
-// The injectors are designed to drive specific rungs of the supervisor's
-// degradation ladder:
+// Each injector provokes one typed outcome, never a panic:
 //
-//	Truncate / GarbleTags  → rung 1 no-match, rung 2 refresh (markable) or
-//	                         rung 4 miss (marker destroyed)
+//	Truncate / GarbleTags  → a page the wrapper no longer parses (ErrNoMatch),
+//	                         per document in a served batch
+//	StripMarker            → a drift page a refresh cannot mark (ErrNoTarget)
 //	TinyBudget             → refresh failure wrapping machine.ErrBudget
 //	ExpiredContext         → fail-fast errors wrapping machine.ErrDeadline
 package faultinject
@@ -92,8 +92,7 @@ func Shuffle(html string, seed int64, window int) string {
 }
 
 // StripMarker removes every occurrence of the data-target training marker,
-// turning a refreshable drift page into an unmarkable one — the injector
-// that forces the ladder past the refresh rung.
+// turning a refreshable drift page into an unmarkable one.
 func StripMarker(html string) string {
 	html = strings.ReplaceAll(html, " data-target", "")
 	return strings.ReplaceAll(html, "data-target", "")

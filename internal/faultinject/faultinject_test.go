@@ -1,13 +1,19 @@
 package faultinject
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
 	"resilex/internal/machine"
+	"resilex/internal/serve"
 	"resilex/internal/wrapper"
 )
 
@@ -30,23 +36,6 @@ func trainShop(t *testing.T) *wrapper.Wrapper {
 		t.Fatal(err)
 	}
 	return w
-}
-
-func markerByAttr(html string) (wrapper.Target, bool) {
-	if strings.Contains(html, wrapper.MarkerAttr) {
-		return wrapper.TargetMarker(), true
-	}
-	return wrapper.Target{}, false
-}
-
-func newSupervisor(t *testing.T, cfg wrapper.SupervisorConfig) *wrapper.Supervisor {
-	t.Helper()
-	f := wrapper.NewFleet()
-	f.Add("shop", trainShop(t))
-	if cfg.Sleep == nil {
-		cfg.Sleep = func(time.Duration) {}
-	}
-	return wrapper.NewSupervisor(f, cfg)
 }
 
 // TestInjectors pins down the injectors' deterministic behavior.
@@ -81,91 +70,72 @@ func TestInjectors(t *testing.T) {
 	}
 }
 
-// TestLadderRungs drives each of the supervisor's four rungs with an
-// injected fault chosen to stop exactly at that rung.
-func TestLadderRungs(t *testing.T) {
-	ctx := context.Background()
-
-	// Rung 1: no fault — the trained wrapper serves directly.
-	s := newSupervisor(t, wrapper.SupervisorConfig{Marker: markerByAttr})
-	out, err := s.Extract(ctx, "shop", shopB)
-	if err != nil || out.Rung != wrapper.RungWrapper {
-		t.Fatalf("rung 1: %+v, %v", out, err)
+// TestBrokenPagesInServeBatch sends the server one POST /extract batch of a
+// clean page and two wrecks of it: every tag garbled, and a redesign with its
+// marker stripped and its tail cut off. The batch answers 200; each wreck is
+// a per-document miss carrying the wrapper's no-match error (a broken page is
+// no match, not malformed input), and the clean page gets the region a
+// wrapper loaded outside the server extracts.
+func TestBrokenPagesInServeBatch(t *testing.T) {
+	s, err := serve.New(serve.Config{CacheCap: 8, RestoreLog: io.Discard})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shop, err := trainShop(t).MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.PutWrapper(context.Background(), "shop", shop); err != nil {
+		t.Fatal(err)
+	}
+	oracle, err := wrapper.Load(shop, machine.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := oracle.Extract(shopB)
+	if err != nil {
+		t.Fatal(err)
 	}
 
-	// Rung 2: a redesign outside the training alphabet, still markable —
-	// the refresh rung widens the wrapper and serves.
-	out, err = s.Extract(ctx, "shop", drift)
-	if err != nil || out.Rung != wrapper.RungRefresh {
-		t.Fatalf("rung 2: %+v, %v", out, err)
+	body, err := json.Marshal(map[string][]wrapper.BatchDoc{"docs": {
+		{Key: "shop", HTML: shopB},
+		{Key: "shop", HTML: GarbleTags(shopB, 1)},
+		{Key: "shop", HTML: Truncate(StripMarker(drift), 0.6)},
+	}})
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	// Rung 3: the page arrives under an unknown key; the shop wrapper
-	// claims it unambiguously during the probe.
-	s = newSupervisor(t, wrapper.SupervisorConfig{Marker: markerByAttr})
-	out, err = s.Extract(ctx, "cdn-mirror", shopB)
-	if err != nil || out.Rung != wrapper.RungProbe || out.Key != "shop" {
-		t.Fatalf("rung 3: %+v, %v", out, err)
+	rec := httptest.NewRecorder()
+	s.Mux().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/extract", bytes.NewReader(body)))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status %d: %s", rec.Code, rec.Body)
 	}
-
-	// Rung 4: drift with the marker stripped and the tail truncated —
-	// unmatchable, unmarkable, unclaimable. The ladder bottoms out in a
-	// structured miss.
-	broken := Truncate(StripMarker(drift), 0.6)
-	_, err = s.Extract(ctx, "shop", broken)
-	var miss *wrapper.MissReport
-	if !errors.As(err, &miss) {
-		t.Fatalf("rung 4: err = %v, want *MissReport", err)
+	var resp struct {
+		Results []struct {
+			OK    bool   `json:"ok"`
+			Error string `json:"error"`
+			regionAnswer
+		} `json:"results"`
 	}
-	if miss.ProbeClaims != 0 || !errors.Is(err, wrapper.ErrNoMatch) {
-		t.Errorf("rung 4 report: %+v", miss)
+	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil || len(resp.Results) != 3 {
+		t.Fatalf("response %s: %v", rec.Body, err)
 	}
-}
-
-// TestBreakerQuarantineAndProbeRecovery injects repeated failures until the
-// circuit breaker opens, then shows a successful probe half-opening it and a
-// clean request closing it again.
-func TestBreakerQuarantineAndProbeRecovery(t *testing.T) {
-	const threshold = 3
-	s := newSupervisor(t, wrapper.SupervisorConfig{BreakerThreshold: threshold})
-	ctx := context.Background()
-	garbled := GarbleTags(shopB, 1)
-
-	for i := 0; i < threshold; i++ {
-		if _, err := s.Extract(ctx, "shop", garbled); err == nil {
-			t.Fatalf("garbled page extracted on attempt %d", i)
+	clean := resp.Results[0]
+	if !clean.OK || clean.regionAnswer != (regionAnswer{want.TokenIndex, want.Span.Start, want.Span.End, want.Source}) {
+		t.Errorf("clean page: %+v, oracle %+v", clean, want)
+	}
+	for i, r := range resp.Results[1:] {
+		if r.OK || r.Error != wrapper.ErrNoMatch.Error() {
+			t.Errorf("wreck %d: ok %v, error %q; want ok:false with %q", i+1, r.OK, r.Error, wrapper.ErrNoMatch)
 		}
-	}
-	if h := s.Health("shop"); h.Breaker != wrapper.BreakerOpen {
-		t.Fatalf("breaker = %v after %d injected failures", h.Breaker, threshold)
-	}
-
-	// Quarantined: even a clean page is not given to the wrapper directly —
-	// but the probe rung claims it, which half-opens the breaker.
-	out, err := s.Extract(ctx, "shop", shopB)
-	if err != nil || out.Rung != wrapper.RungProbe {
-		t.Fatalf("quarantined extract: %+v, %v", out, err)
-	}
-	if h := s.Health("shop"); h.Breaker != wrapper.BreakerHalfOpen {
-		t.Fatalf("breaker = %v after probe success, want half-open", h.Breaker)
-	}
-
-	// The half-open trial succeeds and the breaker closes.
-	out, err = s.Extract(ctx, "shop", shopB)
-	if err != nil || out.Rung != wrapper.RungWrapper {
-		t.Fatalf("trial extract: %+v, %v", out, err)
-	}
-	if h := s.Health("shop"); h.Breaker != wrapper.BreakerClosed {
-		t.Errorf("breaker = %v after trial, want closed", h.Breaker)
 	}
 }
 
 // TestExpiredContextFailsFast injects an already-expired context into
-// extraction, refresh, and the supervisor ladder: each must return an error
-// wrapping machine.ErrDeadline well within 100ms — no construction work.
+// extraction and refresh: each must return an error wrapping
+// machine.ErrDeadline well within 100ms — no construction work.
 func TestExpiredContextFailsFast(t *testing.T) {
 	w := trainShop(t)
-	s := newSupervisor(t, wrapper.SupervisorConfig{Marker: markerByAttr})
 	ctx := ExpiredContext()
 
 	start := time.Now()
@@ -175,48 +145,31 @@ func TestExpiredContextFailsFast(t *testing.T) {
 	if _, err := w.RefreshContext(ctx, wrapper.Sample{HTML: drift, Target: wrapper.TargetMarker()}); !errors.Is(err, machine.ErrDeadline) {
 		t.Errorf("refresh: err = %v", err)
 	}
-	if _, err := s.Extract(ctx, "shop", shopB); !errors.Is(err, machine.ErrDeadline) {
-		t.Errorf("supervisor: err = %v", err)
-	}
 	if elapsed := time.Since(start); elapsed > 100*time.Millisecond {
 		t.Errorf("expired-context calls took %v, want < 100ms", elapsed)
 	}
 }
 
-// TestTinyBudgetSurfacesTyped starves constructions with a few-state budget:
-// every path must fail with an error wrapping machine.ErrBudget, never
-// panic, and leave the serving wrapper intact.
+// TestTinyBudgetSurfacesTyped starves a refresh with a few-state budget: it
+// must fail with an error wrapping machine.ErrBudget, never panic, and leave
+// the serving wrapper intact.
 func TestTinyBudgetSurfacesTyped(t *testing.T) {
 	w := trainShop(t)
 	starved := w.WithOptions(TinyBudget(2))
 	if _, err := starved.Refresh(wrapper.Sample{HTML: drift, Target: wrapper.TargetMarker()}); !errors.Is(err, machine.ErrBudget) {
 		t.Fatalf("starved refresh: err = %v, want ErrBudget", err)
 	}
-
-	// Through the supervisor: the refresh rung is starved via
-	// RefreshOptions; the ladder degrades to a miss instead of panicking.
-	s := newSupervisor(t, wrapper.SupervisorConfig{
-		Marker:         markerByAttr,
-		RefreshOptions: TinyBudget(2),
-	})
-	_, err := s.Extract(context.Background(), "shop", drift)
-	var miss *wrapper.MissReport
-	if !errors.As(err, &miss) {
-		t.Fatalf("starved ladder: err = %v, want *MissReport", err)
-	}
 	// The serving wrapper survived the starved refresh.
-	if out, err := s.Extract(context.Background(), "shop", shopB); err != nil || out.Rung != wrapper.RungWrapper {
-		t.Errorf("serving wrapper damaged: %+v, %v", out, err)
+	if _, err := w.Extract(shopB); err != nil {
+		t.Errorf("serving wrapper damaged: %v", err)
 	}
 }
 
 // TestInjectedPagesNeverPanic sweeps every injector over the training pages
-// and runs extraction, training, and probing on the wreckage: errors are
-// fine, panics are not (none of these paths may crash a robot).
+// and runs extraction and training on the wreckage: errors are fine, panics
+// are not (none of these paths may crash a robot).
 func TestInjectedPagesNeverPanic(t *testing.T) {
 	w := trainShop(t)
-	f := wrapper.NewFleet()
-	f.Add("shop", w)
 	pages := []string{shopA, shopB, drift}
 	var broken []string
 	for _, p := range pages {
@@ -232,7 +185,6 @@ func TestInjectedPagesNeverPanic(t *testing.T) {
 		if _, err := w.Extract(p); err != nil {
 			_ = err // typed failure is the contract; crash is the bug
 		}
-		f.Probe(p)
 		if _, err := wrapper.Train([]wrapper.Sample{{HTML: p, Target: wrapper.TargetMarker()}}, wrapper.Config{}); err != nil {
 			_ = err
 		}

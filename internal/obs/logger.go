@@ -1,7 +1,7 @@
 package obs
 
 // Logger is the pluggable structured event sink. Events are named
-// ("supervisor.breaker", "supervisor.rung", …) with alternating key/value
+// ("refresh.canary", "cluster.node", …) with alternating key/value
 // context, the shape of log/slog — the facade provides an slog-backed
 // implementation; the default everywhere is no logging at all.
 type Logger interface {

@@ -12,11 +12,11 @@
 // cycles.
 //
 // Metric families are owned by their emitting layers and documented in
-// DESIGN.md §6: machine_*/extract_* (construction), supervisor_*
-// (degradation ladder), serve_*/cluster_* (serving and replication), and
-// refresh_* (the drift-watcher/canary rollout pipeline, whose promote and
-// rollback decisions are themselves gated on counters read back from this
-// registry).
+// DESIGN.md §6: machine_*/extract_*/spanner_* (construction and matching),
+// wrapper_* (batch extraction), serve_*/cluster_* (serving and
+// replication), and refresh_* (the drift-watcher/canary rollout pipeline,
+// whose promote and rollback decisions are themselves gated on counters read
+// back from this registry).
 package obs
 
 import (
@@ -207,7 +207,7 @@ func (h HistogramSnapshot) MarshalJSON() ([]byte, error) {
 
 // Registry is a concurrency-safe named-metric store. Metric names follow the
 // Prometheus convention, optionally carrying a label set built with
-// WithLabels: `supervisor_rung_entries_total{site="vs",rung="wrapper"}`.
+// WithLabels: `refresh_canary_serve_total{site="vs",outcome="ok"}`.
 type Registry struct {
 	mu       sync.RWMutex
 	counters map[string]*Counter

@@ -6,11 +6,10 @@
 // the versioned registry.
 //
 // The controller closes the maintenance loop of Algorithm 6.2
-// operationally: where wrapper.Supervisor reacts to failures on the request
-// path (rung ladder, per-site breakers), the refresh pipeline acts *before*
-// users see them — sampled pages that stop parsing trigger re-induction,
-// the candidate serves a configured fraction of live traffic as a canary,
-// and promotion is metric-gated: the canary's extraction-success rate over
+// operationally, off the request path and *before* users see failures:
+// sampled pages that stop parsing trigger re-induction, the candidate
+// serves a configured fraction of live traffic as a canary, and promotion
+// is metric-gated: the canary's extraction-success rate over
 // the observation window must be at least the active version's. A canary
 // that regresses is rolled back automatically; because a canary miss falls
 // back to the active wrapper inside the serving path, the whole experiment
@@ -76,9 +75,9 @@ type Config struct {
 	// Sampler supplies the per-site page samples driving drift detection.
 	Sampler Sampler
 	// Marker marks the extraction target on a sampled page for
-	// re-induction, mirroring SupervisorConfig.Marker: an operator queue, a
-	// weak heuristic, or the data-target attribute. The default accepts
-	// pages carrying wrapper.MarkerAttr and skips the rest.
+	// re-induction: an operator queue, a weak heuristic, or the data-target
+	// attribute. The default accepts pages carrying wrapper.MarkerAttr and
+	// skips the rest.
 	Marker func(html string) (wrapper.Target, bool)
 	// Interval is the watch period of Run. Default 30s.
 	Interval time.Duration

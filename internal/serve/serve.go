@@ -406,11 +406,10 @@ type batchOutcome struct {
 	version    uint64
 }
 
-// rung names the serving rung the batch landed on — the versioned-registry
-// analog of the supervisor's degradation rung: "active" (no canary in
-// play), "canary" (some documents served by a staged canary), or
-// "canary_fallback" (at least one canary miss was re-served by the active
-// version).
+// rung names the serving rung the batch landed on in the versioned
+// registry: "active" (no canary in play), "canary" (some documents served
+// by a staged canary), or "canary_fallback" (at least one canary miss was
+// re-served by the active version).
 func (bo batchOutcome) rung() string {
 	switch {
 	case bo.fallbacks > 0:

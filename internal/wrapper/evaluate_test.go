@@ -1,8 +1,12 @@
 package wrapper
 
 import (
+	"slices"
 	"strings"
 	"testing"
+
+	"resilex/internal/extract"
+	"resilex/internal/machine"
 )
 
 func TestEvaluate(t *testing.T) {
@@ -77,5 +81,66 @@ func TestEvaluateTuple(t *testing.T) {
 	})
 	if rep.Hits() != 1 || rep.Wrongs() != 1 || rep.Misses() != 1 {
 		t.Fatalf("report = %s (%+v)", rep, rep.Pages)
+	}
+}
+
+// TestEvaluateLeavesTableAlone: scoring a page full of tags outside Σ must
+// not grow the wrapper's live symbol table — for a trained wrapper, nor for
+// one loaded through a TieredCache, whose table every wrapper restored from
+// the same artifact shares — and a label on such a tag still resolves, so
+// the page scores Miss (counted by Rate), not BadLabel.
+func TestEvaluateLeavesTableAlone(t *testing.T) {
+	cache := extract.NewTieredCache(extract.NewCache(4, nil), nil)
+
+	trained, err := Train([]Sample{
+		{HTML: fig1Top, Target: TargetMarker()},
+		{HTML: fig1Bottom, Target: TargetMarker()},
+	}, fig1Config())
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := trained.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cached, err := LoadCached(payload, machine.Options{}, cache)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, w := range map[string]*Wrapper{"trained": trained, "cached": cached} {
+		before := w.Table().Names()
+		rep := w.Evaluate([]LabeledPage{{HTML: `<blink>sale</blink>`, Target: TargetTag("BLINK", 0)}})
+		if rep.Misses() != 1 || rep.Rate() != 0 {
+			t.Errorf("%s: report = %s (%+v), want one miss", name, rep, rep.Pages)
+		}
+		if after := w.Table().Names(); !slices.Equal(after, before) {
+			t.Errorf("%s: Evaluate grew the table from %v to %v", name, before, after)
+		}
+	}
+
+	trainedTuple, err := TrainTuple([]Sample{{HTML: tupleSample1}, {HTML: tupleSample2}}, Config{KeepText: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err = trainedTuple.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cachedTuple, err := LoadTupleCached(payload, machine.Options{}, cache)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, w := range map[string]*TupleWrapper{"trained": trainedTuple, "cached": cachedTuple} {
+		before := w.tab.Names()
+		rep := w.EvaluateTuple([]TupleLabeledPage{{
+			HTML:    `<blink>bolt</blink><marquee>$1</marquee>`,
+			Targets: []Target{TargetTag("BLINK", 0), TargetTag("MARQUEE", 0)},
+		}})
+		if rep.Misses() != 1 || rep.Rate() != 0 {
+			t.Errorf("tuple %s: report = %s (%+v), want one miss", name, rep, rep.Pages)
+		}
+		if after := w.tab.Names(); !slices.Equal(after, before) {
+			t.Errorf("tuple %s: EvaluateTuple grew the table from %v to %v", name, before, after)
+		}
 	}
 }

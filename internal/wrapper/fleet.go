@@ -21,10 +21,9 @@ type Any interface {
 // Fleet is a registry of named wrappers — one per site — with shared
 // persistence: the operating unit of a shopbot that harvests many vendors.
 // A Fleet maps a site key (e.g. the vendor's hostname) to one trained
-// wrapper of either kind; ExtractFrom dispatches by key and Probe tries
-// every single-pivot wrapper when the key is unknown. Tuple wrappers are
-// held, persisted and listed like single-pivot ones, but ExtractFrom, Probe
-// and ExtractBatch see only single-pivot entries (a tuple key is unknown
+// wrapper of either kind; ExtractFrom dispatches by key. Tuple wrappers are
+// held, persisted and listed like single-pivot ones, but ExtractFrom and
+// ExtractBatch see only single-pivot entries (a tuple key is unknown
 // there); GetTuple reaches them.
 //
 // A Fleet is safe for concurrent use: lookups and extractions take a read
@@ -95,10 +94,6 @@ func (f *Fleet) Len() int {
 func (f *Fleet) Keys() []string {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
-	return f.keysLocked()
-}
-
-func (f *Fleet) keysLocked() []string {
 	out := make([]string, 0, len(f.wrappers))
 	for k := range f.wrappers {
 		out = append(out, k)
@@ -120,44 +115,6 @@ func (f *Fleet) ExtractFromContext(ctx context.Context, key, html string) (Regio
 		return Region{}, fmt.Errorf("%w: %q", ErrUnknownKey, key)
 	}
 	return w.ExtractContext(ctx, html)
-}
-
-// Probe tries every wrapper on the page and returns the keys that extract
-// successfully, sorted, with their regions — the recovery path when a page
-// arrives without provenance. An unambiguous match (exactly one key) is the
-// common case for distinct vendors. Wrappers are tried in deterministic
-// (sorted) key order, so repeated probes of the same fleet do identical work.
-func (f *Fleet) Probe(html string) map[string]Region {
-	out, _ := f.ProbeContext(context.Background(), html)
-	return out
-}
-
-// ProbeContext is Probe bounded by ctx: it stops trying further wrappers
-// once the context expires and reports the partial claims alongside an error
-// wrapping machine.ErrDeadline.
-func (f *Fleet) ProbeContext(ctx context.Context, html string) (map[string]Region, error) {
-	type entry struct {
-		key string
-		w   *Wrapper
-	}
-	var snapshot []entry
-	f.mu.RLock()
-	for _, k := range f.keysLocked() {
-		if w, ok := f.wrappers[k].(*Wrapper); ok {
-			snapshot = append(snapshot, entry{k, w})
-		}
-	}
-	f.mu.RUnlock()
-	out := map[string]Region{}
-	for _, e := range snapshot {
-		if err := (machine.Options{Ctx: ctx}).Err(); err != nil {
-			return out, fmt.Errorf("wrapper: probe: %w", err)
-		}
-		if r, err := e.w.ExtractContext(ctx, html); err == nil {
-			out[e.key] = r
-		}
-	}
-	return out, nil
 }
 
 // fleetPersisted is the JSON schema of a saved fleet.

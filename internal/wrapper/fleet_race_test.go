@@ -8,7 +8,7 @@ import (
 )
 
 // TestFleetConcurrentUse hammers a fleet from many goroutines mixing reads
-// (ExtractFrom, Probe, Keys, MarshalJSON) with writes (Add, Remove). Run
+// (ExtractFrom, Keys, MarshalJSON) with writes (Add, Remove). Run
 // with -race; the assertions only check basic sanity — the point is that
 // the schedule is data-race-free.
 func TestFleetConcurrentUse(t *testing.T) {
@@ -48,7 +48,6 @@ func TestFleetConcurrentUse(t *testing.T) {
 				case 3:
 					f.Keys()
 					f.Len()
-					f.Probe(live[key])
 				case 4:
 					if _, err := f.MarshalJSON(); err != nil {
 						t.Errorf("worker %d: marshal: %v", id, err)
@@ -66,37 +65,4 @@ func TestFleetConcurrentUse(t *testing.T) {
 			t.Errorf("%s lost", key)
 		}
 	}
-}
-
-// TestSupervisorConcurrentUse drives the supervisor from many goroutines,
-// mixing healthy and failing pages so breaker state transitions race with
-// health snapshots. Run with -race.
-func TestSupervisorConcurrentUse(t *testing.T) {
-	f, live := fleetFixture(t)
-	s := NewSupervisor(f, SupervisorConfig{BreakerThreshold: 3})
-	ctx := context.Background()
-
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			for j := 0; j < 25; j++ {
-				key := "acme"
-				if id%2 == 1 {
-					key = "bolt"
-				}
-				page := live[key]
-				if j%3 == 0 {
-					page = `<i>junk</i>`
-				}
-				s.Extract(ctx, key, page)
-				s.Health(key)
-				if j%10 == 0 {
-					s.HealthReport()
-				}
-			}
-		}(i)
-	}
-	wg.Wait()
 }

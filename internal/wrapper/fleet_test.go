@@ -57,22 +57,6 @@ func TestFleetExtractFrom(t *testing.T) {
 	}
 }
 
-func TestFleetProbe(t *testing.T) {
-	f, live := fleetFixture(t)
-	// Each live page should be claimed by its own wrapper; the layouts are
-	// distinct enough that cross-claims may or may not occur — its own
-	// wrapper must be among the claimants.
-	for key, page := range live {
-		got := f.Probe(page)
-		if _, ok := got[key]; !ok {
-			t.Errorf("%s page not claimed by its own wrapper (claims: %v)", key, got)
-		}
-	}
-	if got := f.Probe(`<p>nothing</p>`); len(got) != 0 {
-		t.Errorf("junk page claimed: %v", got)
-	}
-}
-
 func TestFleetPersistence(t *testing.T) {
 	f, live := fleetFixture(t)
 	data, err := f.MarshalJSON()
@@ -112,7 +96,7 @@ func TestFleetRemove(t *testing.T) {
 
 // TestTupleFleet: a Fleet holds tuple wrappers next to single-pivot ones,
 // one wrapper of either kind per key; Get and GetTuple each see only their
-// own kind, and ExtractFrom and Probe only single-pivot entries.
+// own kind, and ExtractFrom only single-pivot entries.
 func TestTupleFleet(t *testing.T) {
 	f := NewFleet()
 	w, err := LoadTuple(recordsPayload(t), machine.Options{})
@@ -135,9 +119,6 @@ func TestTupleFleet(t *testing.T) {
 	}
 	if _, err := f.ExtractFrom("parts", recordsPage); !errors.Is(err, ErrUnknownKey) {
 		t.Errorf("ExtractFrom on a tuple key: err = %v, want ErrUnknownKey", err)
-	}
-	if claims := f.Probe(recordsPage); len(claims) != 0 {
-		t.Errorf("Probe tried tuple wrappers: %v", claims)
 	}
 	keys := f.Keys()
 	if len(keys) != 2 || keys[0] != "other" || keys[1] != "parts" {

@@ -81,6 +81,8 @@ func FuzzLoadFleet(f *testing.F) {
 			}
 			return
 		}
-		fl.Probe(`<form><input type="text"></form>`)
+		for _, key := range fl.Keys() {
+			fl.ExtractFrom(key, `<form><input type="text"></form>`)
+		}
 	})
 }

@@ -15,10 +15,11 @@
 // entries only); every loader — Load, LoadTuple, their Cached variants,
 // LoadAny and the fleet loaders — goes through one envelope decoder and,
 // given an extract.TieredCache, restores through the shared artifact cache
-// so identical expressions compile once per process; and Supervisor is the
-// self-healing runtime — a per-request degradation ladder (wrapper →
-// refresh → probe → miss) behind per-site circuit breakers, with its
-// decisions observable via Telemetry.
+// so identical expressions compile once per process; and Refresh re-induces
+// a wrapper from one more marked sample when a redesign outruns its
+// expression (Section 7), for Fleet.Add to swap in. The server heals the
+// same way, gated on traffic: internal/refresh watches for drift, canaries
+// the re-induced wrapper and promotes or rolls it back.
 package wrapper
 
 import (

@@ -124,58 +124,15 @@ var (
 	// ErrDeadlineExceeded reports that a construction or extraction was
 	// abandoned because its context expired or was cancelled.
 	ErrDeadlineExceeded = machine.ErrDeadline
-	// ErrMalformedInput reports undecodable persisted wrappers/fleets or
-	// pages the tokenizer cannot make sense of.
+	// ErrMalformedInput reports undecodable persisted wrappers/fleets.
 	ErrMalformedInput = wrapper.ErrMalformedInput
 	// ErrUnknownKey reports an ExtractFrom against a site key with no
 	// registered wrapper.
 	ErrUnknownKey = wrapper.ErrUnknownKey
-	// ErrQuarantined reports that a site's circuit breaker is open and the
-	// supervisor refused to run its wrapper.
-	ErrQuarantined = wrapper.ErrQuarantined
 	// ErrInternal reports a recovered internal invariant failure — the
 	// facade's recover() backstop converts panics into errors wrapping it.
 	ErrInternal = wrapper.ErrInternal
 )
-
-// Self-healing runtime types, re-exported from internal/wrapper.
-type (
-	// Supervisor runs extractions through the degradation ladder — wrapper
-	// → refresh → fleet probe → structured miss — with a per-site circuit
-	// breaker.
-	Supervisor = wrapper.Supervisor
-	// SupervisorConfig tunes breaker thresholds, cooldowns, refresh retry
-	// policy and the marker used for automatic refresh.
-	SupervisorConfig = wrapper.SupervisorConfig
-	// SiteHealth is a point-in-time snapshot of one site's breaker state
-	// and success/failure counters.
-	SiteHealth = wrapper.SiteHealth
-	// SupervisorResult reports which ladder rung produced a region.
-	SupervisorResult = wrapper.Result
-	// MissReport is the typed error returned when every ladder rung fails.
-	MissReport = wrapper.MissReport
-	// Rung identifies a degradation-ladder level.
-	Rung = wrapper.Rung
-	// BreakerState is a circuit-breaker state (closed/open/half-open).
-	BreakerState = wrapper.BreakerState
-)
-
-// Degradation-ladder rungs and breaker states.
-const (
-	RungWrapper = wrapper.RungWrapper
-	RungRefresh = wrapper.RungRefresh
-	RungProbe   = wrapper.RungProbe
-	RungMiss    = wrapper.RungMiss
-
-	BreakerClosed   = wrapper.BreakerClosed
-	BreakerOpen     = wrapper.BreakerOpen
-	BreakerHalfOpen = wrapper.BreakerHalfOpen
-)
-
-// NewSupervisor wraps a fleet in the self-healing runtime.
-func NewSupervisor(f *Fleet, cfg SupervisorConfig) *Supervisor {
-	return wrapper.NewSupervisor(f, cfg)
-}
 
 // NewTable returns an empty symbol table.
 func NewTable() *Table { return symtab.NewTable() }

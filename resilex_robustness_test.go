@@ -95,32 +95,3 @@ func TestFacadeErrorTaxonomy(t *testing.T) {
 		t.Errorf("unknown key: %v", err)
 	}
 }
-
-// TestFacadeSupervisor runs the re-exported supervisor end to end: ladder
-// rungs, breaker quarantine, and the typed miss report.
-func TestFacadeSupervisor(t *testing.T) {
-	f := NewFleet()
-	f.Add("shop", robustWrapper(t))
-	sup := NewSupervisor(f, SupervisorConfig{
-		BreakerThreshold: 2,
-		Sleep:            func(time.Duration) {},
-	})
-	ctx := context.Background()
-
-	out, err := sup.Extract(ctx, "shop", robustPageB)
-	if err != nil || out.Rung != RungWrapper {
-		t.Fatalf("healthy extract: %+v, %v", out, err)
-	}
-
-	for i := 0; i < 2; i++ {
-		sup.Extract(ctx, "shop", `<i>junk</i>`)
-	}
-	if h := sup.Health("shop"); h.Breaker != BreakerOpen {
-		t.Fatalf("breaker = %v, want open", h.Breaker)
-	}
-	_, err = sup.Extract(ctx, "shop", `<i>junk</i>`)
-	var miss *MissReport
-	if !errors.As(err, &miss) || !errors.Is(err, ErrQuarantined) {
-		t.Fatalf("quarantined: %v", err)
-	}
-}

@@ -4,7 +4,7 @@
 # Two-way: every metric name literal in non-test Go code must appear in the
 # §6 reference tables (no undocumented metrics), and every name documented
 # there must still exist in code (no stale rows). A code literal ending in
-# `_` (e.g. "supervisor_rung_" + kind + "_total") is a runtime-concatenated
+# `_` (e.g. "refresh_canary_" + outcome + "_total") is a runtime-concatenated
 # prefix: it is satisfied by any documented name starting with it, and it
 # marks every documented name it prefixes as live.
 #
@@ -13,7 +13,7 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-PREFIXES='machine|extract|supervisor|wrapper|serve|cluster|refresh|obs|spanner'
+PREFIXES='machine|extract|wrapper|serve|cluster|refresh|obs|spanner'
 TMP=$(mktemp -d)
 trap 'rm -rf "$TMP"' EXIT INT TERM
 
@@ -58,14 +58,14 @@ while IFS= read -r name; do
     if grep -qx "$name" "$TMP/code"; then
         continue
     fi
+    # A loop over the prefix literals, not a read of them: with none in
+    # code, a read would see one empty prefix, which covers every name.
     covered=0
-    while IFS= read -r prefix; do
+    for prefix in $(grep '_$' "$TMP/code" || true); do
         case "$name" in
         "${prefix}"*) covered=1 ;;
         esac
-    done <<EOF
-$(grep '_$' "$TMP/code" || true)
-EOF
+    done
     [ "$covered" = 1 ] || {
         echo "metrics-lint: stale doc row \`$name\` (no code registers it; update DESIGN.md §6)" >&2
         fail=1
