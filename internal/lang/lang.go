@@ -392,13 +392,6 @@ func (l Language) MaxOccurrences(p symtab.Symbol) (max int, bounded bool) {
 	return best[d.Start], true
 }
 
-// BoundedOccurrences reports whether every member of L contains at most a
-// bounded number of p's; when bounded, bound is the least n such that
-// L‖p,m = ∅ for all m > n (so the Algorithm 6.2 loop runs n+1 times).
-func (l Language) BoundedOccurrences(p symtab.Symbol) (bound int, bounded bool) {
-	return l.MaxOccurrences(p)
-}
-
 func usefulStates(d *machine.DFA) []bool {
 	n := d.NumStates()
 	reach := make([]bool, n)

@@ -10,7 +10,6 @@ package rx
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"resilex/internal/symtab"
@@ -426,21 +425,6 @@ func (n *Node) MatchesEpsilon() (bool, bool) {
 		return false, !sawUnknown
 	}
 	return false, false
-}
-
-// SortSubs returns the operands of a union sorted by their printed form,
-// producing a deterministic order for golden tests. Other ops are returned
-// unchanged.
-func SortSubs(n *Node, tab *symtab.Table) *Node {
-	if n.Op != OpUnion {
-		return n
-	}
-	subs := make([]*Node, len(n.Subs))
-	copy(subs, n.Subs)
-	sort.Slice(subs, func(i, j int) bool {
-		return Print(subs[i], tab) < Print(subs[j], tab)
-	})
-	return &Node{Op: OpUnion, Subs: subs}
 }
 
 // GoString renders a debug view of the AST shape (ops only).

@@ -70,9 +70,6 @@ const (
 	opCount // number of kinds; keep last
 )
 
-// NumOpKinds is the size of the op vocabulary.
-const NumOpKinds = int(opCount)
-
 // String names the kind. Hyphenated, not snake_case: these are display
 // labels, and snake_case would collide with the metric-name namespace the
 // metrics lint reserves for the obs registry.
@@ -111,10 +108,11 @@ const maxOps = 48
 const opBytes = 4
 
 // DecodeOps decodes fuzz bytes into a bounded op sequence. The encoding is
-// fixed-width — kind byte (mod NumOpKinds) plus three operand bytes — so
-// the mapping is total: every input decodes, every mutation of an input
-// decodes, and a trailing partial op is simply dropped. Deterministic by
-// construction; the same bytes always replay the same sequence.
+// fixed-width — kind byte (mod the number of kinds) plus three operand
+// bytes — so the mapping is total: every input decodes, every mutation of
+// an input decodes, and a trailing partial op is simply dropped.
+// Deterministic by construction; the same bytes always replay the same
+// sequence.
 func DecodeOps(data []byte) []Op {
 	n := len(data) / opBytes
 	if n > maxOps {

@@ -120,8 +120,8 @@ type opPool struct {
 // machinery: the pristine compiled artifact (never tokenized against, so
 // its table stays exactly what CompileTupleArtifact produced and the
 // encode→decode round trip stays honest), the pool documents tokenized
-// over an identically compiled twin table, and the naive k-nested
-// oracle's full vector enumeration per document.
+// over a clone of its table, and the naive k-nested oracle's full vector
+// enumeration per document.
 type tupleSpec struct {
 	src   string
 	sigma []string
@@ -145,19 +145,15 @@ func buildTupleSpec(src string, sigma []string, docs []string) *tupleSpec {
 	if err != nil {
 		panic(fmt.Sprintf("seqfuzz: compiling pool tuple %q: %v", src, err))
 	}
-	// Tokenize against a twin artifact for the same reason buildSpec does:
-	// mapping interns out-of-Σ tag names, and comp's table must stay
-	// pristine. Σ ids agree across the twins (same names, same order).
-	tok, err := extract.CompileTupleArtifact(src, sigma, opt())
-	if err != nil {
-		panic(fmt.Sprintf("seqfuzz: compiling tuple tokenization twin: %v", err))
-	}
+	// Tokenize over a clone of comp's table for the same reason buildSpec
+	// does: mapping interns out-of-Σ tag names, and comp's table must stay
+	// pristine.
 	ts := &tupleSpec{src: src, sigma: sigma, comp: comp}
-	mapper := htmltok.NewMapper(tok.Tab) // defaults: end tags kept, text dropped
+	mapper := htmltok.NewMapper(comp.Tab.Clone()) // defaults: end tags kept, text dropped
 	for _, html := range docs {
 		word := mapper.Map(html).Syms
 		ts.words = append(ts.words, word)
-		ts.want = append(ts.want, spanner.NaiveTuples(tok.Tuple, word))
+		ts.want = append(ts.want, spanner.NaiveTuples(comp.Tuple, word))
 	}
 	return ts
 }
@@ -259,22 +255,17 @@ func buildSpec(data []byte, docs []string) *payloadSpec {
 	}
 	ps.ref = ref
 
-	// Tokenize the reference documents against a second, identically
-	// compiled artifact: mapping interns out-of-Σ tag names into the table
-	// it runs over, and ps.compiled's table must stay exactly what
-	// CompileArtifact produced or EncodeArtifact's table/re-derivation
-	// agreement breaks. Σ symbol ids are identical across the two tables
-	// (same name list, same interning order), so answers stay comparable.
-	docArt, err := extract.CompileArtifact(ps.src, ps.sigma, opt())
-	if err != nil {
-		panic(fmt.Sprintf("seqfuzz: compiling tokenization artifact: %v", err))
-	}
-	mapper := ps.mapper(docArt.Tab)
+	// Tokenize the reference documents over a clone of ps.compiled's table:
+	// mapping interns out-of-Σ tag names into the table it runs over, and
+	// ps.compiled's table must stay exactly what CompileArtifact produced or
+	// EncodeArtifact's table/re-derivation agreement breaks. The clone keeps
+	// every id, so answers stay comparable.
+	mapper := ps.mapper(compiled.Tab.Clone())
 	ps.docs = make([]docRef, len(docs))
 	for i, html := range docs {
 		doc := mapper.Map(html)
-		dr := docRef{syms: doc.Syms, all: docArt.Matcher.All(doc.Syms)}
-		dr.findPos, dr.findOK = docArt.Matcher.Find(doc.Syms)
+		dr := docRef{syms: doc.Syms, all: compiled.Matcher.All(doc.Syms)}
+		dr.findPos, dr.findOK = compiled.Matcher.Find(doc.Syms)
 		reg, xerr := ref.Extract(html)
 		dr.region = reg
 		dr.class = classOf(xerr)

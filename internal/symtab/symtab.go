@@ -10,6 +10,8 @@ package symtab
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -105,6 +107,15 @@ func (t *Table) Names() []string {
 	out := make([]string, len(t.names))
 	copy(out, t.names)
 	return out
+}
+
+// Clone returns a new table holding the same names under the same ids.
+// Interning into the clone leaves t alone, so a page that may carry unseen
+// names can be tokenized against a clone of a table other holders share.
+func (t *Table) Clone() *Table {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return &Table{ids: maps.Clone(t.ids), names: slices.Clone(t.names)}
 }
 
 // InternAll interns every name and returns the symbols in order.

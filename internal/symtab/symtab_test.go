@@ -87,6 +87,30 @@ func TestConcurrentIntern(t *testing.T) {
 	}
 }
 
+func TestCloneKeepsIDs(t *testing.T) {
+	tab := NewTable()
+	syms := tab.InternAll("P", "H1", "/H1")
+	clone := tab.Clone()
+	if !clone.EqualNames(tab) {
+		t.Fatalf("clone names %v, want %v", clone.Names(), tab.Names())
+	}
+	for i, n := range []string{"P", "H1", "/H1"} {
+		if got := clone.Lookup(n); got != syms[i] {
+			t.Errorf("clone Lookup(%q) = %d, want %d", n, got, syms[i])
+		}
+	}
+	if got := clone.Intern("BLINK"); got != 3 {
+		t.Errorf("clone Intern(BLINK) = %d, want the next id 3", got)
+	}
+	if tab.Len() != 3 || tab.Lookup("BLINK") != None {
+		t.Errorf("interning into the clone changed the original: %v", tab.Names())
+	}
+	tab.Intern("MARQUEE")
+	if clone.Lookup("MARQUEE") != None {
+		t.Errorf("interning into the original changed the clone: %v", clone.Names())
+	}
+}
+
 func TestStringOfSymbols(t *testing.T) {
 	tab := NewTable()
 	syms := tab.InternAll("P", "H1", "/H1")

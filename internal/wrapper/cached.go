@@ -90,10 +90,9 @@ func (p persisted) single(ctx context.Context, opt machine.Options, cache *extra
 		return nil, reparseError(err)
 	}
 	cfg := p.config(opt)
-	mapper := cfg.mapper(comp.Tab)
 	w := &Wrapper{
 		sbox: &streamBox{},
-		tab:  comp.Tab, mapper: mapper, res: mapper.Resolver(comp.Expr.Sigma()),
+		tab:  comp.Tab, res: cfg.mapper(comp.Tab).Resolver(comp.Expr.Sigma()),
 		expr: comp.Expr, matcher: comp.Matcher, cfg: cfg,
 	}
 	if p.Strategy != nil {
@@ -114,7 +113,5 @@ func (p persisted) tuple(ctx context.Context, opt machine.Options, cache *extrac
 	if err != nil {
 		return nil, reparseError(err)
 	}
-	cfg := p.config(opt)
-	mapper := cfg.mapper(comp.Tab)
-	return newTupleWrapper(comp.Tab, mapper, comp.Tuple, cfg, nil, symtab.Alphabet{})
+	return newTupleWrapper(comp.Tab, comp.Tuple, p.config(opt), nil, symtab.Alphabet{})
 }

@@ -4,9 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-
-	"resilex/internal/htmltok"
-	"resilex/internal/symtab"
 )
 
 // LabeledPage is a page with its expected extraction, for wrapper scoring.
@@ -100,17 +97,6 @@ func (r Report) String() string {
 	return b.String()
 }
 
-// scoringMapper returns a tokenizer for labeled pages over a private copy of
-// tab, seeded in id order so its ids agree with tab's. Names a page adds are
-// interned into the copy, never into the wrapper's live table, which every
-// wrapper loaded from one cached artifact shares. Such a name is outside Σ
-// but still gets an id, so a label on it resolves and the page scores Miss.
-func scoringMapper(tab *symtab.Table, cfg Config) (*htmltok.Mapper, *symtab.Table) {
-	t := symtab.NewTable()
-	t.InternAll(tab.Names()...)
-	return cfg.mapper(t), t
-}
-
 // TupleLabeledPage is a page with its expected slot extractions.
 type TupleLabeledPage struct {
 	HTML    string
@@ -121,7 +107,7 @@ type TupleLabeledPage struct {
 // requires every slot to land on its labeled element.
 func (w *TupleWrapper) EvaluateTuple(pages []TupleLabeledPage) Report {
 	var rep Report
-	mapper, tab := scoringMapper(w.tab, w.cfg)
+	mapper, tab := w.cfg.privateMapper(w.tab)
 	for _, pg := range pages {
 		doc := mapper.Map(pg.HTML)
 		if len(pg.Targets) != w.Arity() {
@@ -174,7 +160,7 @@ func (w *TupleWrapper) EvaluateTuple(pages []TupleLabeledPage) Report {
 // error: label-resolution failures are reported per page as BadLabel.
 func (w *Wrapper) Evaluate(pages []LabeledPage) Report {
 	var rep Report
-	mapper, tab := scoringMapper(w.tab, w.cfg)
+	mapper, tab := w.cfg.privateMapper(w.tab)
 	for _, pg := range pages {
 		doc := mapper.Map(pg.HTML)
 		want, err := resolveTarget(doc, Sample{HTML: pg.HTML, Target: pg.Target}, tab)

@@ -131,9 +131,7 @@ func TestRoutesMatchOracle(t *testing.T) {
 // tab: every name outside the wrapper's Σ keeps or gets a table id, where
 // the resolver answers None.
 func oracleMap(tab *symtab.Table, cfg Config, page string) htmltok.Document {
-	cp := symtab.NewTable()
-	cp.InternAll(tab.Names()...)
-	return cfg.mapper(cp).Map(page)
+	return cfg.mapper(tab.Clone()).Map(page)
 }
 
 func regionOf(doc htmltok.Document, pos int) Region {

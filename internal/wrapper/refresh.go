@@ -34,7 +34,10 @@ func (w *Wrapper) Refresh(sample Sample) (*Wrapper, error) {
 // re-induction and every automaton construction poll the deadline, so a
 // refresh against a pathological page returns an error wrapping
 // machine.ErrDeadline instead of running the PSPACE-hard path to completion.
-// On any error the receiver is untouched and remains usable.
+// The receiver is left untouched and usable, on success as on error: the
+// sample is tokenized into a clone of its symbol table, which wrappers
+// loaded from one cached artifact share, and the refreshed wrapper owns
+// that clone.
 func (w *Wrapper) RefreshContext(ctx context.Context, sample Sample) (*Wrapper, error) {
 	if ctx != context.Background() {
 		bounded := w.WithOptions(w.cfg.Options.WithContext(ctx))
@@ -50,21 +53,22 @@ func (w *Wrapper) RefreshContext(ctx context.Context, sample Sample) (*Wrapper, 
 }
 
 func (w *Wrapper) refresh(sample Sample) (*Wrapper, error) {
-	doc := w.mapper.Map(sample.HTML)
-	idx, err := resolveTarget(doc, sample, w.tab)
+	mapper, tab := w.cfg.privateMapper(w.tab)
+	doc := mapper.Map(sample.HTML)
+	idx, err := resolveTarget(doc, sample, tab)
 	if err != nil {
 		return nil, err
 	}
 	if doc.Syms[idx] != w.expr.P() {
 		return nil, fmt.Errorf("wrapper: new sample marks %s, wrapper extracts %s",
-			w.tab.Name(doc.Syms[idx]), w.tab.Name(w.expr.P()))
+			tab.Name(doc.Syms[idx]), tab.Name(w.expr.P()))
 	}
 	if w.examples != nil {
 		// Re-induction path.
 		examples := append(append([]learn.Example(nil), w.examples...),
 			learn.Example{Doc: doc.Syms, Target: idx})
 		sigma := w.sigma.Union(doc.Alphabet())
-		fresh, err := trainExamples(w.tab, w.mapper, examples, sigma, w.cfg)
+		fresh, err := trainExamples(tab, examples, sigma, w.cfg)
 		switch {
 		case err == nil:
 			fresh.strategy += "+refreshed"
@@ -117,7 +121,7 @@ func (w *Wrapper) refresh(sample Sample) (*Wrapper, error) {
 	}
 	return &Wrapper{
 		sbox: &streamBox{},
-		tab:  w.tab, mapper: w.mapper, res: w.mapper.Resolver(expr.Sigma()), expr: expr, matcher: m,
+		tab:  tab, res: mapper.Resolver(expr.Sigma()), expr: expr, matcher: m,
 		strategy: strategy, cfg: w.cfg,
 	}, nil
 }

@@ -3,6 +3,7 @@ package wrapper
 import (
 	"context"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -45,9 +46,8 @@ func TestRefreshLearnsNewLayout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Refresh interned the future page's tags into the table both wrappers
-	// share. Each wrapper still resolves against its own Σ: the refreshed one
-	// streams the page, the original still rejects it.
+	// Each wrapper resolves against its own Σ: the refreshed one streams the
+	// page, the original still rejects it.
 	want, err := w2.Extract(fig1Future)
 	if err != nil {
 		t.Fatal(err)
@@ -122,5 +122,72 @@ func TestRefreshBudgetExhaustion(t *testing.T) {
 		if r, err := wr.Extract(fig1Top); err != nil || !strings.Contains(r.Source, `type="text"`) {
 			t.Errorf("%s wrapper damaged: %q, %v", name, r.Source, err)
 		}
+	}
+}
+
+// TestRefreshLeavesTableAlone: wrappers loaded from one payload through a
+// TieredCache share the cached artifact's symbol table. Refreshing one of
+// them with a page of unseen tags must intern those tags into a copy, so
+// the other wrapper and the artifact keep their table, and the artifact
+// still passes EncodeArtifact's re-derivation check.
+func TestRefreshLeavesTableAlone(t *testing.T) {
+	cache := extract.NewTieredCache(extract.NewCache(4, nil), nil)
+	trained, err := Train([]Sample{
+		{HTML: fig1Top, Target: TargetMarker()},
+		{HTML: fig1Bottom, Target: TargetMarker()},
+	}, fig1Config())
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := trained.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	refreshed, err := LoadCached(payload, machine.Options{}, cache)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := LoadCached(payload, machine.Options{}, cache)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := other.Table().Names()
+	drifted := `<blink>sale</blink><marquee>` + fig1Future + `</marquee>`
+	fresh, err := refreshed.Refresh(Sample{HTML: drifted, Target: TargetMarker()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after := other.Table().Names(); !slices.Equal(after, before) {
+		t.Errorf("Refresh grew the shared table from %v to %v", before, after)
+	}
+	p, err := decodePersisted(payload, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	comp, err := cache.Load(p.Expr, p.Sigma, machine.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := extract.EncodeArtifact(comp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := extract.DecodeArtifact(blob, machine.Options{}); err != nil {
+		t.Errorf("cached artifact no longer round-trips after Refresh: %v", err)
+	}
+	if r, err := fresh.Extract(drifted); err != nil || !strings.Contains(r.Source, `type="text"`) {
+		t.Errorf("refreshed wrapper on the drifted page: %q, %v", r.Source, err)
+	}
+
+	tw, err := TrainTuple([]Sample{{HTML: tupleSample1}}, Config{KeepText: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before = tw.tab.Names()
+	if _, err := tw.Refresh(Sample{HTML: tupleSample2}); err != nil {
+		t.Fatal(err)
+	}
+	if after := tw.tab.Names(); !slices.Equal(after, before) {
+		t.Errorf("tuple Refresh grew the table from %v to %v", before, after)
 	}
 }

@@ -18,12 +18,11 @@ import (
 // expression. Train with TrainTuple on samples whose k target elements all
 // carry the data-target attribute (document order defines slot order).
 type TupleWrapper struct {
-	tab    *symtab.Table
-	mapper *htmltok.Mapper   // training and refresh: interns into tab
-	res    *htmltok.Resolver // live pages, against the tuple's own Σ
-	prog   *spanner.Program  // the multi-split program behind every extraction
-	tuple  *extract.Tuple
-	cfg    Config
+	tab   *symtab.Table
+	res   *htmltok.Resolver // live pages, against the tuple's own Σ
+	prog  *spanner.Program  // the multi-split program behind every extraction
+	tuple *extract.Tuple
+	cfg   Config
 
 	// Training provenance for Refresh; nil for wrappers restored with
 	// LoadTuple.
@@ -35,13 +34,13 @@ type TupleWrapper struct {
 // builds what every request shares, once: the token resolver over the
 // tuple's own Σ and the spanner program. TrainTuple, Refresh and the
 // loaders all construct through it.
-func newTupleWrapper(tab *symtab.Table, mapper *htmltok.Mapper, tuple *extract.Tuple, cfg Config, examples []learn.TupleExample, sigma symtab.Alphabet) (*TupleWrapper, error) {
+func newTupleWrapper(tab *symtab.Table, tuple *extract.Tuple, cfg Config, examples []learn.TupleExample, sigma symtab.Alphabet) (*TupleWrapper, error) {
 	prog, err := spanner.Compile(tuple, cfg.Options)
 	if err != nil {
 		return nil, err
 	}
 	return &TupleWrapper{
-		tab: tab, mapper: mapper, res: mapper.Resolver(tuple.Sigma()), tuple: tuple, cfg: cfg, prog: prog,
+		tab: tab, res: cfg.mapper(tab).Resolver(tuple.Sigma()), tuple: tuple, cfg: cfg, prog: prog,
 		examples: examples, sigma: sigma,
 	}, nil
 }
@@ -80,18 +79,20 @@ func TrainTuple(samples []Sample, cfg Config) (*TupleWrapper, error) {
 		// Maximization failure keeps the induced tuple: correct on the
 		// training distribution, merely less resilient.
 	}
-	return newTupleWrapper(tab, mapper, tuple, cfg, examples, sigma)
+	return newTupleWrapper(tab, tuple, cfg, examples, sigma)
 }
 
 // Refresh re-induces the tuple wrapper with one more marked sample (every
 // data-target in document order is one slot), the tuple analogue of
-// Wrapper.Refresh. Wrappers restored with LoadTuple have no training
-// provenance and cannot be refreshed.
+// Wrapper.Refresh, and like it leaves the receiver's symbol table alone.
+// Wrappers restored with LoadTuple have no training provenance and cannot
+// be refreshed.
 func (w *TupleWrapper) Refresh(sample Sample) (*TupleWrapper, error) {
 	if w.examples == nil {
 		return nil, fmt.Errorf("wrapper: tuple wrapper has no training provenance (restored from JSON); retrain instead")
 	}
-	doc := w.mapper.Map(sample.HTML)
+	mapper, tab := w.cfg.privateMapper(w.tab)
+	doc := mapper.Map(sample.HTML)
 	targets, err := markedIndices(doc, sample.HTML)
 	if err != nil {
 		return nil, err
@@ -108,7 +109,7 @@ func (w *TupleWrapper) Refresh(sample Sample) (*TupleWrapper, error) {
 			tuple = maxed
 		}
 	}
-	return newTupleWrapper(w.tab, w.mapper, tuple, w.cfg, examples, sigma)
+	return newTupleWrapper(tab, tuple, w.cfg, examples, sigma)
 }
 
 // markedIndices returns the token indices of every data-target-marked tag,

@@ -159,9 +159,8 @@ func TestTupleRefresh(t *testing.T) {
 	if len(regions) != 2 {
 		t.Fatalf("regions = %d", len(regions))
 	}
-	// Each wrapper resolves against its own Σ, though the refresh widened
-	// the table they share: the refreshed one finds the record, the
-	// original still finds none.
+	// Each wrapper resolves against its own Σ: the refreshed one finds the
+	// record, the original still finds none.
 	if all, err := w2.ExtractAll(tupleLive); err != nil || len(all) != 1 || !reflect.DeepEqual(all[0], regions) {
 		t.Fatalf("refreshed wrapper: ExtractAll %+v, %v; Extract %+v", all, err, regions)
 	}

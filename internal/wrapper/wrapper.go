@@ -88,8 +88,7 @@ type Config struct {
 
 // Wrapper is a trained, compiled extractor. Create with Train or Load.
 type Wrapper struct {
-	tab    *symtab.Table
-	mapper *htmltok.Mapper // training and refresh: interns into tab
+	tab *symtab.Table
 	// res resolves live pages against the expression's own Σ; every
 	// extraction route shares it, with no lock.
 	res      *htmltok.Resolver
@@ -135,6 +134,16 @@ func (c Config) mapper(tab *symtab.Table) *htmltok.Mapper {
 	return m
 }
 
+// privateMapper returns a tokenizer over a clone of tab, and the clone.
+// Evaluate and Refresh tokenize pages with it, so the names a page adds are
+// interned into the clone, never into tab, which every wrapper loaded from
+// one cached artifact shares. The clone keeps tab's ids. A name a page adds
+// is outside Σ but still gets an id, so a label on it resolves.
+func (c Config) privateMapper(tab *symtab.Table) (*htmltok.Mapper, *symtab.Table) {
+	clone := tab.Clone()
+	return c.mapper(clone), clone
+}
+
 // Train builds a wrapper from marked samples: tokenize → induce → maximize
 // → compile. The returned wrapper records which induction strategy and
 // maximization path were used (see Strategy).
@@ -158,16 +167,16 @@ func Train(samples []Sample, cfg Config) (*Wrapper, error) {
 	for _, t := range cfg.ExtraTags {
 		sigma = sigma.With(tab.Intern(t))
 	}
-	return trainExamples(tab, mapper, examples, sigma, cfg)
+	return trainExamples(tab, examples, sigma, cfg)
 }
 
 // TrainTokens builds a wrapper directly from token-level examples sharing
 // the given symbol table; used by the synthetic-workload experiments.
 func TrainTokens(tab *symtab.Table, examples []learn.Example, sigma symtab.Alphabet, cfg Config) (*Wrapper, error) {
-	return trainExamples(tab, cfg.mapper(tab), examples, sigma, cfg)
+	return trainExamples(tab, examples, sigma, cfg)
 }
 
-func trainExamples(tab *symtab.Table, mapper *htmltok.Mapper, examples []learn.Example, sigma symtab.Alphabet, cfg Config) (*Wrapper, error) {
+func trainExamples(tab *symtab.Table, examples []learn.Example, sigma symtab.Alphabet, cfg Config) (*Wrapper, error) {
 	res, err := learn.Induce(examples, sigma, cfg.Options)
 	if err != nil {
 		return nil, err
@@ -194,7 +203,7 @@ func trainExamples(tab *symtab.Table, mapper *htmltok.Mapper, examples []learn.E
 	}
 	return &Wrapper{
 		sbox: &streamBox{},
-		tab:  tab, mapper: mapper, res: mapper.Resolver(expr.Sigma()), expr: expr, matcher: m,
+		tab:  tab, res: cfg.mapper(tab).Resolver(expr.Sigma()), expr: expr, matcher: m,
 		strategy: strategy, cfg: cfg,
 		examples: examples, sigma: sigma,
 	}, nil
