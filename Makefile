@@ -57,6 +57,7 @@ FUZZ_TARGETS := \
 	FuzzDecodeVersionRecord:./internal/cluster/ \
 	FuzzSpannerOracleEquiv:./internal/spanner/ \
 	FuzzExtractRequestDecode:./internal/serve/ \
+	FuzzTuplesBody:./internal/serve/ \
 	FuzzAPISequence:./internal/seqfuzz/
 
 # One fuzz session per registered target; $(1) is the per-target budget.
@@ -154,12 +155,13 @@ cluster-smoke:
 # oracle and of the chunked tokenizer against Scan. Guards the 0 allocs/op
 # and boundary-straddling invariants ISSUE 8 introduced.
 # It also bounds a warm spanner Run plus All on E22's pages at the vectors
-# it hands out + 16, and the POST /extract body decoder's fast path at 12
-# allocations per body.
+# it hands out + 16, a warm TupleWrapper.ExtractAllTo (the tuples route's
+# pooled session) at the records it hands out + 8, and the POST /extract
+# body decoder's fast path at 12 allocations per body.
 alloc-gate:
 	$(GO) test -run 'TestStreamRunZeroAlloc|TestStreamMatcherEquivalence' -count=1 ./internal/extract/
 	$(GO) test -run 'TestStreamerFeedNoAllocWarm|TestStreamerMatchesScan|TestResolveAllocsFlat|TestResolverSymNoAlloc' -count=1 ./internal/htmltok/
-	$(GO) test -run 'TestStreamZeroAllocWarm|TestStreamMatchesExtract|TestStreamLargePageConstantState' -count=1 ./internal/wrapper/
+	$(GO) test -run 'TestStreamZeroAllocWarm|TestStreamMatchesExtract|TestStreamLargePageConstantState|TestExtractAllToAllocsWarm' -count=1 ./internal/wrapper/
 	$(GO) test -run 'TestRunAllocsWarm' -count=1 ./internal/bench/
 	$(GO) test -run 'TestDecodeExtractRequestAllocs' -count=1 ./internal/serve/
 	$(GO) test -fuzz=FuzzStreamTwoPassEquiv -fuzztime=5s ./internal/extract/

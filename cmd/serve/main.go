@@ -79,7 +79,7 @@
 // GET /debug/traces/{id}. -trace-export appends every traced span to a JSONL
 // file as it completes; -wide-event-sample N emits one wide request event
 // (trace ID, doc bytes, serving rung, duration, result count) to stderr as
-// JSON for every Nth request (0 disables).
+// JSON for every Nth request of each route (0 disables).
 //
 // Router mode serves the same extraction and wrapper routes but owns no
 // fleet: a consistent-hash ring over -peers places every wrapper key on

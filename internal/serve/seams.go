@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 
@@ -63,21 +64,30 @@ func (s *Server) ExtractBatch(ctx context.Context, docs []wrapper.BatchDoc) []wr
 
 // Extract runs the key's active wrapper over html — the probe the refresh
 // controller scores sampled pages with. Tuple keys probe as record
-// extraction: a page yielding no records is a miss.
+// extraction: a page yielding no records is a miss, and the probe stops at
+// the first record.
 func (s *Server) Extract(key, html string) error {
 	switch wr := s.Active(key).(type) {
 	case *wrapper.Wrapper:
 		_, err := wr.Extract(html)
 		return err
 	case *wrapper.TupleWrapper:
-		records, err := wr.ExtractAll(html)
-		if err == nil && len(records) == 0 {
-			err = wrapper.ErrNotExtracted
+		err := wr.ExtractAllTo(context.Background(), []byte(html), func([]wrapper.StreamRegion) error {
+			return errFoundRecord
+		})
+		switch err {
+		case errFoundRecord:
+			return nil
+		case nil:
+			return wrapper.ErrNotExtracted
 		}
 		return err
 	}
 	return fmt.Errorf("no wrapper registered for %q", key)
 }
+
+// errFoundRecord stops a probe's enumeration at its first record.
+var errFoundRecord = errors.New("serve: found a record")
 
 // Sites lists every key with an active wrapper, either kind, sorted.
 func (s *Server) Sites() []string {

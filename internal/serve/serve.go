@@ -63,8 +63,9 @@ type Config struct {
 	CanaryFraction float64
 	// WideEventSample emits one wide request event (trace ID, doc bytes,
 	// serving rung, phase micros, result count) through the observer's
-	// Logger for every Nth request. 0 selects 1 (every request); events are
-	// only emitted when a Logger is installed.
+	// Logger for every Nth request of each surface: batch, stream and
+	// tuples extraction and wrapper PUTs count apart. 0 selects 1 (every
+	// request); events are only emitted when a Logger is installed.
 	WideEventSample int
 	// RestoreLog receives the one-line registry-restore summary printed at
 	// startup. nil selects os.Stderr; harnesses that boot servers in a loop
@@ -99,10 +100,10 @@ type Server struct {
 	mu   sync.RWMutex
 	keys map[string]*keyVersions
 
-	// Wide-event sampling: every wideEvery-th request (per surface) emits
+	// Wide-event sampling: every wideEvery-th request of each surface emits
 	// one wide event through the observer's Logger.
 	wideEvery uint64
-	wideN     atomic.Uint64
+	wideN     [wideSurfaces]atomic.Uint64
 }
 
 // New assembles the serving stack. With Config.CacheDir empty the server is
@@ -325,17 +326,37 @@ func lookupPage[W wrapper.Any](s *Server, w http.ResponseWriter, key, noun strin
 	return wr, ok
 }
 
+// wideSurface is a surface that emits wide events. Each samples on its own
+// counter, so a busy surface cannot keep another's events unlogged.
+type wideSurface int
+
+const (
+	wideRequest wideSurface = iota
+	wideStream
+	wideTuples
+	widePut
+	wideSurfaces
+)
+
+// wideNames are the surfaces' event names.
+var wideNames = [wideSurfaces]string{
+	wideRequest: "serve.request",
+	wideStream:  "serve.stream_request",
+	wideTuples:  "serve.tuples_request",
+	widePut:     "serve.wrapper_put",
+}
+
 // wideEvent emits one sampled wide request event — the single log line that
 // carries everything about a request — when a Logger is installed and the
-// sampling counter selects this request.
-func (s *Server) wideEvent(name string, kv ...any) {
+// surface's sampling counter selects this request.
+func (s *Server) wideEvent(surface wideSurface, kv ...any) {
 	if s.obs == nil || s.obs.Log == nil {
 		return
 	}
-	if (s.wideN.Add(1)-1)%s.wideEvery != 0 {
+	if (s.wideN[surface].Add(1)-1)%s.wideEvery != 0 {
 		return
 	}
-	s.obs.Event(name, kv...)
+	s.obs.Event(wideNames[surface], kv...)
 }
 
 func (s *Server) handleExtract(w http.ResponseWriter, r *http.Request) {
@@ -383,7 +404,7 @@ func (s *Server) handleExtract(w http.ResponseWriter, r *http.Request) {
 	sp.SetAttr("ok", int64(okCount))
 	sp.End()
 	s.obs.Histogram("serve_extract_duration_us").ObserveExemplar(elapsed.Microseconds(), tc.TraceID)
-	s.wideEvent("serve.request",
+	s.wideEvent(wideRequest,
 		"trace", tc.TraceID,
 		"docs", len(docs),
 		"doc_bytes", docBytes,

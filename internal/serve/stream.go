@@ -81,7 +81,7 @@ func (s *Server) handleExtractStream(w http.ResponseWriter, r *http.Request) {
 	sp.SetAttr("ok", boolAttr(res.OK))
 	sp.End()
 	s.obs.Histogram("serve_stream_duration_us").ObserveExemplar(elapsed.Microseconds(), tc.TraceID)
-	s.wideEvent("serve.stream_request",
+	s.wideEvent(wideStream,
 		"trace", tc.TraceID,
 		"key", key,
 		"doc_bytes", body.n,

@@ -297,6 +297,46 @@ func TestWideEventSampling(t *testing.T) {
 	}
 }
 
+// TestWideEventSamplingPerSurface: each surface samples on its own counter.
+// At an interval of 2, two PUTs, ten POST /extract requests alternating
+// with ten POST /extract/tuples requests, then ten stream requests log one
+// put and five events for each page surface. With one counter shared by
+// the surfaces, the alternation logged every batch request and no tuples
+// request.
+func TestWideEventSamplingPerSurface(t *testing.T) {
+	o := obs.New()
+	counts := map[string]int{}
+	o.Log = obs.FuncLogger(func(name string, kv ...any) { counts[name]++ })
+	s, err := New(Config{CacheCap: 8, Observer: o, WideEventSample: 2,
+		Batch: wrapper.BatchOptions{Workers: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for key, payload := range map[string][]byte{"vs": trainedPayload(t), "parts": tuplePayload(t)} {
+		if rec := do(t, s, "PUT", "/wrappers/"+key, payload); rec.Code != http.StatusCreated {
+			t.Fatalf("PUT %s: %d", key, rec.Code)
+		}
+	}
+	body, _ := json.Marshal(extractRequest{Docs: []wrapper.BatchDoc{{Key: "vs", HTML: pageTop}}})
+	for i := 0; i < 10; i++ {
+		if rec := do(t, s, "POST", "/extract", body); rec.Code != http.StatusOK {
+			t.Fatalf("extract %d: %d", i, rec.Code)
+		}
+		if rec := do(t, s, "POST", "/extract/tuples/parts", []byte(tuplesPage)); rec.Code != http.StatusOK {
+			t.Fatalf("tuples %d: %d", i, rec.Code)
+		}
+	}
+	for i := 0; i < 10; i++ {
+		if rec := do(t, s, "POST", "/extract/stream/vs", []byte(pageTop)); rec.Code != http.StatusOK {
+			t.Fatalf("stream %d: %d", i, rec.Code)
+		}
+	}
+	want := map[string]int{"serve.wrapper_put": 1, "serve.request": 5, "serve.tuples_request": 5, "serve.stream_request": 5}
+	if fmt.Sprint(counts) != fmt.Sprint(want) {
+		t.Fatalf("wide events = %v, want %v", counts, want)
+	}
+}
+
 // TestWriteRoutesTraced: every direct write route echoes X-Resilex-Trace
 // and records its span with the op and key, and shard.apply records the
 // error of a failing op of any kind (here a stale promote).

@@ -1,14 +1,20 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
 	"resilex/internal/cluster"
+	"resilex/internal/htmltok"
+	"resilex/internal/machine"
 	"resilex/internal/obs"
 	"resilex/internal/wrapper"
 )
@@ -35,6 +41,16 @@ const tuplesPage = `<h1>Parts List</h1>
 <tr><td>nut M4</td><td>$0.08</td></tr>
 <tr><td>washer M4</td><td>$0.02</td></tr>
 </table>`
+
+// tupleRegion is one slot of one record in the tuples response: the
+// reference shape whose encoding/json encoding the route's writer must
+// reproduce byte for byte.
+type tupleRegion struct {
+	TokenIndex int    `json:"tokenIndex"`
+	Start      int    `json:"start"`
+	End        int    `json:"end"`
+	Source     string `json:"source"`
+}
 
 type tuplesResponse struct {
 	Key     string          `json:"key"`
@@ -287,5 +303,138 @@ func TestExtractDoesNotGrowSymbolTable(t *testing.T) {
 	}
 	if n := tuple.Len(); n != tupleLen {
 		t.Errorf("POST /extract/tuples grew the tuple table from %d to %d names", tupleLen, n)
+	}
+}
+
+// encodeTuples is the reference tuples body: encoding/json's default
+// encoder over the reference shape, as cluster.WriteJSON writes it.
+func encodeTuples(t *testing.T, resp tuplesResponse) []byte {
+	t.Helper()
+	var b bytes.Buffer
+	if err := json.NewEncoder(&b).Encode(resp); err != nil {
+		t.Fatal(err)
+	}
+	return b.Bytes()
+}
+
+// TestTuplesBodyMatchesEncoder: the route writes each record as the cursor
+// yields it, and its bodies equal the reference encoding of ExtractAll's
+// records — on the parts page, on a recordless page, and on a page whose
+// pivot tags carry '&', U+2028 and an invalid UTF-8 byte, each of which
+// encoding/json escapes.
+func TestTuplesBodyMatchesEncoder(t *testing.T) {
+	s, _ := testServer(t)
+	if rec := do(t, s, "PUT", "/wrappers/parts", tuplePayload(t)); rec.Code != http.StatusCreated {
+		t.Fatalf("register tuple wrapper: %d: %s", rec.Code, rec.Body)
+	}
+	tw := s.Active("parts").(*wrapper.TupleWrapper)
+	escapes := "<table><tr><td title=\"a&b\">x</td><td class=\"\u2028\xff\">y</td></tr></table>"
+	for _, page := range []string{tuplesPage, `<h1>empty</h1>`, escapes} {
+		records, err := tw.ExtractAll(page)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := tuplesResponse{Key: "parts", Arity: tw.Arity(), Count: len(records), Records: make([][]tupleRegion, len(records))}
+		for i, rec := range records {
+			want.Records[i] = make([]tupleRegion, len(rec))
+			for j, reg := range rec {
+				want.Records[i][j] = tupleRegion{TokenIndex: reg.TokenIndex, Start: reg.Span.Start, End: reg.Span.End, Source: reg.Source}
+			}
+		}
+		rec := do(t, s, "POST", "/extract/tuples/parts", []byte(page))
+		if rec.Code != http.StatusOK || rec.Header().Get("Content-Type") != "application/json" {
+			t.Fatalf("%.30q: status %d, Content-Type %q", page, rec.Code, rec.Header().Get("Content-Type"))
+		}
+		if wantBody := encodeTuples(t, want); !bytes.Equal(rec.Body.Bytes(), wantBody) {
+			t.Errorf("%.30q: body\n%s\nwant\n%s", page, rec.Body, wantBody)
+		}
+	}
+	body := do(t, s, "POST", "/extract/tuples/parts", []byte(escapes)).Body.String()
+	for _, esc := range []string{`\u003ctd`, `\u0026`, `\u2028`, `\ufffd`, `\"`} {
+		if !strings.Contains(body, esc) {
+			t.Errorf("escapes page body lacks %s: %s", esc, body)
+		}
+	}
+}
+
+// FuzzTuplesBody differentials the tuples route's writer against
+// encoding/json: for an arbitrary key, arity and records, whose sources
+// draw on '<', '>', '&', quotes, control bytes, U+2028, U+2029 and invalid
+// UTF-8, tuplesBody must write exactly what json.NewEncoder writes for the
+// reference shape. data is cut into records of k slots; each slot takes a
+// header byte, which sets its numbers and its source's length, and then
+// that many source bytes. The writer gets one record slice, reused, as
+// ExtractAllTo lends it.
+func FuzzTuplesBody(f *testing.F) {
+	f.Add("parts", 2, uint8(2), []byte("\x04<td>\x09<td x=1>\x04<td>\x05<TD/>"))
+	f.Add("a<b>&c\"\\", 3, uint8(1), []byte("\x0f<td title=\"&\">\x02\x00\x1f\x03\b\f\n\x02\r\t\x01\x7f"))
+	f.Add("k\u2028\u2029", -1, uint8(3), []byte("\x03\xe2\x80\xa8\x03\xe2\x80\xa9\x02\xff\xfe\x02\xe2\x80\x03\xef\xbf\xbd"))
+	f.Add("\xff", 0, uint8(0), []byte("\x00\x00\x00"))
+	f.Fuzz(func(t *testing.T, key string, arity int, slots uint8, data []byte) {
+		k := int(slots % 4)
+		want := tuplesResponse{Key: key, Arity: arity, Records: [][]tupleRegion{}}
+		b := &tuplesBody{}
+		rec := make([]wrapper.StreamRegion, k)
+		for len(data) > 0 {
+			row := make([]tupleRegion, k)
+			if k == 0 {
+				data = data[1:]
+			}
+			for j := range rec {
+				var h int
+				var src []byte
+				if len(data) > 0 {
+					h = int(data[0])
+					n := min(h%32, len(data)-1)
+					src, data = data[1:1+n], data[1+n:]
+				}
+				rec[j] = wrapper.StreamRegion{TokenIndex: h - 128, Span: htmltok.Span{Start: h << 16, End: h * h}, Source: src}
+				row[j] = tupleRegion{TokenIndex: h - 128, Start: h << 16, End: h * h, Source: string(src)}
+			}
+			if err := b.add(rec); err != nil {
+				t.Fatal(err)
+			}
+			want.Records = append(want.Records, row)
+		}
+		want.Count = len(want.Records)
+		w := httptest.NewRecorder()
+		b.write(w, key, arity)
+		if w.Code != http.StatusOK || w.Header().Get("Content-Type") != "application/json" {
+			t.Fatalf("status %d, Content-Type %q", w.Code, w.Header().Get("Content-Type"))
+		}
+		if wantBody := encodeTuples(t, want); !bytes.Equal(w.Body.Bytes(), wantBody) {
+			t.Fatalf("body\n%q\nwant\n%q", w.Body.Bytes(), wantBody)
+		}
+	})
+}
+
+// TestExtractProbeTuples: the refresh probe stops at a tuple key's first
+// record, and answers what it answered when it drained ExtractAll: nil for
+// a page with records, ErrNotExtracted for a recordless page, and the
+// budget error for a forward pass over the node budget.
+func TestExtractProbeTuples(t *testing.T) {
+	s, err := New(Config{CacheCap: 8, Observer: obs.New(), Options: machine.Options{MaxStates: 200}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec := do(t, s, "PUT", "/wrappers/parts", tuplePayload(t)); rec.Code != http.StatusCreated {
+		t.Fatalf("register tuple wrapper: %d: %s", rec.Code, rec.Body)
+	}
+	tw := s.Active("parts").(*wrapper.TupleWrapper)
+	big := "<table>" + strings.Repeat("<tr><td>bolt</td><td>$0.10</td></tr>", 40) + "</table>"
+	var outcomes []string
+	for _, page := range []string{tuplesPage, `<h1>empty</h1>`, big} {
+		records, want := tw.ExtractAll(page)
+		if want == nil && len(records) == 0 {
+			want = wrapper.ErrNotExtracted
+		}
+		got := s.Extract("parts", page)
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("%.30q: probe = %v, ExtractAll gives %v", page, got, want)
+		}
+		outcomes = append(outcomes, fmt.Sprint(errors.Is(got, wrapper.ErrNotExtracted), errors.Is(got, machine.ErrBudget)))
+	}
+	if want := []string{"false false", "true false", "false true"}; !reflect.DeepEqual(outcomes, want) {
+		t.Errorf("probe outcomes (miss, budget) = %v, want %v", outcomes, want)
 	}
 }

@@ -209,7 +209,7 @@ func (s *Server) apply(ctx context.Context, op cluster.Op) (res writeResult, err
 		if op.Kind == cluster.OpPut {
 			// Deferred before the unlock below, so it runs after it.
 			defer func() {
-				s.wideEvent("serve.wrapper_put",
+				s.wideEvent(widePut,
 					"trace", obs.TraceFromContext(ctx).TraceID,
 					"key", op.Key,
 					"version", res.Version,

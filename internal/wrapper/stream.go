@@ -43,9 +43,11 @@ func (w *Wrapper) Stream() (*StreamExtractor, error) {
 	return w.sbox.se, w.sbox.err
 }
 
-// StreamRegion is a streaming extraction result. Source aliases a pooled
-// session buffer and is valid only for the duration of the ExtractReaderTo
-// callback — copy it to keep it.
+// StreamRegion is a borrowed extraction result: StreamExtractor.ExtractReaderTo
+// lends one to its callback, and TupleWrapper.ExtractAllTo lends one per
+// slot of each record. Source aliases a pooled session buffer or the
+// caller's page and is valid only for the duration of the callback — copy
+// it to keep it.
 type StreamRegion struct {
 	TokenIndex int
 	Span       htmltok.Span

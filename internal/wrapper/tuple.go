@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"sync"
 
 	"resilex/internal/extract"
 	"resilex/internal/htmltok"
@@ -18,11 +19,11 @@ import (
 // expression. Train with TrainTuple on samples whose k target elements all
 // carry the data-target attribute (document order defines slot order).
 type TupleWrapper struct {
-	tab   *symtab.Table
-	res   *htmltok.Resolver // live pages, against the tuple's own Σ
-	prog  *spanner.Program  // the multi-split program behind every extraction
-	tuple *extract.Tuple
-	cfg   Config
+	tab      *symtab.Table
+	prog     *spanner.Program // the multi-split program behind every extraction
+	sessions sync.Pool        // *tupleSession, tokenizing live pages against the tuple's own Σ
+	tuple    *extract.Tuple
+	cfg      Config
 
 	// Training provenance for Refresh; nil for wrappers restored with
 	// LoadTuple.
@@ -31,18 +32,54 @@ type TupleWrapper struct {
 }
 
 // newTupleWrapper assembles a tuple wrapper around its compiled tuple and
-// builds what every request shares, once: the token resolver over the
-// tuple's own Σ and the spanner program. TrainTuple, Refresh and the
-// loaders all construct through it.
+// builds what every request shares, once: the spanner program and the pool
+// of page sessions, whose token resolver over the tuple's own Σ they all
+// share. TrainTuple, Refresh and the loaders all construct through it.
 func newTupleWrapper(tab *symtab.Table, tuple *extract.Tuple, cfg Config, examples []learn.TupleExample, sigma symtab.Alphabet) (*TupleWrapper, error) {
 	prog, err := spanner.Compile(tuple, cfg.Options)
 	if err != nil {
 		return nil, err
 	}
-	return &TupleWrapper{
-		tab: tab, res: cfg.mapper(tab).Resolver(tuple.Sigma()), tuple: tuple, cfg: cfg, prog: prog,
-		examples: examples, sigma: sigma,
-	}, nil
+	w := &TupleWrapper{tab: tab, tuple: tuple, cfg: cfg, prog: prog, examples: examples, sigma: sigma}
+	res := cfg.mapper(tab).Resolver(tuple.Sigma())
+	w.sessions.New = func() any {
+		s := &tupleSession{res: res, rec: make([]StreamRegion, prog.Arity())}
+		s.st = htmltok.NewStreamerPtr(s.onToken)
+		s.st.ParseAttrs = len(cfg.AttrKeys) > 0
+		return s
+	}
+	return w, nil
+}
+
+// tupleSession is one extraction's pooled state: a streamer feeding the
+// wrapper's resolver, the symbols and spans of the tokens it keeps, and the
+// k-slot record ExtractAllTo lends each callback. Every buffer is reused
+// across extractions.
+type tupleSession struct {
+	st    *htmltok.Streamer
+	res   *htmltok.Resolver
+	syms  []symtab.Symbol
+	spans []htmltok.Span
+	rec   []StreamRegion
+}
+
+func (s *tupleSession) onToken(rt *htmltok.RawToken) {
+	if sym, ok := s.res.Sym(rt); ok {
+		s.syms = append(s.syms, sym)
+		s.spans = append(s.spans, htmltok.Span{Start: rt.Start, End: rt.End})
+	}
+}
+
+// session takes a session from the pool and tokenizes page into it; the
+// caller puts it back. Tokenizing resets whatever an earlier extraction,
+// failed or panicked, left behind.
+func (w *TupleWrapper) session(page []byte) *tupleSession {
+	s := w.sessions.Get().(*tupleSession)
+	s.syms, s.spans = s.syms[:0], s.spans[:0]
+	s.st.Reset()
+	s.st.Feed(page)
+	s.st.Close()
+	return s
 }
 
 // TrainTuple builds a tuple wrapper from marked samples. Every sample must
@@ -143,14 +180,16 @@ func markedIndices(doc htmltok.Document, html string) ([]int, error) {
 // error wrapping extract.ErrAmbiguous when it holds a second (ExtractAll
 // enumerates them all).
 func (w *TupleWrapper) Extract(html string) ([]Region, error) {
-	doc := w.res.Resolve(html)
-	vector, err := w.unique(doc.Syms)
+	s := w.session([]byte(html))
+	defer w.sessions.Put(s)
+	vector, err := w.unique(s.syms)
 	if err != nil {
 		return nil, err
 	}
 	out := make([]Region, len(vector))
 	for j, pos := range vector {
-		out[j] = Region{TokenIndex: pos, Span: doc.SpanOf(pos), Source: doc.Source(pos)}
+		sp := s.spans[pos]
+		out[j] = Region{TokenIndex: pos, Span: sp, Source: html[sp.Start:sp.End]}
 	}
 	return out, nil
 }
@@ -228,24 +267,46 @@ func (w *TupleWrapper) ExtractAll(html string) ([][]Region, error) {
 // ExtractAllContext is ExtractAll bounded by ctx in addition to the
 // wrapper's own training options.
 func (w *TupleWrapper) ExtractAllContext(ctx context.Context, html string) ([][]Region, error) {
-	doc := w.res.Resolve(html)
-	m, err := w.prog.RunContext(ctx, doc.Syms)
+	records := [][]Region{}
+	err := w.ExtractAllTo(ctx, []byte(html), func(rec []StreamRegion) error {
+		out := make([]Region, len(rec))
+		for j, r := range rec {
+			out[j] = Region{TokenIndex: r.TokenIndex, Span: r.Span, Source: html[r.Span.Start:r.Span.End]}
+		}
+		records = append(records, out)
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	records := [][]Region{}
+	return records, nil
+}
+
+// ExtractAllTo is ExtractAllContext handing each record to fn as the
+// spanner's cursor yields it, in document order, instead of collecting
+// them: the record twin of StreamExtractor.ExtractReaderTo. rec and its
+// Source bytes are borrowed from a pooled session and from page, and are
+// valid only during fn. An error from fn stops the enumeration and is
+// returned as is. The page is tokenized once into pooled arrays; a warm
+// call allocates one vector per record and a constant beyond.
+func (w *TupleWrapper) ExtractAllTo(ctx context.Context, page []byte, fn func(rec []StreamRegion) error) error {
+	s := w.session(page)
+	defer w.sessions.Put(s)
+	m, err := w.prog.RunContext(ctx, s.syms)
+	if err != nil {
+		return err
+	}
 	for {
 		vec, ok, err := m.Next()
-		if err != nil {
-			return nil, err
+		if err != nil || !ok {
+			return err
 		}
-		if !ok {
-			return records, nil
-		}
-		rec := make([]Region, len(vec))
 		for j, pos := range vec {
-			rec[j] = Region{TokenIndex: pos, Span: doc.SpanOf(pos), Source: doc.Source(pos)}
+			sp := s.spans[pos]
+			s.rec[j] = StreamRegion{TokenIndex: pos, Span: sp, Source: page[sp.Start:sp.End]}
 		}
-		records = append(records, rec)
+		if err := fn(s.rec); err != nil {
+			return err
+		}
 	}
 }

@@ -4,12 +4,17 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"resilex/internal/extract"
 	"resilex/internal/machine"
+	"resilex/internal/obs"
+	"resilex/internal/spanner"
 )
 
 const tupleSample1 = `<h1>Parts List</h1>
@@ -358,5 +363,228 @@ func TestTupleExtractMatchesTupleOracle(t *testing.T) {
 	}
 	if none == 0 || one == 0 || ambiguous == 0 {
 		t.Errorf("oracle outcomes: %d none, %d one, %d ambiguous; the differential misses a case", none, one, ambiguous)
+	}
+}
+
+// rowsPage is a parts table of n rows, one record per row under
+// recordsPayload's wrapper.
+func rowsPage(n int) string {
+	var b strings.Builder
+	b.WriteString("<h1>Parts List</h1>\n<table>\n")
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&b, "<tr><td>part %d</td><td>$%d.00</td></tr>\n", i, i)
+	}
+	b.WriteString("</table>")
+	return b.String()
+}
+
+// oracleRecords is spanner.NaiveTuples' records on page, over the oracle's
+// tokenization, in ExtractAll's shape.
+func oracleRecords(tw *TupleWrapper, page string) [][]Region {
+	doc := oracleMap(tw.tab, tw.cfg, page)
+	out := [][]Region{}
+	for _, vec := range spanner.NaiveTuples(tw.Tuple(), doc.Syms) {
+		rec := make([]Region, len(vec))
+		for j, pos := range vec {
+			rec[j] = regionOf(doc, pos)
+		}
+		out = append(out, rec)
+	}
+	return out
+}
+
+// collectTo runs ExtractAllTo over page, copying out every borrowed record.
+func collectTo(ctx context.Context, tw *TupleWrapper, page string) ([][]Region, error) {
+	out := [][]Region{}
+	err := tw.ExtractAllTo(ctx, []byte(page), func(rec []StreamRegion) error {
+		regs := make([]Region, len(rec))
+		for j, sr := range rec {
+			regs[j] = Region{TokenIndex: sr.TokenIndex, Span: sr.Span, Source: string(sr.Source)}
+		}
+		out = append(out, regs)
+		return nil
+	})
+	return out, err
+}
+
+// matchesOracle checks that ExtractAllTo on tw answers the oracle's records
+// on each page.
+func matchesOracle(t *testing.T, tw *TupleWrapper, pages ...string) {
+	t.Helper()
+	for i, page := range pages {
+		got, err := collectTo(context.Background(), tw, page)
+		if want := oracleRecords(tw, page); err != nil || !reflect.DeepEqual(got, want) {
+			t.Errorf("page %d: ExtractAllTo = %+v, %v; oracle %+v", i, got, err, want)
+		}
+	}
+}
+
+// TestExtractAllToPoolHygiene: an extraction that ends early — its deadline
+// expiring mid-enumeration, a MaxStates budget failing the forward pass,
+// an error from fn, a panic in fn — puts a session back that the next
+// ExtractAllTo on the same wrapper reuses cleanly. Every fault strikes a
+// longer page than the check that follows, so a session that kept the
+// longer page's tokens would show it.
+func TestExtractAllToPoolHygiene(t *testing.T) {
+	w, err := LoadTuple(recordsPayload(t), machine.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	big := rowsPage(64)
+	checks := []string{recordsPage, rowsPage(1), `<p>no table</p>`, big}
+	matchesOracle(t, w, checks...)
+
+	t.Run("deadline", func(t *testing.T) {
+		// Far longer than tokenizing the page and its forward pass take.
+		ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+		defer cancel()
+		n := 0
+		err := w.ExtractAllTo(ctx, []byte(big), func([]StreamRegion) error {
+			if n++; n == 2 {
+				<-ctx.Done() // the deadline passes between two records
+			}
+			return nil
+		})
+		if !errors.Is(err, machine.ErrDeadline) || n != 2 {
+			t.Fatalf("after %d records: %v, want a deadline error after 2", n, err)
+		}
+		matchesOracle(t, w, checks...)
+	})
+	t.Run("budget", func(t *testing.T) {
+		small, err := LoadTuple(recordsPayload(t), machine.Options{MaxStates: 200})
+		if err != nil {
+			t.Fatal(err)
+		}
+		called := false
+		err = small.ExtractAllTo(context.Background(), []byte(big), func([]StreamRegion) error {
+			called = true
+			return nil
+		})
+		if !errors.Is(err, machine.ErrBudget) || called {
+			t.Fatalf("64-row page under a 200-node budget: %v (fn called: %v), want a budget error before any record", err, called)
+		}
+		matchesOracle(t, small, recordsPage, rowsPage(1))
+	})
+	t.Run("fn-error", func(t *testing.T) {
+		stop := errors.New("stop")
+		n := 0
+		err := w.ExtractAllTo(context.Background(), []byte(big), func([]StreamRegion) error {
+			n++
+			return stop
+		})
+		if err != stop || n != 1 {
+			t.Fatalf("after %d records: %v, want fn's own error after 1", n, err)
+		}
+		matchesOracle(t, w, checks...)
+	})
+	t.Run("fn-panic", func(t *testing.T) {
+		func() {
+			defer func() {
+				if r := recover(); r != "boom" {
+					t.Fatalf("recovered %v, want fn's panic", r)
+				}
+			}()
+			w.ExtractAllTo(context.Background(), []byte(big), func([]StreamRegion) error { panic("boom") })
+		}()
+		matchesOracle(t, w, checks...)
+	})
+}
+
+// TestExtractAllToAttrKeys: a wrapper whose pivots are attribute-refined
+// names runs its sessions' streamers with ParseAttrs, and answers the
+// oracle's records.
+func TestExtractAllToAttrKeys(t *testing.T) {
+	data, err := json.Marshal(persisted{
+		Version:  1,
+		Kind:     kindTuple,
+		Expr:     `.* <'TD[class=name]'> .* <'TD[class=price]'> .*`,
+		Sigma:    []string{"TABLE", "/TABLE", "TR", "/TR", "TD", "/TD", "TD[class=name]", "TD[class=price]"},
+		AttrKeys: []string{"class"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := LoadTuple(data, machine.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	page := `<table>
+<tr><td class="name">bolt</td><td>-</td><td class="price">$0.10</td></tr>
+<tr><td>-</td><td class="name">nut</td><td class="price">$0.08</td></tr>
+</table>`
+	if recs := oracleRecords(w, page); len(recs) != 3 {
+		t.Fatalf("oracle finds %d records, want 3 (each name before each later price)", len(recs))
+	}
+	matchesOracle(t, w, page, strings.ReplaceAll(page, `class="price"`, `class="cost"`), recordsPage)
+}
+
+// TestExtractAllToConcurrent: goroutines sharing one wrapper, and so its
+// session pool, each answer the oracle's records on a mix of pages.
+func TestExtractAllToConcurrent(t *testing.T) {
+	w, err := LoadTuple(recordsPayload(t), machine.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pages := []string{recordsPage, rowsPage(40), `<p>no table</p>`, rowsPage(3), "<blink>" + recordsPage + "</blink>"}
+	want := make([][][]Region, len(pages))
+	for i, page := range pages {
+		want[i] = oracleRecords(w, page)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				p := (g + i) % len(pages)
+				got, err := collectTo(context.Background(), w, pages[p])
+				if err != nil || !reflect.DeepEqual(got, want[p]) {
+					t.Errorf("goroutine %d, page %d: %+v, %v; oracle %+v", g, p, got, err, want[p])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestExtractAllToAllocsWarm bounds a warm ExtractAllTo, with an observer
+// in the context as on the tuples route: the page's tokens go into the
+// pooled session and the DAG into the pooled arena, so the allocations are
+// the vector the spanner hands out per record plus a constant for the run.
+// The constant measures 8 at both 8 and 96 rows: the spanner's cursor, and
+// seven for its spanner.run phase (the phase, its span, the span's context,
+// two attributes and two metric-name strings).
+func TestExtractAllToAllocsWarm(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates and drops pooled sessions and arenas")
+	}
+	const perRun = 8
+	w, err := LoadTuple(recordsPayload(t), machine.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := obs.NewContext(context.Background(), obs.New())
+	for _, rows := range []int{8, 96} {
+		page := []byte(rowsPage(rows))
+		n := 0
+		count := func([]StreamRegion) error { n++; return nil }
+		for i := 0; i < 4; i++ { // warm the pools and the counters
+			if err := w.ExtractAllTo(ctx, page, count); err != nil {
+				t.Fatal(err)
+			}
+		}
+		allocs := testing.AllocsPerRun(50, func() {
+			n = 0
+			if err := w.ExtractAllTo(ctx, page, count); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if n != rows {
+			t.Fatalf("%d rows: %d records", rows, n)
+		}
+		if allocs > float64(rows+perRun) {
+			t.Errorf("%d rows: warm ExtractAllTo allocates %.0f times, want at most %d (records + %d)", rows, allocs, rows+perRun, perRun)
+		}
 	}
 }
