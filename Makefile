@@ -156,8 +156,9 @@ cluster-smoke:
 # and boundary-straddling invariants ISSUE 8 introduced.
 # It also bounds a warm spanner Run plus All on E22's pages at the vectors
 # it hands out + 16, a warm TupleWrapper.ExtractAllTo (the tuples route's
-# pooled session) at the records it hands out + 8, and the POST /extract
-# body decoder's fast path at 12 allocations per body.
+# pooled session, reading each record off the spanner's borrowed vector) at
+# 6 allocations whatever the number of records, and the POST /extract body
+# decoder's fast path at 12 allocations per body.
 alloc-gate:
 	$(GO) test -run 'TestStreamRunZeroAlloc|TestStreamMatcherEquivalence' -count=1 ./internal/extract/
 	$(GO) test -run 'TestStreamerFeedNoAllocWarm|TestStreamerMatchesScan|TestResolveAllocsFlat|TestResolverSymNoAlloc' -count=1 ./internal/htmltok/

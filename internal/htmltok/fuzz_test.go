@@ -1,6 +1,7 @@
 package htmltok
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -41,43 +42,111 @@ func FuzzScan(f *testing.F) {
 	})
 }
 
+// mixMapper returns a mapper over tab under one mix of settings: bit 0
+// KeepText, bit 1 end tags dropped, bit 2 Skip, bit 3 AttrKeys.
+func mixMapper(tab *symtab.Table, mix int) *Mapper {
+	m := NewMapper(tab)
+	m.KeepText = mix&1 != 0
+	m.KeepEndTags = mix&2 == 0
+	if mix&4 != 0 {
+		m.Skip = map[string]bool{"BR": true, "P": true, "SCRIPT": true}
+	}
+	if mix&8 != 0 {
+		m.AttrKeys = []string{"type", "name"}
+	}
+	return m
+}
+
+// halfResolver interns into tab the names mapReference meets on the first
+// half of src and returns mix's resolver over Σ = those names, so that both
+// names in Σ and names outside it (None) occur on src.
+func halfResolver(tab *symtab.Table, src string, mix int) *Resolver {
+	m := mixMapper(tab, mix)
+	mapReference(m, src[:len(src)/2], true)
+	return m.Resolver(symtab.NewAlphabet(symtab.NewTable().InternAll(tab.Names()...)...))
+}
+
+// sameDoc fails the test unless got and want hold the same symbols and
+// spans.
+func sameDoc(t *testing.T, what string, got, want Document) {
+	t.Helper()
+	if !reflect.DeepEqual(got.Syms, want.Syms) || !reflect.DeepEqual(got.Spans, want.Spans) {
+		t.Fatalf("%s:\n got %v %v\nwant %v %v", what, got.Syms, got.Spans, want.Syms, want.Spans)
+	}
+}
+
 // checkMapMatchesReference compares Map and a Resolver's Resolve with
-// mapReference on src under one mix of mapper settings (bit 0 KeepText,
-// bit 1 end tags dropped, bit 2 Skip, bit 3 AttrKeys): the symbols, the
-// spans and the table's names in interning order must all agree.
+// mapReference on src under one mix of mapper settings (see mixMapper):
+// the symbols, the spans and the table's names in interning order must all
+// agree.
 func checkMapMatchesReference(t *testing.T, src string, mix int) {
 	t.Helper()
-	mapper := func(tab *symtab.Table) *Mapper {
-		m := NewMapper(tab)
-		m.KeepText = mix&1 != 0
-		m.KeepEndTags = mix&2 == 0
-		if mix&4 != 0 {
-			m.Skip = map[string]bool{"BR": true, "P": true, "SCRIPT": true}
-		}
-		if mix&8 != 0 {
-			m.AttrKeys = []string{"type", "name"}
-		}
-		return m
-	}
-	same := func(op string, got, want Document, gotTab, wantTab *symtab.Table) {
+	sameNames := func(op string, got, want *symtab.Table) {
 		t.Helper()
-		if !reflect.DeepEqual(got.Syms, want.Syms) || !reflect.DeepEqual(got.Spans, want.Spans) {
-			t.Fatalf("mix %d: %s(%q):\n got %v %v\nwant %v %v", mix, op, src, got.Syms, got.Spans, want.Syms, want.Spans)
-		}
-		if g, w := gotTab.Names(), wantTab.Names(); !reflect.DeepEqual(g, w) {
+		if g, w := got.Names(), want.Names(); !reflect.DeepEqual(g, w) {
 			t.Fatalf("mix %d: %s(%q) interned %q, want %q", mix, op, src, g, w)
 		}
 	}
 	wantTab, gotTab := symtab.NewTable(), symtab.NewTable()
-	want := mapReference(mapper(wantTab), src, true)
-	same("Map", mapper(gotTab).Map(src), want, gotTab, wantTab)
+	want := mapReference(mixMapper(wantTab, mix), src, true)
+	sameDoc(t, fmt.Sprintf("mix %d: Map(%q)", mix, src), mixMapper(gotTab, mix).Map(src), want)
+	sameNames("Map", gotTab, wantTab)
 
-	// Resolve over Σ = the names of the first half, so both names in Σ and
-	// names outside it (None) occur.
 	half := symtab.NewTable()
-	mapReference(mapper(half), src[:len(src)/2], true)
-	names := symtab.NewTable()
-	sigma := symtab.NewAlphabet(names.InternAll(half.Names()...)...)
-	want = mapReference(mapper(half), src, false)
-	same("Resolve", mapper(half).Resolver(sigma).Resolve(src), want, half, names)
+	r := halfResolver(half, src, mix)
+	names := half.Names()
+	want = mapReference(mixMapper(half, mix), src, false)
+	sameDoc(t, fmt.Sprintf("mix %d: Resolve(%q)", mix, src), r.Resolve(src), want)
+	if got := half.Names(); !reflect.DeepEqual(got, names) {
+		t.Fatalf("mix %d: Resolve(%q) grew the table to %q", mix, src, got)
+	}
+}
+
+// resolveChunks feeds src to r's Streamer in two pieces, cut at cut, and
+// keeps the tokens Sym does not drop: a serving session's pass. It also
+// returns every token the streamer sent.
+func resolveChunks(r *Resolver, src string, cut int) (Document, []Token) {
+	var doc Document
+	var sent []Token
+	s := r.Streamer(func(tok *RawToken) {
+		sent = append(sent, Token{Kind: tok.Kind, Name: string(tok.Name), Start: tok.Start, End: tok.End})
+		if sym, ok := r.Sym(tok); ok {
+			doc.Syms = append(doc.Syms, sym)
+			doc.Spans = append(doc.Spans, Span{tok.Start, tok.End})
+		}
+	})
+	s.Feed([]byte(src[:cut]))
+	s.Feed([]byte(src[cut:]))
+	s.Close()
+	return doc, sent
+}
+
+// checkResolverChunks feeds src in two pieces, cut at cut, through a
+// resolver-built streamer under every mix of mapper settings. The streamer
+// must send Scan's tokens, less the Text tokens when the resolver drops
+// text, and Sym must resolve them as mapReference maps the whole: dropped
+// text, and a cut inside a tag name, change no symbol and no span.
+func checkResolverChunks(t *testing.T, src string, cut int) {
+	t.Helper()
+	all := scanTokens(src, false)
+	var tags []Token
+	for _, tok := range all {
+		if tok.Kind != Text {
+			tags = append(tags, tok)
+		}
+	}
+	for mix := 0; mix < 16; mix++ {
+		tab := symtab.NewTable()
+		r := halfResolver(tab, src, mix)
+		what := fmt.Sprintf("mix %d: %q cut at %d", mix, src, cut)
+		doc, sent := resolveChunks(r, src, cut)
+		want := tags
+		if r.keepText {
+			want = all
+		}
+		if !tokensEqual(sent, want) {
+			t.Fatalf("%s: streamer sent\n %+v\nwant %+v", what, sent, want)
+		}
+		sameDoc(t, what, doc, mapReference(mixMapper(tab, mix), src, false))
+	}
 }

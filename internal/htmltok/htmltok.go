@@ -9,9 +9,19 @@
 // malformed input — stray '<' characters degrade to text, in the spirit of
 // browser error recovery — because wrappers must tokenize whatever a web
 // server returns. Every route tokenizes with the resumable, allocation-free
-// Streamer: Mapper.Map and Resolver.Resolve feed it a whole page, the stream
-// route feeds it request chunks. Scan, its materialized twin, serves callers
-// that want Token values with attributes.
+// Streamer: Mapper.Map, Resolver.Resolve and the tuples route's pooled
+// session feed it a whole page, the stream route's session feeds it request
+// chunks. Serving streamers come from Resolver.Streamer and do each job
+// once: one loop over a tag name finds its end and upper-cases it, and text
+// the resolver drops is skipped from '<' to '<' without being trimmed, sent
+// or carried across chunks.
+//
+// Scan, the Streamer's materialized twin, is the reference it is fuzzed
+// against, and serves callers that want Token values with attributes:
+// training's marker lookup and internal/perturb. Scan and Mapper.StreamSym
+// also stay exported because the serving benchmark (benchmark/) calls
+// them; moving Scan into the tests waits until the benchmark no longer
+// does.
 package htmltok
 
 import (
@@ -278,9 +288,9 @@ type Span struct{ Start, End int }
 
 // Mapper converts raw tokens into the symbol-string abstraction over a
 // shared, growing symbol table. Training and refresh use it through Map,
-// which interns; StreamSym is its table-backed lookup. Serving resolves
-// against a Resolver frozen from the Mapper over one wrapper's Σ instead, so
-// no serving path takes the table's lock. The zero value is not usable;
+// which interns; StreamSym is its lookup that never interns. Serving
+// resolves against a Resolver frozen from the Mapper over one wrapper's Σ
+// instead, so no serving path takes the table's lock. The zero value is not usable;
 // construct with NewMapper.
 type Mapper struct {
 	tab *symtab.Table
@@ -298,10 +308,11 @@ type Mapper struct {
 	// Skip lists upper-case tag names to drop entirely (e.g. BR, HR).
 	Skip map[string]bool
 
-	// endBuf is StreamSym's end-tag scratch ("/NAME"). It makes StreamSym
-	// single-goroutine state, unlike Map; StreamSym callers hold one Mapper
-	// per goroutine.
+	// endBuf is StreamSym's end-tag scratch ("/NAME") and frozen its
+	// resolver over the whole table. They make StreamSym single-goroutine
+	// state, unlike Map; StreamSym callers hold one Mapper per goroutine.
 	endBuf []byte
+	frozen *Resolver
 }
 
 // NewMapper returns a Mapper with the paper's defaults: end tags kept, text
@@ -327,22 +338,27 @@ type Document struct {
 // serves concurrent calls.
 func (m *Mapper) Map(html string) Document {
 	var end []byte
-	return tokenize(html, len(m.AttrKeys) > 0, func(t *RawToken) (symtab.Symbol, bool) {
+	return tokenize(html, m.streamer, func(t *RawToken) (symtab.Symbol, bool) {
 		return m.resolve(t, true, &end)
 	})
 }
 
-// tokenize feeds html to a Streamer in one chunk and keeps each token sym
-// does not drop.
-func tokenize(html string, parseAttrs bool, sym func(*RawToken) (symtab.Symbol, bool)) Document {
+// streamer returns a streamer configured as Resolver.Streamer configures
+// one for the mapper's settings.
+func (m *Mapper) streamer(emit func(*RawToken)) *Streamer {
+	return newStreamer(emit, len(m.AttrKeys) > 0, m.KeepText)
+}
+
+// tokenize feeds html in one chunk to the streamer newStreamer builds and
+// keeps each token sym does not drop.
+func tokenize(html string, newStreamer func(func(*RawToken)) *Streamer, sym func(*RawToken) (symtab.Symbol, bool)) Document {
 	doc := Document{HTML: html}
-	s := NewStreamerPtr(func(t *RawToken) {
+	s := newStreamer(func(t *RawToken) {
 		if sym, ok := sym(t); ok {
 			doc.Syms = append(doc.Syms, sym)
 			doc.Spans = append(doc.Spans, Span{t.Start, t.End})
 		}
 	})
-	s.ParseAttrs = parseAttrs
 	s.Feed([]byte(html))
 	s.Close()
 	return doc

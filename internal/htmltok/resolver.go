@@ -22,6 +22,7 @@ import "resilex/internal/symtab"
 // case-sensitive meaning: it never matches a token.
 type Resolver struct {
 	slots    []resolverSlot // power-of-two length, at most half full
+	text     symtab.Symbol  // the #text slot's start outcome
 	keepText bool
 	keepEnd  bool
 	attrKeys []string
@@ -73,7 +74,16 @@ func (m *Mapper) Resolver(sigma symtab.Alphabet) *Resolver {
 			entry(name).skip = true
 		}
 	}
+	r.text = probe(r.slots, TextSymbolName).start
 	return r
+}
+
+// Streamer returns a streamer whose tokens Sym resolves: ParseAttrs is set
+// when AttrKeys refine symbols, and when the resolver drops text, text runs
+// are skipped without being trimmed, sent or carried across chunks. Every
+// serving route builds its streamer here.
+func (r *Resolver) Streamer(emit func(*RawToken)) *Streamer {
+	return newStreamer(emit, len(r.attrKeys) > 0, r.keepText)
 }
 
 // probe returns name's slot, or the free slot that ends its probe
@@ -105,7 +115,7 @@ func (r *Resolver) Sym(t *RawToken) (sym symtab.Symbol, ok bool) {
 		if !r.keepText {
 			return symtab.None, false
 		}
-		return probe(r.slots, TextSymbolName).start, true
+		return r.text, true
 	case EndTag:
 		if !r.keepEnd {
 			return symtab.None, false
@@ -128,7 +138,7 @@ func (r *Resolver) Sym(t *RawToken) (sym symtab.Symbol, ok bool) {
 }
 
 // Resolve tokenizes html and resolves its tokens against Σ: the in-memory
-// twin of feeding the page through a Streamer into Sym.
+// twin of feeding the page through the resolver's Streamer into Sym.
 func (r *Resolver) Resolve(html string) Document {
-	return tokenize(html, len(r.attrKeys) > 0, r.Sym)
+	return tokenize(html, r.Streamer, r.Sym)
 }

@@ -2,6 +2,7 @@ package htmltok
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"resilex/internal/symtab"
@@ -67,4 +68,41 @@ func TestResolverSymNoAlloc(t *testing.T) {
 		t.Fatalf("resolver lookups allocated %.1f times per pass, want 0", allocs)
 	}
 	_ = sink
+}
+
+// TestDroppedTextLeavesCarryBounded: a streamer whose resolver drops text
+// consumes a text run or raw-text content as it scans it, so a long one fed
+// in small chunks never builds up in the carry: at most a '<' still being
+// classified (three bytes), or the last bytes a raw-text close could start
+// in. The tags around the dropped bytes keep Scan's spans.
+func TestDroppedTextLeavesCarryBounded(t *testing.T) {
+	tab := symtab.NewTable()
+	r := NewMapper(tab).Resolver(symtab.NewAlphabet(tab.InternAll("P", "SCRIPT", "/SCRIPT", "BR")...))
+	long := strings.Repeat("a < b ", 20000)
+	for _, src := range []string{
+		"<p>" + long + "<br>",
+		"<script>" + long + "</script><br>",
+		"<p>" + long + "<!-",
+	} {
+		var got []Token
+		s := r.Streamer(func(tok *RawToken) {
+			got = append(got, Token{Kind: tok.Kind, Name: string(tok.Name), Start: tok.Start, End: tok.End})
+		})
+		for off := 0; off < len(src); off += 1000 {
+			s.Feed([]byte(src[off:min(off+1000, len(src))]))
+			if len(s.carry) >= len("</script") {
+				t.Fatalf("%.12q…: carry holds %d bytes after the chunk at %d", src, len(s.carry), off)
+			}
+		}
+		s.Close()
+		var want []Token
+		for _, tok := range scanTokens(src, false) {
+			if tok.Kind != Text {
+				want = append(want, tok)
+			}
+		}
+		if !tokensEqual(got, want) {
+			t.Fatalf("%.12q…: sent %+v, want %+v", src, got, want)
+		}
+	}
 }

@@ -43,7 +43,9 @@ const (
 // arbitrary slices via Feed, tokens are delivered to the emit callback, by
 // pointer to the one RawToken the streamer owns, in exactly the order — and
 // with exactly the spans — Scan would produce for the concatenated input
-// (FuzzStreamerChunks enforces this byte-for-byte).
+// (FuzzStreamerChunks enforces this byte-for-byte). A serving streamer from
+// Resolver.Streamer whose resolver drops text omits Scan's Text tokens and
+// delivers the rest unchanged (FuzzStreamerChunks checks that too).
 // Constructs that straddle a chunk boundary are carried over and resumed, so
 // no token, tag name or multi-byte UTF-8 sequence is ever split by chunking.
 //
@@ -56,12 +58,13 @@ type Streamer struct {
 	// tag; leave it off unless the mapper refines symbols with AttrKeys.
 	ParseAttrs bool
 
-	emit  func(*RawToken)
-	tok   RawToken // the token being delivered; see RawToken
-	carry []byte   // pending construct bytes, starting at its first byte
-	base  int      // absolute stream offset of the work buffer's first byte
-	state streamState
-	scan  int // resume offset within the pending construct (state-specific)
+	emit     func(*RawToken)
+	dropText bool     // text is neither trimmed, sent nor carried; see newStreamer
+	tok      RawToken // the token being delivered; see RawToken
+	carry    []byte   // pending construct bytes, starting at its first byte
+	base     int      // absolute stream offset of the work buffer's first byte
+	state    streamState
+	scan     int // resume offset within the pending construct (state-specific)
 
 	rawSeq  []byte // lower-cased close sequence, e.g. "</script"
 	nameBuf []byte // upper-cased tag-name scratch, aliased by RawToken.Name
@@ -74,6 +77,13 @@ type Streamer struct {
 // pointer; the pointer is valid only during the call (see RawToken).
 func NewStreamerPtr(emit func(*RawToken)) *Streamer {
 	return &Streamer{emit: emit}
+}
+
+// newStreamer returns a streamer for a consumer that maps tokens to
+// symbols (see Resolver.Streamer); with keepText off it skips every text
+// run and raw-text content without trimming, sending or carrying it.
+func newStreamer(emit func(*RawToken), parseAttrs, keepText bool) *Streamer {
+	return &Streamer{emit: emit, ParseAttrs: parseAttrs, dropText: !keepText}
 }
 
 // NewStreamer returns a streamer delivering a copy of each token to emit.
@@ -187,6 +197,32 @@ func classifyLt(b []byte, i int, atEOF bool) (ltClass, bool) {
 
 var commentEnd = []byte("-->")
 
+// construct is the state, and the resume offset within it, that a '<' of
+// class cl starts.
+func construct(cl ltClass) (streamState, int) {
+	switch cl {
+	case clStray: // the '<' joins a text run
+		return stText, 1
+	case clComment:
+		return stComment, 4
+	case clDoctype:
+		return stDoctype, 2
+	}
+	return stTag, 0 // clTag, clTagClose
+}
+
+// nameByte maps a tag-name byte to its upper-case form, and every byte that
+// ends a name (anything but an ASCII letter or digit) to 0.
+var nameByte = func() (t [256]byte) {
+	for c := '0'; c <= '9'; c++ {
+		t[c] = byte(c)
+	}
+	for c := 'A'; c <= 'Z'; c++ {
+		t[c], t[c+'a'-'A'] = byte(c), byte(c)
+	}
+	return t
+}()
+
 // process scans the work buffer, emitting every construct that completes
 // within it, and returns the number of bytes consumed. The unconsumed tail
 // (the pending construct) must be carried into the next call; s.state and
@@ -216,46 +252,45 @@ func (s *Streamer) process(b []byte, atEOF bool) int {
 				save(stLt, 0)
 				return start
 			}
-			switch cl {
-			case clComment:
-				state, scan = stComment, 4
-			case clDoctype:
-				state, scan = stDoctype, 2
-			case clTag, clTagClose:
-				state, scan = stTag, 0
-			default: // clStray: the '<' joins a text run
-				state, scan = stText, 1
-			}
+			state, scan = construct(cl)
 		case stLt:
 			// More bytes (or EOF) arrived: re-classify the pending '<'.
 			state, scan = stNone, 0
 		case stText:
-			i := start + scan
-			for i < n {
-				if b[i] != '<' {
-					i++
-					continue
+			// Jump from '<' to '<': only a '<' can end a text run.
+			i, cl, need := start+scan, clStray, false
+			for {
+				j := bytes.IndexByte(b[i:], '<')
+				if j < 0 {
+					i = n
+					break
 				}
-				cl, need := classifyLt(b, i, atEOF)
-				if need {
-					save(stText, i-start)
-					return start
+				i += j
+				if cl, need = classifyLt(b, i, atEOF); need || cl != clStray {
+					break
 				}
-				if cl == clStray {
-					i++
-					continue
-				}
-				break
+				i++
 			}
-			if i >= n && !atEOF {
-				save(stText, n-start)
+			if need || i >= n && !atEOF {
+				// The run goes on past the buffer, or the '<' at i needs more
+				// bytes to classify. A dropped run is consumed up to i, so
+				// the carry never holds it.
+				if s.dropText {
+					start = i
+				}
+				save(stText, i-start)
 				return start
 			}
 			// Flush the run [start, i): a construct begins at i, or EOF.
-			if len(bytes.TrimSpace(b[start:i])) != 0 {
+			if !s.dropText && len(bytes.TrimSpace(b[start:i])) != 0 {
 				s.send(Text, nil, b, start, i, nil)
 			}
-			start, state, scan = i, stNone, 0
+			start = i
+			if i >= n {
+				state, scan = stNone, 0
+			} else {
+				state, scan = construct(cl)
+			}
 		case stComment:
 			from := start + scan
 			if idx := bytes.Index(b[from:n], commentEnd); idx >= 0 {
@@ -298,46 +333,59 @@ func (s *Streamer) process(b []byte, atEOF bool) int {
 			if closing {
 				nameStart++
 			}
-			end, kind, nameEnd, ok := streamTag(b, nameStart, closing)
+			// One pass over the name finds its end and upper-cases it into
+			// nameBuf.
+			name := s.nameBuf[:0]
+			nameEnd := nameStart
+			for ; nameEnd < n; nameEnd++ {
+				c := nameByte[b[nameEnd]]
+				if c == 0 {
+					break
+				}
+				name = append(name, c)
+			}
+			s.nameBuf = name
+			end, kind, ok := streamTag(b, nameEnd, closing)
 			if !ok && !atEOF {
 				// Tags are small; re-scanning from the tag start on resume
 				// is cheaper than carrying the mid-attribute quote state.
 				save(stTag, 0)
 				return start
 			}
-			s.nameBuf = appendUpperASCII(s.nameBuf[:0], b[nameStart:nameEnd])
 			var attrs []Attr
 			if s.ParseAttrs {
 				tok, _ := scanTag(string(b[start:end]), 0, nameStart-start, closing)
 				attrs, kind = tok.Attrs, tok.Kind
 			}
-			s.send(kind, s.nameBuf, b, start, end, attrs)
+			s.send(kind, name, b, start, end, attrs)
 			start, state, scan = end, stNone, 0
-			if kind == StartTag && isRawText(s.nameBuf) {
+			if kind == StartTag && isRawText(name) {
 				s.rawSeq = append(s.rawSeq[:0], '<', '/')
-				for _, c := range b[nameStart:nameEnd] {
-					if 'A' <= c && c <= 'Z' {
-						c += 'a' - 'A'
-					}
-					s.rawSeq = append(s.rawSeq, c)
+				for _, c := range name {
+					s.rawSeq = append(s.rawSeq, c+'a'-'A') // raw-text names are letters
 				}
 				state = stRaw
 			}
 		case stRaw:
+			// Jump from '<' to '<' while the close sequence can still fit.
 			seq := s.rawSeq
 			found := -1
 			for i := start + scan; i+len(seq) <= n; i++ {
-				if foldHasPrefix(b[i:], seq) {
+				j := bytes.IndexByte(b[i:n-len(seq)+1], '<')
+				if j < 0 {
+					break
+				}
+				if i += j; foldHasPrefix(b[i:], seq) {
 					found = i
 					break
 				}
 			}
 			if found >= 0 {
-				if len(bytes.TrimSpace(b[start:found])) != 0 {
+				if !s.dropText && len(bytes.TrimSpace(b[start:found])) != 0 {
 					s.send(Text, nil, b, start, found, nil)
 				}
 				// The close tag itself goes through the normal tag path.
-				start, state, scan = found, stNone, 0
+				start, state, scan = found, stTag, 0
 				continue
 			}
 			if atEOF {
@@ -348,6 +396,10 @@ func (s *Streamer) process(b []byte, atEOF bool) int {
 			sc := n - start - len(seq) + 1
 			if sc < 0 {
 				sc = 0
+			}
+			if s.dropText {
+				// Keep only the bytes a close sequence could still start in.
+				start, sc = start+sc, 0
 			}
 			save(stRaw, sc)
 			return start
@@ -369,17 +421,14 @@ func (s *Streamer) send(kind Kind, name, b []byte, start, end int, attrs []Attr)
 	s.emit(t)
 }
 
-// streamTag walks a tag over bytes, replicating scanTag's control flow
-// without building strings. ok=false means the buffer ended before the
-// tag's structural '>' (the caller carries it; at EOF the partial walk is
-// final, exactly as scanTag treats end of input).
-func streamTag(b []byte, nameStart int, closing bool) (end int, kind Kind, nameEnd int, ok bool) {
+// streamTag walks a tag's attributes over bytes from the end of its name,
+// replicating scanTag's control flow without building strings. ok=false
+// means the buffer ended before the tag's structural '>' (the caller carries
+// it; at EOF the partial walk is final, exactly as scanTag treats end of
+// input).
+func streamTag(b []byte, nameEnd int, closing bool) (end int, kind Kind, ok bool) {
 	n := len(b)
-	i := nameStart
-	for i < n && (isAlpha(b[i]) || b[i] >= '0' && b[i] <= '9') {
-		i++
-	}
-	nameEnd = i
+	i := nameEnd
 	kind = StartTag
 	if closing {
 		kind = EndTag
@@ -435,19 +484,7 @@ func streamTag(b []byte, nameStart int, closing bool) (end int, kind Kind, nameE
 			}
 		}
 	}
-	return i, kind, nameEnd, ok
-}
-
-// appendUpperASCII appends src to dst upper-casing ASCII letters, leaving
-// every other byte (including invalid UTF-8) untouched.
-func appendUpperASCII(dst, src []byte) []byte {
-	for _, c := range src {
-		if 'a' <= c && c <= 'z' {
-			c -= 'a' - 'A'
-		}
-		dst = append(dst, c)
-	}
-	return dst
+	return i, kind, ok
 }
 
 // foldHasPrefix reports whether ASCII-lowercased b starts with seq (seq is
@@ -477,17 +514,30 @@ func foldHasPrefix[T string | []byte](b T, seq []byte) bool {
 // The distinction matters to matchers: a dropped token does not occupy a
 // position, while a None symbol does — and kills every candidate whose
 // suffix spans it, which is extraction-equivalent to Map's freshly interned
-// (hence out-of-Σ) symbol. Map calls the same code on the tokens of its own
-// Streamer.
+// (hence out-of-Σ) symbol.
 //
-// StreamSym looks every name up in the shared table, under the table's
-// lock; no serving route calls it. Serving resolves with a Resolver frozen
-// over the wrapper's Σ, which agrees with StreamSym on every name in Σ.
-// Without AttrKeys the lookup does not allocate (the byte-to-string map
-// indexes are elided); with AttrKeys it builds the refined symbol name and
-// allocates, matching the ParseAttrs cost on the streamer.
+// StreamSym resolves through a Resolver frozen, at its first call, over
+// every name in the table and the mapper's settings: set the fields before
+// then, as before building a Resolver. A kept token the frozen resolver
+// answers None for is looked up again in the table, under its lock, as Map
+// looks up every token, since its name may have been interned after the
+// freeze. No serving route calls StreamSym; each resolves with a Resolver
+// over its wrapper's Σ, which agrees with StreamSym on every name in Σ.
+// Without AttrKeys the lookup does not allocate; with AttrKeys it builds
+// the refined symbol name and allocates, matching the ParseAttrs cost on
+// the streamer.
 func (m *Mapper) StreamSym(t RawToken) (sym symtab.Symbol, ok bool) {
-	return m.resolve(&t, false, &m.endBuf)
+	if m.frozen == nil {
+		all := make([]symtab.Symbol, m.tab.Len())
+		for i := range all {
+			all[i] = symtab.Symbol(i)
+		}
+		m.frozen = m.Resolver(symtab.NewAlphabet(all...))
+	}
+	if sym, ok = m.frozen.Sym(&t); ok && sym == symtab.None {
+		return m.resolve(&t, false, &m.endBuf)
+	}
+	return sym, ok
 }
 
 // resolve maps one streamed token to its symbol, or reports ok=false for a

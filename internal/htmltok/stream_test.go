@@ -83,7 +83,8 @@ var streamerDocs = []string{
 // TestStreamerMatchesScanAllSplits is the boundary-straddling regression
 // suite: for every document, every 2-chunk split point (including splits in
 // the middle of multi-byte UTF-8 sequences, tag names, comments and
-// raw-text close sequences) must reproduce Scan's token stream exactly.
+// raw-text close sequences) must reproduce Scan's token stream exactly,
+// and pass checkResolverChunks through a resolver-built streamer.
 func TestStreamerMatchesScanAllSplits(t *testing.T) {
 	for _, src := range streamerDocs {
 		want := scanTokens(src, false)
@@ -92,6 +93,7 @@ func TestStreamerMatchesScanAllSplits(t *testing.T) {
 			if !tokensEqual(got, want) {
 				t.Fatalf("doc %q split at %d:\n got %+v\nwant %+v", src, cut, got, want)
 			}
+			checkResolverChunks(t, src, cut)
 		}
 	}
 }
@@ -229,6 +231,33 @@ func TestStreamSymMatchesMap(t *testing.T) {
 	}
 }
 
+// TestStreamSymSeesLaterNames: StreamSym freezes a resolver over the table
+// at its first call, yet a name interned after that still resolves to its
+// symbol, and a name outside the table to None.
+func TestStreamSymSeesLaterNames(t *testing.T) {
+	tab := symtab.NewTable()
+	m := NewMapper(tab)
+	form := tab.Intern("FORM")
+	sym := func(name string) symtab.Symbol {
+		t.Helper()
+		s, ok := m.StreamSym(RawToken{Kind: StartTag, Name: []byte(name)})
+		if !ok {
+			t.Fatalf("StreamSym dropped <%s>", name)
+		}
+		return s
+	}
+	if got := sym("FORM"); got != form {
+		t.Fatalf("FORM resolved to %v, want %v", got, form)
+	}
+	if got := sym("BLINK"); got != symtab.None {
+		t.Fatalf("BLINK resolved to %v before it was interned, want None", got)
+	}
+	blink := tab.Intern("BLINK")
+	if got := sym("BLINK"); got != blink {
+		t.Fatalf("BLINK resolved to %v after it was interned, want %v", got, blink)
+	}
+}
+
 // TestStreamerFeedNoAllocWarm: a warm streamer tokenizing chunk-split HTML
 // (without ParseAttrs) performs no allocations per Feed.
 func TestStreamerFeedNoAllocWarm(t *testing.T) {
@@ -256,14 +285,20 @@ func TestStreamerFeedNoAllocWarm(t *testing.T) {
 
 // FuzzStreamerChunks is the chunk-boundary differential fuzz target: any
 // byte string cut at any position must tokenize exactly as Scan does on the
-// whole. Seeded with the PR 7 invalid-UTF-8 raw-text crasher and the
-// historical Scan crashers.
+// whole, and resolve through a resolver-built streamer under every mix of
+// mapper settings as mapReference maps the whole (checkResolverChunks),
+// dropped text included. Seeded with the invalid-UTF-8 raw-text crasher,
+// the historical Scan crashers and cuts inside a tag name and a raw-text
+// element.
 func FuzzStreamerChunks(f *testing.F) {
 	f.Add("<p>x</p>", uint8(2))
 	f.Add("<sCript>\xfd\xd4\xec\xb0\xe8</sCript", uint8(9))
 	f.Add("<p>x</p/", uint8(4))
 	f.Add("<!-- c --><a href=\"x>y\">t</a>", uint8(12))
 	f.Add("<TITLE>héllo", uint8(8))
+	f.Add("<FORM><INPUT type=text name=q></FORM>", uint8(9))
+	f.Add("<sCript>a<b</sCript><br>", uint8(14))
+	f.Add("text <!-- c --> more<p", uint8(3))
 	f.Fuzz(func(t *testing.T, src string, cut8 uint8) {
 		want := scanTokens(src, false)
 		cut := 0
@@ -274,5 +309,6 @@ func FuzzStreamerChunks(f *testing.F) {
 		if !tokensEqual(got, want) {
 			t.Fatalf("split at %d of %q:\n got %+v\nwant %+v", cut, src, got, want)
 		}
+		checkResolverChunks(t, src, cut)
 	})
 }

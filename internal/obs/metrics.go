@@ -213,6 +213,9 @@ type Registry struct {
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
+	// phases maps a phase name to its duration histogram. Phase names are
+	// constants in the code, so it stays small.
+	phases map[string]*Histogram
 }
 
 // NewRegistry returns an empty registry.
@@ -221,6 +224,7 @@ func NewRegistry() *Registry {
 		counters: map[string]*Counter{},
 		gauges:   map[string]*Gauge{},
 		hists:    map[string]*Histogram{},
+		phases:   map[string]*Histogram{},
 	}
 }
 
@@ -310,6 +314,28 @@ func (r *Registry) Histogram(name string) *Histogram {
 		h = &Histogram{}
 		r.hists[name] = h
 	}
+	return h
+}
+
+// phaseHistogram returns the duration histogram of the phase named name
+// (dotted, e.g. "spanner.run"): "<name with dots as underscores>_duration_us",
+// e.g. spanner_run_duration_us. The histogram's name is built only the
+// first time the registry meets the phase, so a phase's End allocates
+// nothing for it.
+func (r *Registry) phaseHistogram(name string) *Histogram {
+	if r == nil {
+		return nil
+	}
+	r.mu.RLock()
+	h := r.phases[name]
+	r.mu.RUnlock()
+	if h != nil {
+		return h
+	}
+	h = r.Histogram(strings.ReplaceAll(name, ".", "_") + "_duration_us")
+	r.mu.Lock()
+	r.phases[name] = h
+	r.mu.Unlock()
 	return h
 }
 

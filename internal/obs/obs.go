@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"io"
 	"os"
-	"strings"
 	"time"
 )
 
@@ -95,10 +94,10 @@ func FromContext(ctx context.Context) *Observer {
 // Phase is the per-construction instrumentation handle: a span plus a
 // duration histogram named after it. A nil phase accepts every call.
 type Phase struct {
-	o      *Observer
-	sp     *Span
-	metric string
-	start  time.Time
+	o     *Observer
+	sp    *Span
+	name  string
+	start time.Time
 }
 
 // StartPhase opens an instrumented phase named name (dotted span-style,
@@ -111,11 +110,7 @@ func StartPhase(ctx context.Context, name string) (context.Context, *Phase) {
 		return ctx, nil
 	}
 	ctx, sp := o.StartSpan(ctx, name)
-	return ctx, &Phase{
-		o: o, sp: sp,
-		metric: strings.ReplaceAll(name, ".", "_"),
-		start:  time.Now(),
-	}
+	return ctx, &Phase{o: o, sp: sp, name: name, start: time.Now()}
 }
 
 // Attr attaches an integer attribute to the phase's span.
@@ -151,12 +146,12 @@ func (p *Phase) Count(name string, n int64) {
 }
 
 // End closes the phase: the span is recorded and the phase duration is
-// observed into the "<metric>_duration_us" histogram.
+// observed into the phase's histogram (see Registry.phaseHistogram).
 func (p *Phase) End() {
 	if p == nil {
 		return
 	}
-	p.o.Histogram(p.metric + "_duration_us").Observe(time.Since(p.start).Microseconds())
+	p.o.Metrics.phaseHistogram(p.name).Observe(time.Since(p.start).Microseconds())
 	p.sp.End()
 }
 

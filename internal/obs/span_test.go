@@ -139,6 +139,26 @@ func TestPhase(t *testing.T) {
 	}
 }
 
+// TestPhaseMetricNameBuiltOnce: a warm phase builds its histogram's name
+// once per registry, not per call, so with no tracer a StartPhase and End
+// pair allocates only the phase itself, and the durations still land in
+// the "<dots as underscores>_duration_us" histogram.
+func TestPhaseMetricNameBuiltOnce(t *testing.T) {
+	o := &Observer{Metrics: NewRegistry()}
+	ctx := NewContext(context.Background(), o)
+	run := func() {
+		_, p := StartPhase(ctx, "spanner.run")
+		p.End()
+	}
+	run()
+	if allocs := testing.AllocsPerRun(100, run); allocs != 1 {
+		t.Fatalf("warm StartPhase+End allocated %.1f times, want 1 (the phase)", allocs)
+	}
+	if n := o.Metrics.Snapshot().Histograms["spanner_run_duration_us"].Count; n != 102 {
+		t.Fatalf("spanner_run_duration_us observed %d phases, want 102", n)
+	}
+}
+
 func TestFromContext(t *testing.T) {
 	if FromContext(nil) != nil || FromContext(context.Background()) != nil {
 		t.Fatal("FromContext on bare contexts should be nil")

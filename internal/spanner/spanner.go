@@ -192,6 +192,7 @@ type arena struct {
 	nodes []node
 	slot  []int32 // local state → its node in the row being built, if ≥ that row's first id
 	stack []int32 // one split node per placed pivot
+	vec   []int   // the vector Next lends, read off stack
 }
 
 // arenas is the one pool every Program draws from.
@@ -362,12 +363,15 @@ func (m *Matches) descend(u int32) {
 	}
 }
 
+// vector reads the current vector off the stack into the arena's vector
+// buffer, which Next lends out.
 func (m *Matches) vector() []int {
-	out := make([]int, len(m.a.stack))
-	for j, u := range m.a.stack {
-		out[j] = int(m.a.nodes[u].pos)
+	v := m.a.vec[:0]
+	for _, u := range m.a.stack {
+		v = append(v, int(m.a.nodes[u].pos))
 	}
-	return out
+	m.a.vec = v
+	return v
 }
 
 // release ends the cursor and returns its arena to the pool.
@@ -380,6 +384,11 @@ func (m *Matches) release(err error) {
 // ok=false when the enumeration is exhausted. Each call does O(k) pointer
 // hops — the constant-delay contract — and polls the Options deadline. Once
 // Next has reported exhaustion or an error, every later call repeats it.
+//
+// The vector is borrowed: its k slots live in the cursor's pooled arena
+// and are valid only until the next call to Next, which may hand the arena
+// back to the pool for another run to overwrite. Copy a vector to keep it;
+// All does.
 func (m *Matches) Next() (vector []int, ok bool, err error) {
 	if m.a == nil {
 		return nil, false, m.err
@@ -418,9 +427,9 @@ func (m *Matches) Next() (vector []int, ok bool, err error) {
 	return nil, false, nil
 }
 
-// All drains the cursor, returning every extraction vector in lexicographic
-// order. Convenience for tests and batch callers; streaming callers should
-// prefer Next.
+// All drains the cursor, returning a copy of every extraction vector in
+// lexicographic order. Convenience for tests and batch callers; streaming
+// callers should prefer Next.
 func (m *Matches) All() ([][]int, error) {
 	var out [][]int
 	for {
@@ -431,6 +440,6 @@ func (m *Matches) All() ([][]int, error) {
 		if !ok {
 			return out, nil
 		}
-		out = append(out, v)
+		out = append(out, slices.Clone(v))
 	}
 }

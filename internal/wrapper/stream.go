@@ -106,8 +106,7 @@ func (se *StreamExtractor) get() *streamSession {
 		se.poolHits.Add(1)
 	} else {
 		s = &streamSession{se: se, res: se.w.res}
-		s.st = htmltok.NewStreamerPtr(s.onToken)
-		s.st.ParseAttrs = len(se.w.cfg.AttrKeys) > 0
+		s.st = s.res.Streamer(s.onToken)
 		se.poolMisses.Add(1)
 	}
 	s.st.Reset()

@@ -222,6 +222,100 @@ func TestStreamContextCancel(t *testing.T) {
 	}
 }
 
+// readerFunc adapts a function to io.Reader.
+type readerFunc func([]byte) (int, error)
+
+func (f readerFunc) Read(p []byte) (int, error) { return f(p) }
+
+// TestExtractReaderToPoolHygiene: a stream extraction that ends early — a
+// reader error right after a chunk that ends inside a tag name, a context
+// cancelled between chunks, an error from fn, a panic in fn — puts a
+// session back that the next ExtractReaderTo on the same extractor reuses
+// cleanly. Every fault strikes a longer page than the checks that follow:
+// fig1Bottom with its whitespace widened, whose tokens sit at fig1Bottom's
+// positions with other spans. A session that kept its carried bytes, token
+// positions or captures would show it.
+func TestExtractReaderToPoolHygiene(t *testing.T) {
+	w := trainFig1(t)
+	se, err := w.Stream()
+	if err != nil {
+		t.Fatal(err)
+	}
+	big := strings.ReplaceAll(fig1Bottom, "\n", "\n"+strings.Repeat(" ", 4000))
+	checks := []string{fig1Top, fig1Bottom, fig1Novel, "<html><body>no form here</body></html>"}
+	matchesExtract := func(t *testing.T) {
+		t.Helper()
+		for i, page := range checks {
+			want, werr := w.Extract(page)
+			got, err := se.ExtractReader(context.Background(), &chunkReader{data: []byte(page), chunk: 7})
+			if got != want || (werr == nil) != (err == nil) || werr != nil && !errors.Is(err, ErrNotExtracted) {
+				t.Errorf("page %d: stream %+v, %v; Extract %+v, %v", i, got, err, want, werr)
+			}
+		}
+	}
+	matchesExtract(t)
+	called := func(StreamRegion) error {
+		t.Error("fn called on a failed extraction")
+		return nil
+	}
+
+	t.Run("reader-error-in-tag-name", func(t *testing.T) {
+		cut := strings.LastIndex(big, "<form") + len("<fo")
+		cr := &chunkReader{data: []byte(big[:cut]), chunk: 4096}
+		reset := errors.New("connection reset")
+		r := readerFunc(func(p []byte) (int, error) {
+			if n, err := cr.Read(p); err != io.EOF {
+				return n, err
+			}
+			return 0, reset
+		})
+		if err := se.ExtractReaderTo(context.Background(), r, called); !errors.Is(err, reset) {
+			t.Fatalf("reader error: %v, want it wrapped", err)
+		}
+		matchesExtract(t)
+	})
+	t.Run("cancel-between-chunks", func(t *testing.T) {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		cr := &chunkReader{data: []byte(big), chunk: 4096}
+		reads := 0
+		r := readerFunc(func(p []byte) (int, error) {
+			if reads++; reads == 3 {
+				cancel()
+			}
+			return cr.Read(p)
+		})
+		err := se.ExtractReaderTo(ctx, r, called)
+		if !errors.Is(err, context.Canceled) || !errors.Is(err, machine.ErrDeadline) || reads != 3 {
+			t.Fatalf("after %d reads: %v, want a deadline error after 3", reads, err)
+		}
+		matchesExtract(t)
+	})
+	t.Run("fn-error", func(t *testing.T) {
+		stop := errors.New("stop")
+		n := 0
+		err := se.ExtractReaderTo(context.Background(), strings.NewReader(big), func(StreamRegion) error {
+			n++
+			return stop
+		})
+		if err != stop || n != 1 {
+			t.Fatalf("fn called %d times: %v, want fn's own error once", n, err)
+		}
+		matchesExtract(t)
+	})
+	t.Run("fn-panic", func(t *testing.T) {
+		func() {
+			defer func() {
+				if r := recover(); r != "boom" {
+					t.Fatalf("recovered %v, want fn's panic", r)
+				}
+			}()
+			se.ExtractReaderTo(context.Background(), strings.NewReader(big), func(StreamRegion) error { panic("boom") })
+		}()
+		matchesExtract(t)
+	})
+}
+
 // TestStreamAfterLoadContextEnds: the stream compile does not poll the
 // context the wrapper was loaded under, so a wrapper loaded inside a request
 // still streams once that request is over.

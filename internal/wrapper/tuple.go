@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sync"
 
 	"resilex/internal/extract"
@@ -44,8 +45,7 @@ func newTupleWrapper(tab *symtab.Table, tuple *extract.Tuple, cfg Config, exampl
 	res := cfg.mapper(tab).Resolver(tuple.Sigma())
 	w.sessions.New = func() any {
 		s := &tupleSession{res: res, rec: make([]StreamRegion, prog.Arity())}
-		s.st = htmltok.NewStreamerPtr(s.onToken)
-		s.st.ParseAttrs = len(cfg.AttrKeys) > 0
+		s.st = res.Streamer(s.onToken)
 		return s
 	}
 	return w, nil
@@ -211,6 +211,9 @@ func (w *TupleWrapper) unique(word []symtab.Symbol) ([]int, error) {
 	case !ok:
 		return nil, ErrNotExtracted
 	}
+	// The cursor lends its vectors until the next Next, which may release
+	// them, so keep a copy of the first.
+	first = slices.Clone(first)
 	second, ok, err := m.Next()
 	switch {
 	case err != nil:
@@ -287,8 +290,9 @@ func (w *TupleWrapper) ExtractAllContext(ctx context.Context, html string) ([][]
 // them: the record twin of StreamExtractor.ExtractReaderTo. rec and its
 // Source bytes are borrowed from a pooled session and from page, and are
 // valid only during fn. An error from fn stops the enumeration and is
-// returned as is. The page is tokenized once into pooled arrays; a warm
-// call allocates one vector per record and a constant beyond.
+// returned as is. The page is tokenized once into pooled arrays and each
+// record is read off the spanner's borrowed vector, so a warm call
+// allocates a constant, whatever the number of records.
 func (w *TupleWrapper) ExtractAllTo(ctx context.Context, page []byte, fn func(rec []StreamRegion) error) error {
 	s := w.session(page)
 	defer w.sessions.Put(s)
