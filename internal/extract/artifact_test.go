@@ -110,16 +110,17 @@ func TestArtifactRoundTripFixtures(t *testing.T) {
 			for _, w := range artifactWords(got.Tab, got.Expr.Sigma(), 7) {
 				want := fresh.Matcher.All(w)
 				twoScan := got.Matcher.All(w)
-				onePass := stream.All(w)
-				for _, pair := range [][2][]int{{want, twoScan}, {want, onePass}} {
-					if len(pair[0]) != len(pair[1]) {
-						t.Fatalf("on %v: decoded %v / %v, fresh %v", w, twoScan, onePass, want)
+				if len(want) != len(twoScan) {
+					t.Fatalf("on %v: decoded %v, fresh %v", w, twoScan, want)
+				}
+				for i := range want {
+					if want[i] != twoScan[i] {
+						t.Fatalf("on %v: decoded %v, fresh %v", w, twoScan, want)
 					}
-					for i := range pair[0] {
-						if pair[0][i] != pair[1][i] {
-							t.Fatalf("on %v: decoded %v / %v, fresh %v", w, twoScan, onePass, want)
-						}
-					}
+				}
+				wantPos, wantOK := fresh.Matcher.Find(w)
+				if pos, ok := stream.Find(w); ok != wantOK || ok && pos != wantPos {
+					t.Fatalf("on %v: decoded one-pass Find %d,%v, fresh %d,%v", w, pos, ok, wantPos, wantOK)
 				}
 			}
 		})

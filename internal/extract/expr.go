@@ -12,10 +12,12 @@
 // materialized pages and is the reference oracle; CompileStream builds the
 // one-pass StreamMatcher, which resolves the suffix conjunct online with a
 // bounded thread set so documents can be matched token by token as they
-// arrive, in O(1) memory beyond the match region — provably equivalent to
-// the two-scan Matcher (THEORY.md, "One-pass streaming extraction ≡ the
-// two-scan matcher"). Tuple generalizes E1⟨p⟩E2 to k marks,
-// E0⟨p1⟩E1…⟨pk⟩Ek.
+// arrive, in O(1) memory beyond the match region. It keeps only the
+// leftmost candidate, the one split an unambiguous wrapper serves, and its
+// Find provably equals the two-scan Matcher.Find (THEORY.md, "One-pass
+// streaming extraction ≡ the two-scan matcher"); Expr.Splits and
+// Matcher.All give the full split set. Tuple generalizes E1⟨p⟩E2 to k
+// marks, E0⟨p1⟩E1…⟨pk⟩Ek.
 //
 // For high-throughput serving, TieredCache memoizes compiled artifacts of
 // both kinds — single-pivot (Compiled) and tuple (CompiledTuple) — under a

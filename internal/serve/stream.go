@@ -41,17 +41,11 @@ func (s *Server) handleExtractStream(w http.ResponseWriter, r *http.Request) {
 	ctx, sp := s.obs.StartSpan(ctx, "serve.stream")
 	sp.SetStr("key", key)
 	start := time.Now()
-	se, err := wr.Stream()
-	if err != nil {
-		sp.SetError(err)
-		sp.End()
-		cluster.WriteError(w, http.StatusInternalServerError, err)
-		return
-	}
+	se, _ := wr.Stream() // built with the wrapper; never an error
 	body := &countingReader{r: http.MaxBytesReader(w, r.Body, s.maxBody)}
 
 	res := extractResult{Key: key}
-	err = se.ExtractReaderTo(ctx, body, func(sr wrapper.StreamRegion) error {
+	err := se.ExtractReaderTo(ctx, body, func(sr wrapper.StreamRegion) error {
 		res.OK = true
 		res.TokenIndex = sr.TokenIndex
 		res.Start = sr.Span.Start

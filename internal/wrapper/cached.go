@@ -89,16 +89,11 @@ func (p persisted) single(ctx context.Context, opt machine.Options, cache *extra
 	if err != nil {
 		return nil, reparseError(err)
 	}
-	cfg := p.config(opt)
-	w := &Wrapper{
-		sbox: &streamBox{},
-		tab:  comp.Tab, res: cfg.mapper(comp.Tab).Resolver(comp.Expr.Sigma()),
-		expr: comp.Expr, matcher: comp.Matcher, cfg: cfg,
-	}
+	var strategy string
 	if p.Strategy != nil {
-		w.strategy = *p.Strategy
+		strategy = *p.Strategy
 	}
-	return w, nil
+	return newWrapper(comp.Tab, comp.Expr, comp.Matcher, strategy, p.config(opt), nil, symtab.Alphabet{})
 }
 
 // tuple restores the envelope as a k-ary tuple wrapper.

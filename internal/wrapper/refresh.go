@@ -8,6 +8,7 @@ import (
 	"resilex/internal/extract"
 	"resilex/internal/lang"
 	"resilex/internal/learn"
+	"resilex/internal/symtab"
 )
 
 // Refresh widens a trained wrapper with one more marked sample — the
@@ -119,9 +120,5 @@ func (w *Wrapper) refresh(sample Sample) (*Wrapper, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Wrapper{
-		sbox: &streamBox{},
-		tab:  tab, res: mapper.Resolver(expr.Sigma()), expr: expr, matcher: m,
-		strategy: strategy, cfg: w.cfg,
-	}, nil
+	return newWrapper(tab, expr, m, strategy, w.cfg, nil, symtab.Alphabet{})
 }

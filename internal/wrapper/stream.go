@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"sync/atomic"
 
 	"resilex/internal/extract"
 	"resilex/internal/htmltok"
@@ -18,30 +17,11 @@ import (
 // stay cheap.
 const streamChunkSize = 32 << 10
 
-// streamBox lazily compiles the wrapper's one-pass streaming matcher, shared
-// by all copies of the wrapper.
-type streamBox struct {
-	once sync.Once
-	se   *StreamExtractor
-	err  error
-}
-
-// Stream returns the wrapper's streaming extractor, compiling the one-pass
-// matcher (extract.StreamMatcher) on first use and caching it for the
-// wrapper's lifetime. The compile does not depend on the context the wrapper
-// was loaded under; its only error is a Σ symbol id past the dense
-// symbol-index bound.
-func (w *Wrapper) Stream() (*StreamExtractor, error) {
-	w.sbox.once.Do(func() {
-		sm, err := w.expr.CompileStream()
-		if err != nil {
-			w.sbox.err = fmt.Errorf("wrapper: stream: %w", err)
-			return
-		}
-		w.sbox.se = &StreamExtractor{w: w, sm: sm}
-	})
-	return w.sbox.se, w.sbox.err
-}
+// Stream returns the wrapper's streaming extractor. Every wrapper builds
+// its extractor once, with the wrapper (see newWrapper), so the error is
+// always nil; a Σ the one-pass matcher cannot index fails construction
+// instead.
+func (w *Wrapper) Stream() (*StreamExtractor, error) { return w.se, nil }
 
 // StreamRegion is a borrowed extraction result: StreamExtractor.ExtractReaderTo
 // lends one to its callback, and TupleWrapper.ExtractAllTo lends one per
@@ -58,15 +38,32 @@ type StreamRegion struct {
 // pass: bytes flow through the resumable tokenizer (htmltok.Streamer)
 // directly into the one-pass product matcher, so split points resolve
 // online and memory stays O(1) beyond the match region — the page is never
-// materialized. Safe for concurrent use; per-request state is pooled, and
-// the warm ExtractReaderTo path performs no allocations (ARCHITECTURE.md §8
-// documents the buffer-ownership rules that keep it that way).
+// materialized. It is built once per wrapper, with the wrapper, and holds
+// the wrapper's resolver, its compiled extract.StreamMatcher and a pool of
+// page sessions. Safe for concurrent use; the warm ExtractReaderTo path
+// performs no allocations (ARCHITECTURE.md §8 documents the
+// buffer-ownership rules that keep it that way).
 type StreamExtractor struct {
-	w          *Wrapper
-	sm         *extract.StreamMatcher
-	pool       sync.Pool // *streamSession
-	poolHits   atomic.Int64
-	poolMisses atomic.Int64
+	res  *htmltok.Resolver
+	sm   *extract.StreamMatcher
+	pool sync.Pool // *streamSession
+}
+
+// newStreamExtractor compiles expr's one-pass matcher and builds the
+// extractor over res. Its only error is a Σ symbol id past the dense
+// symbol-index bound.
+func newStreamExtractor(expr extract.Expr, res *htmltok.Resolver) (*StreamExtractor, error) {
+	sm, err := expr.CompileStream()
+	if err != nil {
+		return nil, fmt.Errorf("wrapper: stream: %w", err)
+	}
+	se := &StreamExtractor{res: res, sm: sm}
+	se.pool.New = func() any {
+		s := &streamSession{res: se.res, fresh: true}
+		s.st = se.res.Streamer(s.onToken)
+		return s
+	}
+	return se, nil
 }
 
 // capture is one candidate's retained evidence: the token position the
@@ -83,11 +80,11 @@ type capture struct {
 // wrapper's resolver, which every session shares. All buffers are reused
 // across extractions via the extractor's pool.
 type streamSession struct {
-	se  *StreamExtractor
-	st  *htmltok.Streamer
-	res *htmltok.Resolver
-	run *extract.StreamRun
-	pos int // token positions consumed (kept tokens only)
+	st    *htmltok.Streamer
+	res   *htmltok.Resolver
+	run   *extract.StreamRun
+	pos   int  // token positions consumed (kept tokens only)
+	fresh bool // the pool made this session for the current extraction
 
 	caps       []capture
 	src        []byte // capture arena: source bytes of live candidates
@@ -100,15 +97,7 @@ type streamSession struct {
 }
 
 func (se *StreamExtractor) get() *streamSession {
-	var s *streamSession
-	if v := se.pool.Get(); v != nil {
-		s = v.(*streamSession)
-		se.poolHits.Add(1)
-	} else {
-		s = &streamSession{se: se, res: se.w.res}
-		s.st = s.res.Streamer(s.onToken)
-		se.poolMisses.Add(1)
-	}
+	s := se.pool.Get().(*streamSession)
 	s.st.Reset()
 	s.chunks0, s.carries0 = s.st.Stats()
 	s.run = se.sm.Get(extract.FindLeftmost)
@@ -122,7 +111,25 @@ func (se *StreamExtractor) get() *streamSession {
 func (se *StreamExtractor) put(s *streamSession) {
 	se.sm.Put(s.run)
 	s.run = nil
+	s.fresh = false
 	se.pool.Put(s)
+}
+
+// count records the extraction's extract_stream_* counters against o, for
+// a finished and a failed extraction alike: one run, the chunks, carries
+// and bytes fed, and whether the pool had a session for it.
+func (s *streamSession) count(o *obs.Observer) {
+	chunks, carries := s.st.Stats()
+	o.Counter("extract_stream_runs_total").Inc()
+	o.Counter("extract_stream_chunks_total").Add(chunks - s.chunks0)
+	o.Counter("extract_stream_carry_total").Add(carries - s.carries0)
+	o.Counter("extract_stream_bytes_total").Add(s.bytes)
+	miss := int64(0)
+	if s.fresh {
+		miss = 1
+	}
+	o.Counter("extract_stream_pool_hits_total").Add(1 - miss)
+	o.Counter("extract_stream_pool_misses_total").Add(miss)
 }
 
 // onToken is the fused tokenizer→matcher step: resolve the raw token to a
@@ -190,15 +197,16 @@ func (s *streamSession) prune() {
 // ExtractReaderTo streams the page from r through the wrapper and hands the
 // extracted region to fn. The region's Source bytes are borrowed from a
 // pooled buffer: they are valid only during fn. The warm path (pooled
-// session, warmed counters) performs zero allocations; metrics are recorded
-// against the observer in ctx (see DESIGN.md §6, extract_stream_*).
+// session, warmed counters) performs zero allocations. Every extraction
+// that takes a session, finished or failed, records its metrics against
+// the observer in ctx (see DESIGN.md §6, extract_stream_*).
 func (se *StreamExtractor) ExtractReaderTo(ctx context.Context, r io.Reader, fn func(StreamRegion) error) error {
 	if err := (machine.Options{Ctx: ctx}).Err(); err != nil {
 		return fmt.Errorf("wrapper: stream extract: %w", err)
 	}
-	o := obs.FromContext(ctx)
 	s := se.get()
 	defer se.put(s)
+	defer s.count(obs.FromContext(ctx))
 	for {
 		n, err := r.Read(s.buf[:])
 		if n > 0 {
@@ -218,14 +226,6 @@ func (se *StreamExtractor) ExtractReaderTo(ctx context.Context, r io.Reader, fn 
 		}
 	}
 	s.st.Close()
-	chunks, carries := s.st.Stats()
-	o.Counter("extract_stream_runs_total").Add(1)
-	o.Counter("extract_stream_chunks_total").Add(chunks - s.chunks0)
-	o.Counter("extract_stream_carry_total").Add(carries - s.carries0)
-	o.Counter("extract_stream_bytes_total").Add(s.bytes)
-	hits, misses := se.poolStatsDelta()
-	o.Counter("extract_stream_pool_hits_total").Add(hits)
-	o.Counter("extract_stream_pool_misses_total").Add(misses)
 	pos, ok := s.run.Find()
 	if !ok {
 		return ErrNotExtracted
@@ -253,10 +253,4 @@ func (se *StreamExtractor) ExtractReader(ctx context.Context, r io.Reader) (Regi
 		return nil
 	})
 	return reg, err
-}
-
-// poolStatsDelta reports and resets the extractor's pool hit/miss counts,
-// so each extraction flushes its delta into the context's metrics registry.
-func (se *StreamExtractor) poolStatsDelta() (hits, misses int64) {
-	return se.poolHits.Swap(0), se.poolMisses.Swap(0)
 }

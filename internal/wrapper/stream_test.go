@@ -9,9 +9,13 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+	"time"
 
+	"resilex/internal/extract"
+	"resilex/internal/learn"
 	"resilex/internal/machine"
 	"resilex/internal/obs"
+	"resilex/internal/symtab"
 )
 
 // chunkReader yields at most chunk bytes per Read, forcing constructs to
@@ -383,5 +387,142 @@ func TestStreamWideAutomaton(t *testing.T) {
 		if (werr == nil) != (serr == nil) || got != want {
 			t.Fatalf("page %q: stream %+v, %v; materialized %+v, %v", page.String(), got, serr, want, werr)
 		}
+	}
+}
+
+// TestStreamMetricsPerExtraction: every extraction that takes a session
+// records its own extract_stream_* counters, against its own observer,
+// whether it finishes or fails. Three extractions that fail on a reader
+// error count three runs, their bytes and chunks, and one pool hit or miss
+// each; a later extraction under another observer counts only its own
+// session.
+func TestStreamMetricsPerExtraction(t *testing.T) {
+	se, err := trainFig1(t).Stream()
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := obs.New(), obs.New()
+	reset := errors.New("connection reset")
+	for i := 0; i < 3; i++ {
+		cr := &chunkReader{data: []byte(fig1Top), chunk: 64}
+		r := readerFunc(func(p []byte) (int, error) {
+			if n, err := cr.Read(p); err != io.EOF {
+				return n, err
+			}
+			return 0, reset
+		})
+		err := se.ExtractReaderTo(obs.NewContext(context.Background(), a), r, func(StreamRegion) error {
+			t.Error("fn called on a failed extraction")
+			return nil
+		})
+		if !errors.Is(err, reset) {
+			t.Fatalf("extraction %d: %v, want the reader error", i, err)
+		}
+	}
+	pool := func(o *obs.Observer) int64 {
+		return o.Counter("extract_stream_pool_hits_total").Value() + o.Counter("extract_stream_pool_misses_total").Value()
+	}
+	if v := a.Counter("extract_stream_runs_total").Value(); v != 3 {
+		t.Errorf("failed runs counted %d, want 3", v)
+	}
+	if v := a.Counter("extract_stream_bytes_total").Value(); v != 3*int64(len(fig1Top)) {
+		t.Errorf("failed runs' bytes = %d, want %d", v, 3*len(fig1Top))
+	}
+	if v := a.Counter("extract_stream_chunks_total").Value(); v < 3 {
+		t.Errorf("failed runs' chunks = %d, want at least 3", v)
+	}
+	if v := pool(a); v != 3 {
+		t.Errorf("failed runs' pool hits + misses = %d, want 3", v)
+	}
+	if _, err := se.ExtractReader(obs.NewContext(context.Background(), b), strings.NewReader(fig1Top)); err != nil {
+		t.Fatal(err)
+	}
+	if v := pool(b); v != 1 {
+		t.Errorf("one run's pool hits + misses = %d, want 1", v)
+	}
+}
+
+// TestEveryWrapperStreams: every way to build a *Wrapper yields one whose
+// stream extractor was built with it, and whose stream route answers as
+// Extract does, on a page it parses and on one it misses.
+func TestEveryWrapperStreams(t *testing.T) {
+	trained := trainFig1(t)
+	data, err := trained.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Load(data, machine.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	future := Sample{HTML: fig1Future, Target: TargetMarker()}
+
+	tab := symtab.NewTable()
+	mapper := fig1Config().mapper(tab)
+	var examples []learn.Example
+	var sigma symtab.Alphabet
+	for _, page := range []string{fig1Top, fig1Bottom} {
+		doc := mapper.Map(page)
+		idx, err := resolveTarget(doc, Sample{HTML: page, Target: TargetMarker()}, tab)
+		if err != nil {
+			t.Fatal(err)
+		}
+		examples = append(examples, learn.Example{Doc: doc.Syms, Target: idx})
+		sigma = sigma.Union(doc.Alphabet())
+	}
+	cache := extract.NewTieredCache(extract.NewCache(8, nil), nil)
+	fleet, err := LoadFleet([]byte(`{"version":1,"kind":"fleet","wrappers":{"shop":`+string(data)+`}}`), machine.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+
+	builds := []struct {
+		name  string
+		build func() (*Wrapper, error)
+	}{
+		{"Train", func() (*Wrapper, error) { return trainFig1(t), nil }},
+		{"TrainTokens", func() (*Wrapper, error) { return TrainTokens(tab, examples, sigma, fig1Config()) }},
+		{"Refresh/re-induction", func() (*Wrapper, error) { return trained.Refresh(future) }},
+		{"Refresh/rigid-widening", func() (*Wrapper, error) { return loaded.Refresh(future) }},
+		{"RefreshContext", func() (*Wrapper, error) { return trained.RefreshContext(ctx, future) }},
+		{"WithOptions", func() (*Wrapper, error) { return trained.WithOptions(machine.Options{MaxStates: 1 << 16}), nil }},
+		{"Load", func() (*Wrapper, error) { return Load(data, machine.Options{}) }},
+		{"LoadCached/miss", func() (*Wrapper, error) { return LoadCached(data, machine.Options{}, cache) }},
+		{"LoadCached/hit", func() (*Wrapper, error) {
+			w, err := LoadCached(data, machine.Options{}, cache)
+			if s := cache.Stats(); s.Misses != 1 || s.Hits != 1 {
+				t.Errorf("cache stats %+v, want one miss then one hit", s)
+			}
+			return w, err
+		}},
+		{"LoadAny", func() (*Wrapper, error) {
+			w, err := LoadAny(context.Background(), data, machine.Options{}, nil)
+			if err != nil {
+				return nil, err
+			}
+			return w.(*Wrapper), nil
+		}},
+		{"LoadFleet", func() (*Wrapper, error) { return fleet.Get("shop"), nil }},
+	}
+	for _, b := range builds {
+		t.Run(b.name, func(t *testing.T) {
+			w, err := b.build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			se, err := w.Stream()
+			if se == nil || err != nil {
+				t.Fatalf("Stream() = %v, %v; want an extractor and no error", se, err)
+			}
+			for _, page := range []string{fig1Top, "<html><body>no form here</body></html>"} {
+				want, werr := w.Extract(page)
+				got, serr := se.ExtractReader(context.Background(), strings.NewReader(page))
+				if got != want || (werr == nil) != (serr == nil) || werr != nil && !errors.Is(serr, ErrNotExtracted) {
+					t.Errorf("page %.20q: stream %+v, %v; Extract %+v, %v", page, got, serr, want, werr)
+				}
+			}
+		})
 	}
 }

@@ -150,29 +150,16 @@ func (w *TupleWrapper) Refresh(sample Sample) (*TupleWrapper, error) {
 }
 
 // markedIndices returns the token indices of every data-target-marked tag,
-// in document order.
+// in document order. Every marked tag must survive the tokenizer config.
 func markedIndices(doc htmltok.Document, html string) ([]int, error) {
-	var out []int
-	for _, raw := range htmltok.Scan(html) {
-		if _, ok := raw.Attr(MarkerAttr); !ok {
-			continue
-		}
-		found := -1
-		for i, span := range doc.Spans {
-			if span.Start == raw.Start && span.End == raw.End {
-				found = i
-				break
-			}
-		}
-		if found < 0 {
-			return nil, fmt.Errorf("%w: marked tag was filtered out by the tokenizer config", ErrNoTarget)
-		}
-		out = append(out, found)
+	marks := markerIndices(doc, html)
+	switch {
+	case len(marks) == 0:
+		return nil, errNoMarker
+	case slices.Contains(marks, -1):
+		return nil, errMarkerDropped
 	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("%w: no tag carries %s", ErrNoTarget, MarkerAttr)
-	}
-	return out, nil
+	return marks, nil
 }
 
 // Extract runs the tuple wrapper on a page that holds one record, returning

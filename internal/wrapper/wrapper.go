@@ -94,12 +94,9 @@ type Wrapper struct {
 	res      *htmltok.Resolver
 	expr     extract.Expr
 	matcher  *extract.Matcher
+	se       *StreamExtractor // the stream route's engine, built with the wrapper
 	strategy string
 	cfg      Config
-
-	// sbox lazily compiles the one-pass streaming matcher (see Stream);
-	// shared by all copies of the wrapper.
-	sbox *streamBox
 
 	// Training provenance, kept so Refresh can re-induce; nil for wrappers
 	// restored with Load.
@@ -201,9 +198,23 @@ func trainExamples(tab *symtab.Table, examples []learn.Example, sigma symtab.Alp
 	if err != nil {
 		return nil, err
 	}
+	return newWrapper(tab, expr, m, strategy, cfg, examples, sigma)
+}
+
+// newWrapper assembles a single-pivot wrapper around its compiled
+// expression and builds what every request shares, once: the resolver over
+// the expression's own Σ and the stream extractor, with its one-pass
+// matcher and its pool of page sessions. Training, both Refresh paths and
+// the loaders all construct through it, as tuple wrappers do through
+// newTupleWrapper.
+func newWrapper(tab *symtab.Table, expr extract.Expr, m *extract.Matcher, strategy string, cfg Config, examples []learn.Example, sigma symtab.Alphabet) (*Wrapper, error) {
+	res := cfg.mapper(tab).Resolver(expr.Sigma())
+	se, err := newStreamExtractor(expr, res)
+	if err != nil {
+		return nil, err
+	}
 	return &Wrapper{
-		sbox: &streamBox{},
-		tab:  tab, res: cfg.mapper(tab).Resolver(expr.Sigma()), expr: expr, matcher: m,
+		tab: tab, res: res, expr: expr, matcher: m, se: se,
 		strategy: strategy, cfg: cfg,
 		examples: examples, sigma: sigma,
 	}, nil
@@ -218,18 +229,15 @@ func resolveTarget(doc htmltok.Document, s Sample, tab *symtab.Table) (int, erro
 		return t.ByIndex, nil
 	}
 	if t.ByMarker {
-		for _, raw := range htmltok.Scan(s.HTML) {
-			if _, ok := raw.Attr(MarkerAttr); !ok {
-				continue
-			}
-			for i, span := range doc.Spans {
-				if span.Start == raw.Start && span.End == raw.End {
-					return i, nil
-				}
-			}
-			return 0, fmt.Errorf("%w: marked tag was filtered out by the tokenizer config", ErrNoTarget)
+		// The first marked tag is the target.
+		marks := markerIndices(doc, s.HTML)
+		switch {
+		case len(marks) == 0:
+			return 0, errNoMarker
+		case marks[0] < 0:
+			return 0, errMarkerDropped
 		}
-		return 0, fmt.Errorf("%w: no tag carries %s", ErrNoTarget, MarkerAttr)
+		return marks[0], nil
 	}
 	sym := tab.Lookup(t.Tag)
 	if sym == symtab.None {
@@ -240,6 +248,25 @@ func resolveTarget(doc htmltok.Document, s Sample, tab *symtab.Table) (int, erro
 		return 0, fmt.Errorf("%w: occurrence %d of %s not present", ErrNoTarget, t.Occurrence, t.Tag)
 	}
 	return idx, nil
+}
+
+// Marker-lookup errors of training samples.
+var (
+	errNoMarker      = fmt.Errorf("%w: no tag carries %s", ErrNoTarget, MarkerAttr)
+	errMarkerDropped = fmt.Errorf("%w: marked tag was filtered out by the tokenizer config", ErrNoTarget)
+)
+
+// markerIndices returns, in document order, the token index in doc of
+// every tag of html that carries MarkerAttr, or −1 for a marked tag the
+// tokenizer config dropped from doc.
+func markerIndices(doc htmltok.Document, html string) []int {
+	var out []int
+	for _, raw := range htmltok.Scan(html) {
+		if _, ok := raw.Attr(MarkerAttr); ok {
+			out = append(out, slices.Index(doc.Spans, htmltok.Span{Start: raw.Start, End: raw.End}))
+		}
+	}
+	return out
 }
 
 // Extract runs the wrapper on a live page and returns the extracted region.
