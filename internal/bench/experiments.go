@@ -27,6 +27,8 @@ type Table struct {
 	// states explored, minimization passes, deadline polls, ...) when the
 	// harness runs with an observer; see PhaseDelta.
 	Phases map[string]int64 `json:",omitempty"`
+	// Host is where the table was measured; WriteJSON stamps it.
+	Host *Host `json:",omitempty"`
 }
 
 // Format renders the table with aligned columns.

@@ -60,14 +60,16 @@ func e17Cases() []e17Case {
 //
 // Each latency is the median of trials runs; speedups are per row against
 // the cold column of the same row, and the final row is the geometric mean
-// across expressions. The claim is the tentpole contract: restoring from
-// disk must beat recompiling by ≥5× on determinization-heavy wrappers,
-// because decode skips exactly the exponential phase.
+// across expressions. Decode skips exactly the exponential phase, so the
+// disk tier's margin over recompiling grows with the subset construction a
+// wrapper needs. A disk hit still parses the source three times (the
+// lookup's key, the decode and the re-key check), so on a small wrapper it
+// costs about what a cold compile does.
 func E17Persistence(dir string, trials int, seed int64) Table {
 	t := Table{
 		ID:     "E17",
 		Title:  "persistent artifact store: cold compile vs warm-disk vs warm-memory first request",
-		Claim:  "runtime extension: decoding a persisted artifact skips subset construction; warm-disk first requests are ≥5× faster than cold compilation on determinization-heavy wrappers",
+		Claim:  "runtime extension: decoding a persisted artifact skips subset construction, so the warm-disk gain over a cold compile grows with the construction a wrapper needs; on a small wrapper a disk hit, which parses the source three times, costs about a cold compile",
 		Header: []string{"expression", "cold µs", "warm-disk µs", "warm-mem µs", "disk speedup ×", "mem speedup ×"},
 	}
 	if trials < 1 {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 
 	"resilex/internal/obs"
@@ -44,10 +45,42 @@ func phaseCounter(name string) bool {
 	return false
 }
 
-// WriteJSON writes the table — rows plus phase counters — to
-// dir/BENCH_<ID>.json and returns the path.
+// Host describes where a table was measured: the toolchain, the platform,
+// the CPU model and how many threads Go ran on. Numbers from tables with
+// different hosts are not one trajectory.
+type Host struct {
+	GoVersion  string
+	GOOS       string
+	GOARCH     string
+	CPU        string // the first "model name" in /proc/cpuinfo; empty elsewhere
+	GOMAXPROCS int
+}
+
+// thisHost describes the running process's host.
+func thisHost() Host {
+	h := Host{
+		GoVersion:  runtime.Version(),
+		GOOS:       runtime.GOOS,
+		GOARCH:     runtime.GOARCH,
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+	}
+	if info, err := os.ReadFile("/proc/cpuinfo"); err == nil {
+		for _, line := range strings.Split(string(info), "\n") {
+			if name, value, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(name) == "model name" {
+				h.CPU = strings.TrimSpace(value)
+				break
+			}
+		}
+	}
+	return h
+}
+
+// WriteJSON writes the table — rows plus phase counters, stamped with
+// thisHost — to dir/BENCH_<ID>.json and returns the path.
 func (t Table) WriteJSON(dir string) (string, error) {
 	path := filepath.Join(dir, "BENCH_"+strings.ToUpper(t.ID)+".json")
+	host := thisHost()
+	t.Host = &host
 	data, err := json.MarshalIndent(t, "", "  ")
 	if err != nil {
 		return "", err

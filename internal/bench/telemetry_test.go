@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"resilex/internal/machine"
@@ -47,6 +48,9 @@ func TestPhasesReachBenchJSON(t *testing.T) {
 	}
 	if back.ID != "E4" || len(back.Rows) != 2 || back.Phases["machine_subset_states_total"] != table.Phases["machine_subset_states_total"] {
 		t.Errorf("round-trip lost data: %+v", back)
+	}
+	if h := back.Host; h == nil || *h != thisHost() || h.GoVersion != runtime.Version() || h.GOMAXPROCS < 1 {
+		t.Errorf("host stamp = %+v, want %+v", h, thisHost())
 	}
 }
 

@@ -44,3 +44,31 @@ func TestArtifactBytesGolden(t *testing.T) {
 		}
 	}
 }
+
+// TestContentKeysGolden pins the content addresses across commits: Key and
+// KeyTuple of TestArtifactBytesGolden's two fixtures, plus a single-pivot
+// expression whose unions Canonicalize reorders, must stay the committed
+// hex. The disk tier names each artifact file by its key, so a change to the
+// fingerprint or to the hashed layout would silently re-address every disk
+// cache, and a restarted server would recompile everything.
+func TestContentKeysGolden(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		key   func(string, []string) (string, error)
+		src   string
+		sigma []string
+		want  string
+	}{
+		{"single-pivot", Key, htmlFixtures[0], htmlSigmaNames, "47b3951db27d4d58c652c39ce43cca9ab27127b66be38b99b0d6792a30b1ab06"},
+		{"tuple k=2", KeyTuple, "q* <p> q* <r> .*", []string{"p", "q", "r"}, "7fd62193d0ea5c670e416096f409a1f5cb01595a52e6b7c61d88d7b0b1b74d6e"},
+		{"unions", Key, "(q | p)* p (q | p | p q) <p> (r | q)*", []string{"r", "q", "p"}, "a0b432c91b14499d8dcbb82ae3c161e5195346e286ec8b5cda4768c4e46bb455"},
+	} {
+		got, err := c.key(c.src, c.sigma)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != c.want {
+			t.Errorf("%s: key %s, want %s", c.name, got, c.want)
+		}
+	}
+}

@@ -45,10 +45,9 @@ func Key(src string, sigmaNames []string) (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("extract: cache key: %w", err)
 	}
-	h := sha256.New()
-	fmt.Fprintf(h, "v1|sigma=%s|p=%s|left=%s|right=%s",
-		strings.Join(names, ","), tab.Name(m.P), rx.Fingerprint(m.Left), rx.Fingerprint(m.Right))
-	return hex.EncodeToString(h.Sum(nil)), nil
+	sum := sha256.Sum256([]byte("v1|sigma=" + strings.Join(names, ",") + "|p=" + tab.Name(m.P) +
+		"|left=" + rx.Fingerprint(m.Left) + "|right=" + rx.Fingerprint(m.Right)))
+	return hex.EncodeToString(sum[:]), nil
 }
 
 // canonicalSigma sorts and deduplicates the alphabet names and interns them
@@ -261,9 +260,10 @@ func (c *Cache) Stats() CacheStats {
 
 // CompileArtifact compiles a persisted expression into a shareable artifact:
 // a fresh symbol table, the parsed expression, and its matcher. The budget
-// and deadline in opt bound the compilation; the stored expression keeps the
-// budget but drops the deadline, since the artifact outlives the request
-// that happened to compile it.
+// and deadline in opt bound the compilation; the stored expression and its
+// component languages keep the budget but drop the deadline, as
+// DecodeArtifact's do, since the artifact outlives the request that
+// happened to compile it.
 func CompileArtifact(src string, sigmaNames []string, opt machine.Options) (*Compiled, error) {
 	tab := symtab.NewTable()
 	sigma := symtab.NewAlphabet(tab.InternAll(sigmaNames...)...)
@@ -275,7 +275,9 @@ func CompileArtifact(src string, sigmaNames []string, opt machine.Options) (*Com
 	if err != nil {
 		return nil, err
 	}
-	expr.opt = opt.WithoutContext()
+	stored := opt.WithoutContext()
+	expr.opt = stored
+	expr.left, expr.right = expr.left.WithOptions(stored), expr.right.WithOptions(stored)
 	expr.mc.once.Do(func() { expr.mc.m = m })
 	return &Compiled{
 		Tab: tab, Expr: expr, Matcher: m,

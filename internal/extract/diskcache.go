@@ -1,10 +1,12 @@
 package extract
 
 import (
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -197,55 +199,74 @@ func diskPut[T artifact](d *DiskCache, k kind[T], key string, c T) error {
 		os.Remove(tmp.Name())
 		return fmt.Errorf("extract: disk cache: %w", err)
 	}
-	d.evictLocked()
-	d.obsEntries.Set(int64(len(d.entriesLocked())))
+	d.obsEntries.Set(int64(d.evictLocked()))
 	return nil
 }
 
-// entriesLocked lists artifact files, oldest modification first.
-func (d *DiskCache) entriesLocked() []os.DirEntry {
-	all, err := os.ReadDir(d.dir)
+// artifactsLocked lists the artifact files in directory order, without
+// sorting them or stat-ing any: all that counting needs.
+func (d *DiskCache) artifactsLocked() []os.DirEntry {
+	f, err := os.Open(d.dir)
 	if err != nil {
 		return nil
 	}
-	var out []os.DirEntry
+	defer f.Close()
+	all, err := f.ReadDir(-1)
+	if err != nil {
+		return nil
+	}
+	out := all[:0]
 	for _, e := range all {
 		if !e.IsDir() && strings.HasSuffix(e.Name(), artifactExt) {
 			out = append(out, e)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		fi, ei := out[i].Info()
-		fj, ej := out[j].Info()
-		if ei != nil || ej != nil {
-			return out[i].Name() < out[j].Name()
-		}
-		if !fi.ModTime().Equal(fj.ModTime()) {
-			return fi.ModTime().Before(fj.ModTime())
-		}
-		return out[i].Name() < out[j].Name()
-	})
 	return out
 }
 
-func (d *DiskCache) evictLocked() {
-	if d.capacity < 0 {
-		return
+// evictLocked removes the least-recently-used artifacts past capacity,
+// oldest modification time first and then by name, and returns how many
+// remain. It scans the directory once, and stats each entry once only when
+// the scan finds the tier over capacity.
+func (d *DiskCache) evictLocked() int {
+	entries := d.artifactsLocked()
+	if d.capacity < 0 || len(entries) <= d.capacity {
+		return len(entries)
 	}
-	entries := d.entriesLocked()
-	for len(entries) > d.capacity {
-		if os.Remove(filepath.Join(d.dir, entries[0].Name())) == nil {
+	type aged struct {
+		name string
+		mod  time.Time
+	}
+	byAge := make([]aged, 0, len(entries))
+	for _, e := range entries {
+		if fi, err := e.Info(); err == nil { // an entry that fails is gone
+			byAge = append(byAge, aged{e.Name(), fi.ModTime()})
+		}
+	}
+	slices.SortFunc(byAge, func(a, b aged) int {
+		if c := a.mod.Compare(b.mod); c != 0 {
+			return c
+		}
+		return strings.Compare(a.name, b.name)
+	})
+	remain := len(byAge)
+	for _, e := range byAge[:max(remain-d.capacity, 0)] {
+		switch err := os.Remove(filepath.Join(d.dir, e.name)); {
+		case err == nil:
 			d.evictions.Add(1)
 			d.obsEvictions.Inc()
+			remain--
+		case errors.Is(err, fs.ErrNotExist):
+			remain--
 		}
-		entries = entries[1:]
 	}
+	return remain
 }
 
 func (d *DiskCache) countEntries() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return len(d.entriesLocked())
+	return len(d.artifactsLocked())
 }
 
 // Len reports the number of artifacts currently on disk.

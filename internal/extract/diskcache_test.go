@@ -1,12 +1,14 @@
 package extract
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 	"time"
 
 	"resilex/internal/machine"
+	"resilex/internal/obs"
 )
 
 func mustCompile(t *testing.T, src string, names []string) *Compiled {
@@ -246,4 +248,113 @@ func TestDiskCacheRejectsBadKeys(t *testing.T) {
 	if d.Len() != 0 {
 		t.Fatalf("bad keys created %d entries", d.Len())
 	}
+}
+
+// TestDiskEntriesGaugeTracksLen: the extract_diskcache_entries gauge must
+// read what Len() counts after every mutation — puts that add or overwrite,
+// puts that evict, corrupt-blob removals, a reopen over a populated
+// directory — and neither may count temp files, foreign files or
+// directories.
+func TestDiskEntriesGaugeTracksLen(t *testing.T) {
+	dir := t.TempDir()
+	o := obs.New()
+	d, err := NewDiskCache(dir, 3, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(step string, want int) {
+		t.Helper()
+		if n, g := d.Len(), o.Metrics.Snapshot().Gauges["extract_diskcache_entries"]; n != want || g != int64(want) {
+			t.Fatalf("%s: Len() = %d, gauge = %d, want %d", step, n, g, want)
+		}
+	}
+	for _, name := range []string{".put-123", "notes.txt"} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("x"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.Mkdir(filepath.Join(dir, "sub"+artifactExt), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	var keys []string
+	srcs := []string{"q* <p> .*", "<p> p*", "q p <p> q*", "p <p> q", "(p | q) <p> q*"}
+	for i, src := range srcs {
+		c := mustCompile(t, src, []string{"p", "q"})
+		keys = append(keys, mustKey(t, c))
+		if err := d.Put(keys[i], c); err != nil {
+			t.Fatal(err)
+		}
+		check("put "+src, min(i+1, 3))
+		if err := d.Put(keys[i], c); err != nil {
+			t.Fatal(err)
+		}
+		check("overwrite "+src, min(i+1, 3))
+	}
+	if s := d.Stats(); s.Evictions != 2 || s.Entries != 3 {
+		t.Fatalf("stats = %+v, want 2 evictions and 3 entries", s)
+	}
+	if err := os.WriteFile(filepath.Join(dir, keys[4]+artifactExt), []byte("torn"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := d.Get(keys[4], machine.Options{}); ok {
+		t.Fatal("corrupt blob served")
+	}
+	check("corrupt removal", 2)
+
+	o2 := obs.New()
+	reopened, err := NewDiskCache(dir, -1, o2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g := o2.Metrics.Snapshot().Gauges["extract_diskcache_entries"]; g != 2 || reopened.Len() != 2 {
+		t.Fatalf("reopen: gauge %d, Len() %d, want 2", g, reopened.Len())
+	}
+}
+
+// BenchmarkDiskPut times the disk tier's bookkeeping over a directory that
+// holds 1,000 artifacts: a write-through into an unbounded tier, one into a
+// tier at capacity (every write evicts the oldest artifact), and Stats.
+func BenchmarkDiskPut(b *testing.B) {
+	c, err := CompileArtifact("q* <p> .*", []string{"p", "q"}, machine.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	const entries = 1000
+	open := func(b *testing.B, capacity int) *DiskCache {
+		d, err := NewDiskCache(b.TempDir(), capacity, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for i := 0; i < entries; i++ {
+			if err := d.Put(fmt.Sprintf("fill-%04d", i), c); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ResetTimer()
+		return d
+	}
+	b.Run("put-unbounded", func(b *testing.B) {
+		d := open(b, -1)
+		for i := 0; i < b.N; i++ {
+			if err := d.Put("again", c); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("put-bounded", func(b *testing.B) {
+		d := open(b, entries)
+		for i := 0; i < b.N; i++ {
+			if err := d.Put(fmt.Sprintf("put-%d", i), c); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("stats", func(b *testing.B) {
+		d := open(b, -1)
+		for i := 0; i < b.N; i++ {
+			if s := d.Stats(); s.Entries != entries {
+				b.Fatalf("entries = %d", s.Entries)
+			}
+		}
+	})
 }

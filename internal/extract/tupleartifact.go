@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"strconv"
 	"strings"
 
 	"resilex/internal/codec"
@@ -35,21 +36,25 @@ func KeyTuple(src string, sigmaNames []string) (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("extract: tuple cache key: %w", err)
 	}
-	h := sha256.New()
 	markNames := make([]string, len(m.Marks))
 	for i, p := range m.Marks {
 		markNames[i] = tab.Name(p)
 	}
-	fmt.Fprintf(h, "v1|tuple|sigma=%s|marks=%s", strings.Join(names, ","), strings.Join(markNames, ","))
+	b := []byte("v1|tuple|sigma=" + strings.Join(names, ",") + "|marks=" + strings.Join(markNames, ","))
 	for i, seg := range m.Segments {
-		fmt.Fprintf(h, "|seg%d=%s", i, rx.Fingerprint(seg))
+		b = append(b, "|seg"...)
+		b = strconv.AppendInt(b, int64(i), 10)
+		b = append(b, '=')
+		b = append(b, rx.Fingerprint(seg)...)
 	}
-	return hex.EncodeToString(h.Sum(nil)), nil
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:]), nil
 }
 
 // CompileTupleArtifact compiles a persisted tuple expression into a
 // shareable artifact: a fresh symbol table and the parsed tuple, with the
-// deadline stripped from the stored value exactly like CompileArtifact.
+// deadline stripped from the stored tuple and its segments exactly like
+// CompileArtifact.
 func CompileTupleArtifact(src string, sigmaNames []string, opt machine.Options) (*CompiledTuple, error) {
 	tab := symtab.NewTable()
 	sigma := symtab.NewAlphabet(tab.InternAll(sigmaNames...)...)
@@ -58,6 +63,9 @@ func CompileTupleArtifact(src string, sigmaNames []string, opt machine.Options) 
 		return nil, err
 	}
 	t.opt = opt.WithoutContext()
+	for j := range t.segs {
+		t.segs[j] = t.segs[j].WithOptions(t.opt)
+	}
 	return &CompiledTuple{
 		Tab: tab, Tuple: t,
 		Src: src, SigmaNames: append([]string(nil), sigmaNames...),

@@ -93,7 +93,8 @@ func mustDeterminize(t *testing.T, n *NFA) *DFA {
 
 // FuzzDeterminizeEquiv fuzzes (expression, word) pairs: whenever the
 // expression compiles and its determinization fits the budget, the minimal
-// DFA must accept exactly the words the NFA accepts.
+// DFA must accept exactly the words the NFA accepts, and Determinize and
+// Minimize must build the reference kernels' automata state for state.
 func FuzzDeterminizeEquiv(f *testing.F) {
 	for _, c := range equivCases {
 		f.Add(c, []byte{0, 1, 2, 0, 1})
@@ -112,10 +113,24 @@ func FuzzDeterminizeEquiv(f *testing.F) {
 			return
 		}
 		d, err := Determinize(nfa, opt)
+		ref, refErr := referenceDeterminize(nfa, opt)
+		if (err == nil) != (refErr == nil) {
+			t.Fatalf("Determinize err %v, reference err %v on %q", err, refErr, src)
+		}
 		if err != nil {
 			return
 		}
 		dfa := Minimize(d)
+		if !StructurallyEqual(d, ref) {
+			t.Fatalf("Determinize differs from the reference on %q", src)
+		}
+		refMin, err := referenceMinimizeOpt(ref, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !StructurallyEqual(dfa, refMin) {
+			t.Fatalf("Minimize differs from the reference on %q", src)
+		}
 		word := make([]symtab.Symbol, 0, len(raw))
 		for _, b := range raw {
 			word = append(word, sigma.Symbols()[int(b)%sigma.Len()])

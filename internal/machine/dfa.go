@@ -1,7 +1,9 @@
 package machine
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"resilex/internal/symtab"
@@ -76,20 +78,11 @@ func (d *DFA) addState(accept bool) int {
 	return len(d.Accept) - 1
 }
 
-// subsetKey packs a state bitset into a compact map key.
-func subsetKey(set []bool) string {
-	b := make([]byte, (len(set)+7)/8)
-	for i, in := range set {
-		if in {
-			b[i/8] |= 1 << (i % 8)
-		}
-	}
-	return string(b)
-}
-
 // Determinize converts an NFA to a complete DFA via subset construction.
 // It fails with ErrBudget if more than opt.MaxStates subset states are
 // created — the honest face of the PSPACE lower bound (Theorem 5.12).
+// Subset states are numbered in breadth-first order of discovery, symbols
+// ascending.
 func Determinize(n *NFA, opt Options) (_ *DFA, err error) {
 	var states, transitions, polls int64
 	opt, ph := beginPhase(opt, "machine.determinize")
@@ -103,45 +96,174 @@ func Determinize(n *NFA, opt Options) (_ *DFA, err error) {
 	}()
 	limit := opt.limit()
 	d := newDFA(n.Sigma)
-	key := subsetKey
-	isAccept := func(set []bool) bool {
-		for s, in := range set {
-			if in && n.Accept[s] {
-				return true
-			}
-		}
-		return false
+	ps := newPowerset(n, d.syms)
+	// index maps a subset's packed key to its DFA state; queue holds the
+	// keys in state order, and each subset's members are read back from it.
+	index := map[string]int{}
+	var queue []string
+	add := func(set []uint64) int {
+		key := string(ps.pack(set))
+		id := d.addState(ps.accepts(set))
+		index[key] = id
+		queue = append(queue, key)
+		states++
+		return id
 	}
-	start := n.startSet()
-	index := map[string]int{key(start): 0}
-	d.addState(isAccept(start))
-	states = 1
-	d.Start = 0
-	queue := [][]bool{start}
+	d.Start = add(ps.startSet())
 	for qi := 0; qi < len(queue); qi++ {
 		polls++
 		if err := opt.Err(); err != nil {
 			return nil, fmt.Errorf("%w: determinization abandoned at %d states", err, len(index))
 		}
-		set := queue[qi]
-		for k, sym := range d.syms {
-			next := n.move(set, sym)
-			nk := key(next)
-			id, ok := index[nk]
+		ps.successors(queue[qi])
+		for k := range d.syms {
+			next := ps.closed(k)
+			id, ok := index[string(ps.pack(next))]
 			if !ok {
 				if len(index) >= limit {
 					return nil, fmt.Errorf("%w: determinization needs > %d states", ErrBudget, limit)
 				}
-				id = d.addState(isAccept(next))
-				states++
-				index[nk] = id
-				queue = append(queue, next)
+				id = add(next)
 			}
 			d.Trans[qi][k] = id
 			transitions++
 		}
 	}
 	return d, nil
+}
+
+// powerset holds the tables one subset construction reuses. Subsets
+// are packed bitsets over the NFA's states, words uint64s each. Every
+// edge's class is resolved to dense symbol indexes once, so one pass over
+// a subset's members fills the successor sets of all |Σ| symbols.
+type powerset struct {
+	n     *NFA
+	words int
+	// The edges of state s are edges[edgeAt[s]:edgeAt[s+1]]; the symbol
+	// indexes of edge e are syms[symAt[e]:symAt[e+1]].
+	edgeAt, symAt []int32
+	edges         []int32 // target state
+	syms          []int32
+	accept        []uint64
+	succ          []uint64  // one successor subset per symbol index
+	grown         [][]int32 // per symbol index: added states with ε-moves
+	key           []byte
+}
+
+func newPowerset(n *NFA, syms []symtab.Symbol) *powerset {
+	states := n.NumStates()
+	words := (states + 63) / 64
+	ps := &powerset{
+		n:      n,
+		words:  words,
+		edgeAt: make([]int32, states+1),
+		symAt:  []int32{0},
+		accept: make([]uint64, words),
+		succ:   make([]uint64, len(syms)*words),
+		grown:  make([][]int32, len(syms)),
+		key:    make([]byte, 8*words),
+	}
+	for s := 0; s < states; s++ {
+		if n.Accept[s] {
+			ps.accept[s>>6] |= 1 << (s & 63)
+		}
+		for _, e := range n.Edges[s] {
+			// Both symbol lists are ascending: merge them.
+			on, k := e.On, 0
+			for i := 0; i < on.Len(); i++ {
+				sym := on.At(i)
+				for k < len(syms) && syms[k] < sym {
+					k++
+				}
+				if k < len(syms) && syms[k] == sym {
+					ps.syms = append(ps.syms, int32(k))
+				}
+			}
+			ps.edges = append(ps.edges, int32(e.To))
+			ps.symAt = append(ps.symAt, int32(len(ps.syms)))
+		}
+		ps.edgeAt[s+1] = int32(len(ps.edges))
+	}
+	return ps
+}
+
+// startSet returns the ε-closed start subset.
+func (ps *powerset) startSet() []uint64 {
+	set := make([]uint64, ps.words)
+	var stack []int32
+	for _, s := range ps.n.Start {
+		if set[s>>6]&(1<<(s&63)) == 0 {
+			set[s>>6] |= 1 << (s & 63)
+			stack = append(stack, int32(s))
+		}
+	}
+	ps.close(set, stack)
+	return set
+}
+
+// successors fills the successor subset of every symbol index from the
+// subset packed in key, before ε-closure: one pass over its members.
+func (ps *powerset) successors(key string) {
+	clear(ps.succ)
+	for i := 0; i < len(key); i++ {
+		for b := key[i]; b != 0; b &= b - 1 {
+			s := 8*i + bits.TrailingZeros8(b)
+			for e := ps.edgeAt[s]; e < ps.edgeAt[s+1]; e++ {
+				to := ps.edges[e]
+				w, bit := int(to>>6), uint64(1)<<(to&63)
+				for _, k := range ps.syms[ps.symAt[e]:ps.symAt[e+1]] {
+					row := ps.succ[int(k)*ps.words:]
+					if row[w]&bit == 0 {
+						row[w] |= bit
+						if len(ps.n.Eps[to]) > 0 {
+							ps.grown[k] = append(ps.grown[k], to)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// closed ε-closes the successor subset of symbol index k and returns it.
+func (ps *powerset) closed(k int) []uint64 {
+	set := ps.succ[k*ps.words : (k+1)*ps.words]
+	ps.grown[k] = ps.close(set, ps.grown[k])[:0]
+	return set
+}
+
+// close adds to set every state ε-reachable from the states on stack,
+// which are members already, and returns the emptied stack.
+func (ps *powerset) close(set []uint64, stack []int32) []int32 {
+	for len(stack) > 0 {
+		s := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, t := range ps.n.Eps[s] {
+			if set[t>>6]&(1<<(t&63)) == 0 {
+				set[t>>6] |= 1 << (t & 63)
+				stack = append(stack, int32(t))
+			}
+		}
+	}
+	return stack
+}
+
+func (ps *powerset) accepts(set []uint64) bool {
+	for i, w := range set {
+		if w&ps.accept[i] != 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// pack writes set into the reused key buffer, whose string form is the
+// subset's map key.
+func (ps *powerset) pack(set []uint64) []byte {
+	for i, w := range set {
+		binary.LittleEndian.PutUint64(ps.key[8*i:], w)
+	}
+	return ps.key
 }
 
 // Complement returns a DFA for Σ* − L(d).
@@ -246,119 +368,138 @@ func MinimizeOpt(d *DFA, opt Options) (_ *DFA, err error) {
 		// Cannot happen: start state is always reachable.
 		panic("machine: empty DFA")
 	}
-	// Hopcroft.
-	// inverse[k][t] = states s with Trans[s][k] == t
-	inverse := make([][][]int32, len(d.syms))
-	for k := range d.syms {
-		inverse[k] = make([][]int32, n)
-	}
+	syms := len(d.syms)
+	// Hopcroft. The states s with Trans[s][k] == t are
+	// pred[predAt[k*n+t]:predAt[k*n+t+1]].
+	predAt := make([]int32, syms*n+1)
 	for s := 0; s < n; s++ {
-		for k := range d.syms {
-			t := d.Trans[s][k]
-			inverse[k][t] = append(inverse[k][t], int32(s))
+		for k, t := range d.Trans[s] {
+			predAt[k*n+t]++
 		}
 	}
-	// Partition as slice of blocks; block membership per state.
-	blockOf := make([]int, n)
-	var blocks [][]int32
-	var acc, rej []int32
-	for s := 0; s < n; s++ {
-		if d.Accept[s] {
-			acc = append(acc, int32(s))
-		} else {
-			rej = append(rej, int32(s))
+	for i := 1; i < len(predAt); i++ {
+		predAt[i] += predAt[i-1]
+	}
+	pred := make([]int32, n*syms)
+	for s := n - 1; s >= 0; s-- {
+		for k, t := range d.Trans[s] {
+			predAt[k*n+t]--
+			pred[predAt[k*n+t]] = int32(s)
 		}
 	}
-	addBlock := func(members []int32) int {
-		id := len(blocks)
-		blocks = append(blocks, members)
-		for _, s := range members {
-			blockOf[s] = id
+	// The partition: block b's states are elems[first[b]:end[b]], and
+	// loc[s] is the position of state s in elems. A refinement step moves
+	// the states it marks to the front of their block, counting them in
+	// marked[b], and lists each block it touched once.
+	elems := make([]int32, 0, n)
+	loc := make([]int32, n)
+	blockOf := make([]int32, n)
+	var first, end, marked []int32
+	addBlock := func(accept bool) {
+		b, at := int32(len(first)), int32(len(elems))
+		for s := 0; s < n; s++ {
+			if d.Accept[s] == accept {
+				loc[s] = int32(len(elems))
+				blockOf[s] = b
+				elems = append(elems, int32(s))
+			}
 		}
-		return id
+		if int32(len(elems)) > at {
+			first, end, marked = append(first, at), append(end, int32(len(elems))), append(marked, 0)
+		}
 	}
+	addBlock(true)
+	addBlock(false)
 	// Seeding the worklist with both initial blocks keeps the splitting loop
 	// simple; the asymptotic bound is unaffected for our automaton sizes.
-	var worklist []int
-	if len(acc) > 0 {
-		worklist = append(worklist, addBlock(acc))
-	}
-	if len(rej) > 0 {
-		worklist = append(worklist, addBlock(rej))
-	}
-	inWork := make(map[int]bool)
-	for _, w := range worklist {
-		inWork[w] = true
+	// Every split puts the smaller half on the worklist as a new block, so
+	// the loop takes one pass per block of the minimal automaton.
+	var worklist, touched, splitter []int32
+	for b := range first {
+		worklist = append(worklist, int32(b))
 	}
 	for len(worklist) > 0 {
 		passes++
 		polls++
 		if err := opt.Err(); err != nil {
-			return nil, fmt.Errorf("%w: minimization abandoned with %d blocks", err, len(blocks))
+			return nil, fmt.Errorf("%w: minimization abandoned with %d blocks", err, len(first))
 		}
 		a := worklist[len(worklist)-1]
 		worklist = worklist[:len(worklist)-1]
-		inWork[a] = false
-		// Snapshot: blocks[a] may be re-sliced by later splits.
-		splitter := append([]int32(nil), blocks[a]...)
-		for k := range d.syms {
-			// X = predecessors of splitter on symbol k.
-			touched := map[int][]int32{} // block -> members in X
+		// Snapshot: block a may be split by the steps below.
+		splitter = append(splitter[:0], elems[first[a]:end[a]]...)
+		for k := 0; k < syms; k++ {
+			// Mark the predecessors of the splitter on symbol k.
+			row := predAt[k*n:]
 			for _, t := range splitter {
-				for _, s := range inverse[k][t] {
+				for _, s := range pred[row[t]:row[t+1]] {
 					b := blockOf[s]
-					touched[b] = append(touched[b], s)
+					i, j := loc[s], first[b]+marked[b]
+					if i < j {
+						continue // marked already
+					}
+					o := elems[j]
+					elems[i], elems[j] = o, s
+					loc[o], loc[s] = i, j
+					if marked[b] == 0 {
+						touched = append(touched, b)
+					}
+					marked[b]++
 				}
 			}
-			for b, inX := range touched {
-				if len(inX) == len(blocks[b]) {
+			for _, b := range touched {
+				m := marked[b]
+				marked[b] = 0
+				if m == end[b]-first[b] {
 					continue // no split
 				}
-				// Split block b into inX and rest.
-				inXset := make(map[int32]bool, len(inX))
-				for _, s := range inX {
-					inXset[s] = true
-				}
-				var rest []int32
-				for _, s := range blocks[b] {
-					if !inXset[s] {
-						rest = append(rest, s)
-					}
-				}
-				blocks[b] = inX
-				for _, s := range inX {
-					blockOf[s] = b
-				}
-				newID := addBlock(rest)
-				if inWork[b] {
-					worklist = append(worklist, newID)
-					inWork[newID] = true
+				// Split block b; the smaller half becomes block nb.
+				nb := int32(len(first))
+				if mid := first[b] + m; 2*m <= end[b]-first[b] {
+					first, end = append(first, first[b]), append(end, mid)
+					first[b] = mid
 				} else {
-					smaller := newID
-					if len(blocks[b]) < len(rest) {
-						smaller = b
-					}
-					worklist = append(worklist, smaller)
-					inWork[smaller] = true
+					first, end = append(first, mid), append(end, end[b])
+					end[b] = mid
 				}
+				marked = append(marked, 0)
+				for _, s := range elems[first[nb]:end[nb]] {
+					blockOf[s] = nb
+				}
+				worklist = append(worklist, nb)
 			}
+			touched = touched[:0]
 		}
 	}
-	// Build the quotient automaton.
+	// Build the quotient automaton in canonical order: breadth-first from
+	// the start block, symbols ascending, as canonicalize numbers states.
+	blocks := len(first)
+	remap := make([]int, blocks)
+	for i := range remap {
+		remap[i] = -1
+	}
+	order := make([]int32, 1, blocks)
+	order[0] = blockOf[d.Start]
+	remap[order[0]] = 0
 	q := newDFA(d.Sigma)
-	q.Accept = make([]bool, len(blocks))
-	q.Trans = make([][]int, len(blocks))
-	for b, members := range blocks {
-		rep := int(members[0])
-		q.Accept[b] = d.Accept[rep]
-		row := make([]int, len(d.syms))
-		for k := range d.syms {
-			row[k] = blockOf[d.Trans[rep][k]]
+	q.Accept = make([]bool, blocks)
+	q.Trans = make([][]int, blocks)
+	slab := make([]int, blocks*syms)
+	for i := 0; i < len(order); i++ {
+		rep := elems[first[order[i]]]
+		row := slab[i*syms : (i+1)*syms : (i+1)*syms]
+		for k, t := range d.Trans[rep] {
+			tb := blockOf[t]
+			if remap[tb] < 0 {
+				remap[tb] = len(order)
+				order = append(order, tb)
+			}
+			row[k] = remap[tb]
 		}
-		q.Trans[b] = row
+		q.Accept[i] = d.Accept[rep]
+		q.Trans[i] = row
 	}
-	q.Start = blockOf[d.Start]
-	return q.canonicalize(), nil
+	return q, nil
 }
 
 // trim removes unreachable states (keeping the automaton complete).

@@ -1,9 +1,8 @@
 package rx
 
 import (
-	"fmt"
 	"sort"
-	"strings"
+	"strconv"
 )
 
 // Fingerprint returns a stable, total serialization of the AST: two nodes
@@ -14,28 +13,28 @@ import (
 // of union (Brzozowski's theorem) — properties the constructors plus this
 // canonical ordering provide.
 func Fingerprint(n *Node) string {
-	var b strings.Builder
-	fingerprint(Canonicalize(n), &b)
-	return b.String()
+	return string(appendFingerprint(nil, Canonicalize(n)))
 }
 
-func fingerprint(n *Node, b *strings.Builder) {
-	fmt.Fprintf(b, "%d", int(n.Op))
+func appendFingerprint(b []byte, n *Node) []byte {
+	b = strconv.AppendInt(b, int64(n.Op), 10)
 	if n.Op == OpClass {
-		b.WriteByte('{')
-		for _, s := range n.Class.Symbols() {
-			fmt.Fprintf(b, "%d,", s)
+		b = append(b, '{')
+		for i := 0; i < n.Class.Len(); i++ {
+			b = strconv.AppendInt(b, int64(n.Class.At(i)), 10)
+			b = append(b, ',')
 		}
-		b.WriteByte('}')
+		b = append(b, '}')
 	}
 	if len(n.Subs) > 0 {
-		b.WriteByte('(')
+		b = append(b, '(')
 		for _, s := range n.Subs {
-			fingerprint(s, b)
-			b.WriteByte(';')
+			b = appendFingerprint(b, s)
+			b = append(b, ';')
 		}
-		b.WriteByte(')')
+		b = append(b, ')')
 	}
+	return b
 }
 
 // Canonicalize returns an AST equal to n up to reordering of union
@@ -52,10 +51,10 @@ func Canonicalize(n *Node) *Node {
 	}
 	if n.Op == OpUnion {
 		keys := make([]string, len(subs))
+		var b []byte
 		for i, s := range subs {
-			var b strings.Builder
-			fingerprint(s, &b)
-			keys[i] = b.String()
+			b = appendFingerprint(b[:0], s)
+			keys[i] = string(b)
 		}
 		if !sort.StringsAreSorted(keys) {
 			idx := make([]int, len(subs))

@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"maps"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 )
@@ -150,32 +149,24 @@ type Alphabet struct {
 func NewAlphabet(syms ...Symbol) Alphabet {
 	out := make([]Symbol, len(syms))
 	copy(out, syms)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	out = dedup(out)
-	return Alphabet{syms: out}
-}
-
-func dedup(sorted []Symbol) []Symbol {
-	w := 0
-	for i, s := range sorted {
-		if i == 0 || s != sorted[i-1] {
-			sorted[w] = s
-			w++
-		}
-	}
-	return sorted[:w]
+	slices.Sort(out)
+	return Alphabet{syms: slices.Compact(out)}
 }
 
 // Len reports |Σ|.
 func (a Alphabet) Len() int { return len(a.syms) }
+
+// At returns the i-th smallest symbol, for 0 ≤ i < Len(): a walk over the
+// alphabet that does not copy it.
+func (a Alphabet) At(i int) Symbol { return a.syms[i] }
 
 // IsEmpty reports whether the alphabet has no symbols.
 func (a Alphabet) IsEmpty() bool { return len(a.syms) == 0 }
 
 // Contains reports whether s ∈ Σ.
 func (a Alphabet) Contains(s Symbol) bool {
-	i := sort.Search(len(a.syms), func(i int) bool { return a.syms[i] >= s })
-	return i < len(a.syms) && a.syms[i] == s
+	_, found := slices.BinarySearch(a.syms, s)
+	return found
 }
 
 // Symbols returns the symbols in ascending order (a copy).
@@ -185,12 +176,26 @@ func (a Alphabet) Symbols() []Symbol {
 	return out
 }
 
-// Union returns Σ₁ ∪ Σ₂.
+// Union returns Σ₁ ∪ Σ₂, merging the two sorted symbol lists.
 func (a Alphabet) Union(b Alphabet) Alphabet {
-	merged := make([]Symbol, 0, len(a.syms)+len(b.syms))
-	merged = append(merged, a.syms...)
-	merged = append(merged, b.syms...)
-	return NewAlphabet(merged...)
+	out := make([]Symbol, 0, len(a.syms)+len(b.syms))
+	i, j := 0, 0
+	for i < len(a.syms) && j < len(b.syms) {
+		switch x, y := a.syms[i], b.syms[j]; {
+		case x < y:
+			out = append(out, x)
+			i++
+		case x > y:
+			out = append(out, y)
+			j++
+		default:
+			out = append(out, x)
+			i++
+			j++
+		}
+	}
+	out = append(out, a.syms[i:]...)
+	return Alphabet{syms: append(out, b.syms[j:]...)}
 }
 
 // Intersect returns Σ₁ ∩ Σ₂.
@@ -214,9 +219,13 @@ func (a Alphabet) Intersect(b Alphabet) Alphabet {
 
 // Minus returns Σ₁ − Σ₂; with b a singleton this is the paper's (Σ−p).
 func (a Alphabet) Minus(b Alphabet) Alphabet {
-	var out []Symbol
+	out := make([]Symbol, 0, len(a.syms))
+	j := 0
 	for _, s := range a.syms {
-		if !b.Contains(s) {
+		for j < len(b.syms) && b.syms[j] < s {
+			j++
+		}
+		if j == len(b.syms) || b.syms[j] != s {
 			out = append(out, s)
 		}
 	}
@@ -239,14 +248,13 @@ func (a Alphabet) Without(s Symbol) Alphabet {
 
 // With returns Σ ∪ {s}.
 func (a Alphabet) With(s Symbol) Alphabet {
-	if a.Contains(s) {
+	i, found := slices.BinarySearch(a.syms, s)
+	if found {
 		return a
 	}
 	out := make([]Symbol, 0, len(a.syms)+1)
-	out = append(out, a.syms...)
-	out = append(out, s)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return Alphabet{syms: out}
+	out = append(append(out, a.syms[:i]...), s)
+	return Alphabet{syms: append(out, a.syms[i:]...)}
 }
 
 // Equal reports whether two alphabets contain the same symbols.

@@ -2,6 +2,8 @@ package symtab
 
 import (
 	"fmt"
+	"slices"
+	"sort"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -222,6 +224,53 @@ func TestAlphabetProperties(t *testing.T) {
 		return d.SubsetOf(a) && d.Intersect(b).IsEmpty() && mk(x&^y).Equal(d)
 	}
 	if err := quick.Check(minus, nil); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestAlphabetMatchesSortDedup: NewAlphabet over any symbol list (unsorted,
+// with duplicates) and Union's merge must equal sorting and deduplicating
+// the concatenated input, and At must walk the same symbols. With and Minus
+// must agree with the same reference.
+func TestAlphabetMatchesSortDedup(t *testing.T) {
+	ref := func(syms []Symbol) []Symbol {
+		out := slices.Clone(syms)
+		sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+		return slices.Compact(out)
+	}
+	symbols := func(a Alphabet) []Symbol {
+		out := make([]Symbol, a.Len())
+		for i := range out {
+			out[i] = a.At(i)
+		}
+		return out
+	}
+	check := func(x, y []int8) bool {
+		xs, ys := make([]Symbol, len(x)), make([]Symbol, len(y))
+		for i, v := range x {
+			xs[i] = Symbol(v)
+		}
+		for i, v := range y {
+			ys[i] = Symbol(v)
+		}
+		a, b := NewAlphabet(xs...), NewAlphabet(ys...)
+		u := a.Union(b)
+		var minus []Symbol
+		for _, s := range ref(xs) {
+			if !slices.Contains(ys, s) {
+				minus = append(minus, s)
+			}
+		}
+		with := a
+		for _, s := range ys {
+			with = with.With(s)
+		}
+		return slices.Equal(a.Symbols(), ref(xs)) && slices.Equal(symbols(a), ref(xs)) &&
+			slices.Equal(u.Symbols(), ref(append(slices.Clone(xs), ys...))) &&
+			u.Equal(b.Union(a)) && u.Equal(with) &&
+			slices.Equal(a.Minus(b).Symbols(), append([]Symbol{}, minus...))
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
 	}
 }

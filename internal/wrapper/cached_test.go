@@ -266,3 +266,46 @@ func TestLoadsRespectKind(t *testing.T) {
 	h, err := LoadFleet(data, none)
 	check("LoadFleet(MarshalJSON)", h, err)
 }
+
+// TestCachedArtifactOutlivesFirstLoader: the context of the load that
+// compiled an artifact bounds that compile only. After it ends, a wrapper
+// that shares the artifact through a memory hit must still run language
+// operations on its components — the unambiguity test, the rigid-widening
+// Refresh (a Union, then Unambiguous) and a tuple segment's products.
+func TestCachedArtifactOutlivesFirstLoader(t *testing.T) {
+	single, tuple := trainedPayload(t), recordsPayload(t)
+	cache := extract.NewTieredCache(extract.NewCache(8, nil), nil)
+	ctx, cancel := context.WithCancel(context.Background())
+	bounded := machine.Options{}.WithContext(ctx)
+	if _, err := LoadCachedCtx(ctx, single, bounded, cache); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadTupleCachedCtx(ctx, tuple, bounded, cache); err != nil {
+		t.Fatal(err)
+	}
+	cancel()
+
+	w, err := LoadCached(single, machine.Options{}, cache)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tw, err := LoadTupleCached(tuple, machine.Options{}, cache)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := cache.Stats(); s.Misses != 2 || s.Hits != 2 {
+		t.Fatalf("stats = %+v, want the second loads to be memory hits", s)
+	}
+	if ok, err := w.Expr().Unambiguous(); err != nil || !ok {
+		t.Errorf("Expr().Unambiguous() = %v, %v; want true, nil", ok, err)
+	}
+	if _, err := w.Refresh(Sample{HTML: fig1Future, Target: TargetMarker()}); err != nil {
+		t.Errorf("rigid-widening Refresh: %v", err)
+	}
+	for j := 0; j <= tw.Arity(); j++ {
+		seg := tw.Tuple().Segment(j)
+		if _, err := seg.Union(seg); err != nil {
+			t.Errorf("segment %d Union: %v", j, err)
+		}
+	}
+}
