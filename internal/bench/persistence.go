@@ -62,14 +62,15 @@ func e17Cases() []e17Case {
 // the cold column of the same row, and the final row is the geometric mean
 // across expressions. Decode skips exactly the exponential phase, so the
 // disk tier's margin over recompiling grows with the subset construction a
-// wrapper needs. A disk hit still parses the source three times (the
-// lookup's key, the decode and the re-key check), so on a small wrapper it
-// costs about what a cold compile does.
+// wrapper needs. A disk hit parses the source twice, for the lookup's key
+// and in the decode (a blob holding the source the lookup keyed needs no
+// re-key check), so on a small wrapper it still costs about what a cold
+// compile does.
 func E17Persistence(dir string, trials int, seed int64) Table {
 	t := Table{
 		ID:     "E17",
 		Title:  "persistent artifact store: cold compile vs warm-disk vs warm-memory first request",
-		Claim:  "runtime extension: decoding a persisted artifact skips subset construction, so the warm-disk gain over a cold compile grows with the construction a wrapper needs; on a small wrapper a disk hit, which parses the source three times, costs about a cold compile",
+		Claim:  "runtime extension: decoding a persisted artifact skips subset construction, so the warm-disk gain over a cold compile grows with the construction a wrapper needs; on a small wrapper a disk hit, which parses the source twice, costs about a cold compile",
 		Header: []string{"expression", "cold µs", "warm-disk µs", "warm-mem µs", "disk speedup ×", "mem speedup ×"},
 	}
 	if trials < 1 {

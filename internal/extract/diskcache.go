@@ -111,11 +111,13 @@ func (d *DiskCache) miss() {
 // re-hashes to a different key — a renamed or cross-wired file — is treated
 // the same way, so a disk hit is always the artifact the key names.
 func (d *DiskCache) Get(key string, opt machine.Options) (*Compiled, bool) {
-	return diskGet(d, singleKind, key, opt)
+	return diskGet(d, singleKind, key, "", nil, opt)
 }
 
-// diskGet is the one disk-read path, shared by both artifact kinds.
-func diskGet[T artifact](d *DiskCache, k kind[T], key string, opt machine.Options) (T, bool) {
+// diskGet is the one disk-read path, shared by both artifact kinds. src and
+// sigmaNames are the persisted form the caller computed key from, or ""
+// and nil when it has none (Get).
+func diskGet[T artifact](d *DiskCache, k kind[T], key, src string, sigmaNames []string, opt machine.Options) (T, bool) {
 	var zero T
 	path, err := d.keyPath(key)
 	if err != nil {
@@ -131,10 +133,15 @@ func diskGet[T artifact](d *DiskCache, k kind[T], key string, opt machine.Option
 	ok := err == nil
 	if ok {
 		// Content addressing is the integrity contract of the tier: the
-		// decoded source must hash back to the key that named the file.
-		src, names := c.persisted()
-		rekey, kerr := k.key(src, names)
-		ok = kerr == nil && rekey == key
+		// decoded source must hash back to the key that named the file. Key
+		// is a pure function of the source and Σ names, so a blob holding
+		// exactly the ones the caller keyed cannot fail the check, and only
+		// any other blob is parsed again to re-key it.
+		csrc, cnames := c.persisted()
+		if src == "" || csrc != src || !slices.Equal(cnames, sigmaNames) {
+			rekey, kerr := k.key(csrc, cnames)
+			ok = kerr == nil && rekey == key
+		}
 	}
 	if !ok {
 		d.mu.Lock()

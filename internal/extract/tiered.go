@@ -108,7 +108,7 @@ func load[T artifact](ctx context.Context, t *TieredCache, k kind[T], src string
 	if err == nil {
 		c, err = getOrCompile(t.mem, key, func() (T, error) {
 			if t.disk != nil {
-				if c, ok := diskGet(t.disk, k, key, opt); ok {
+				if c, ok := diskGet(t.disk, k, key, src, sigmaNames, opt); ok {
 					tier = TierDisk
 					return c, nil
 				}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -262,5 +263,94 @@ func TestTupleAndSingleShareDiskDir(t *testing.T) {
 	}
 	if disk.Stats().Corrupt != 0 {
 		t.Fatalf("corrupt = %d, want 0", disk.Stats().Corrupt)
+	}
+}
+
+// TestTieredDiskHitIntegrity: a disk hit whose blob holds the source and Σ
+// names the lookup keyed skips the re-key parse; every other blob is still
+// re-keyed. A cross-wired blob under the looked-up key is discarded and
+// recompiled, and a blob written from an equivalent spelling (the same Key,
+// another source or name order) is served from disk.
+func TestTieredDiskHitIntegrity(t *testing.T) {
+	restart := func(dir string) (*TieredCache, *DiskCache) {
+		t.Helper()
+		disk, err := NewDiskCache(dir, -1, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return NewTieredCache(NewCache(4, nil), disk), disk
+	}
+	names := []string{"p", "q"}
+
+	a := mustCompile(t, "q* <p> .*", names)
+	for _, wired := range []struct {
+		name string
+		blob *Compiled
+	}{
+		{"source", mustCompile(t, "<p> p*", names)},
+		{"sigma", mustCompile(t, a.Src, []string{"p", "q", "r"})},
+	} {
+		t.Run("cross-wired "+wired.name, func(t *testing.T) {
+			dir := t.TempDir()
+			blob, err := EncodeArtifact(wired.blob)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, mustKey(t, a)+artifactExt), blob, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			tc, disk := restart(dir)
+			c, err := tc.Load(a.Src, names, machine.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c.Src != a.Src || !slices.Equal(c.SigmaNames, names) {
+				t.Fatalf("load served %q over %v, want a recompiled %q over %v", c.Src, c.SigmaNames, a.Src, names)
+			}
+			if s := disk.Stats(); s.Corrupt != 1 || s.Hits != 0 || s.Misses != 1 {
+				t.Fatalf("disk stats = %+v, want the cross-wired blob discarded (1 corrupt, 1 miss)", s)
+			}
+			// The recompile wrote the right blob through: the next restart
+			// hits it.
+			tc, disk = restart(dir)
+			if _, err := tc.Load(a.Src, names, machine.Options{}); err != nil {
+				t.Fatal(err)
+			}
+			if s := disk.Stats(); s.Hits != 1 || s.Corrupt != 0 {
+				t.Fatalf("disk stats after the rewrite = %+v, want 1 hit", s)
+			}
+		})
+	}
+
+	for _, spelling := range []struct {
+		name         string
+		stored, load string
+		storedNames  []string
+	}{
+		{"source", "(p | q)* <p> .*", "(q | p)* <p> .*", names},
+		{"sigma order", "(p | q)* <p> .*", "(p | q)* <p> .*", []string{"q", "p"}},
+	} {
+		t.Run("equivalent "+spelling.name, func(t *testing.T) {
+			dir := t.TempDir()
+			stored := mustCompile(t, spelling.stored, spelling.storedNames)
+			key := mustKey(t, stored)
+			if k, err := Key(spelling.load, names); err != nil || k != key {
+				t.Fatalf("Key(%q) = %s (%v), want the stored blob's %s", spelling.load, k, err, key)
+			}
+			tc, disk := restart(dir)
+			if err := disk.Put(key, stored); err != nil {
+				t.Fatal(err)
+			}
+			c, err := tc.Load(spelling.load, names, machine.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s := disk.Stats(); s.Hits != 1 || s.Corrupt != 0 || s.Misses != 0 {
+				t.Fatalf("disk stats = %+v, want the equivalent blob served from disk", s)
+			}
+			if c.Src != spelling.stored {
+				t.Fatalf("served %q, want the stored blob's %q", c.Src, spelling.stored)
+			}
+		})
 	}
 }

@@ -76,39 +76,47 @@ func (r *wrapperRegistry) write(rec record) error {
 	return nil
 }
 
-// load reads every decodable envelope, normalizing legacy entries (payload
-// in Wrapper, no version counter) to active version 1. Undecodable files
-// are counted and skipped — one torn envelope must not keep the rest of the
-// fleet down. A nil registry loads nothing.
-func (r *wrapperRegistry) load() (records []record, unreadable int) {
+// list names the envelope files in directory order. A nil registry lists
+// nothing.
+func (r *wrapperRegistry) list() []string {
 	if r == nil {
-		return nil, 0
+		return nil
 	}
 	files, err := os.ReadDir(r.dir)
 	if err != nil {
-		return nil, 0
+		return nil
 	}
+	var names []string
 	for _, e := range files {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".json") {
-			continue
+		if !e.IsDir() && strings.HasSuffix(e.Name(), ".json") {
+			names = append(names, e.Name())
 		}
-		blob, err := os.ReadFile(filepath.Join(r.dir, e.Name()))
-		if err != nil {
-			unreadable++
-			continue
-		}
-		var rec record
-		if err := json.Unmarshal(blob, &rec); err != nil || rec.Key == "" {
-			unreadable++
-			continue
-		}
-		if rec.Active == nil && len(rec.Wrapper) > 0 && !rec.Deleted {
-			// Legacy envelope: the payload becomes active version 1.
-			rec.Active = &versionedWrapper{Version: 1, Payload: rec.Wrapper}
-			rec.LastVersion = max(rec.LastVersion, 1)
-		}
-		rec.Wrapper = nil
-		records = append(records, rec)
 	}
-	return records, unreadable
+	return names
+}
+
+// read reads and decodes one listed envelope, normalizing a legacy entry
+// (payload in Wrapper, no version counter) to active version 1. A file that
+// cannot be read or does not decode to a keyed record is an error: restore
+// counts and skips it, so one torn envelope cannot keep the rest of the
+// fleet down.
+func (r *wrapperRegistry) read(name string) (record, error) {
+	blob, err := os.ReadFile(filepath.Join(r.dir, name))
+	if err != nil {
+		return record{}, err
+	}
+	var rec record
+	if err := json.Unmarshal(blob, &rec); err != nil {
+		return record{}, fmt.Errorf("wrapper registry: %s: %w", name, err)
+	}
+	if rec.Key == "" {
+		return record{}, fmt.Errorf("wrapper registry: %s names no key", name)
+	}
+	if rec.Active == nil && len(rec.Wrapper) > 0 && !rec.Deleted {
+		// Legacy envelope: the payload becomes active version 1.
+		rec.Active = &versionedWrapper{Version: 1, Payload: rec.Wrapper}
+		rec.LastVersion = max(rec.LastVersion, 1)
+	}
+	rec.Wrapper = nil
+	return rec, nil
 }

@@ -1,14 +1,19 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"os"
 	"path/filepath"
+	"reflect"
+	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -370,5 +375,148 @@ func TestRestoreEnvelopeFormats(t *testing.T) {
 	s = diskServer(t, dir, nil, obs.New())
 	if got, _ := s.VersionState("broken"); got != (VersionState{LastVersion: 8, Active: 8}) || s.Active("broken") == nil {
 		t.Fatalf("after a second restart: %+v (serving %v), want version 8 active", got, s.Active("broken") != nil)
+	}
+}
+
+// withExtraSigma returns payload with one more Σ name, so it compiles to an
+// artifact of its own while extracting as before.
+func withExtraSigma(t *testing.T, payload []byte, name string) []byte {
+	t.Helper()
+	var p map[string]any
+	if err := json.Unmarshal(payload, &p); err != nil {
+		t.Fatal(err)
+	}
+	p["sigma"] = append(p["sigma"].([]any), name)
+	out, err := json.Marshal(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestRestoreParallelMatchesOneWorker: restore loads the registry on
+// GOMAXPROCS workers and must leave exactly the state a one-worker restore
+// leaves — served keys, every key's version state and version gauges, the
+// restored/deleted/skipped counts and the log line — over a registry of
+// more than 2×GOMAXPROCS keys that holds every case restore tells apart: two
+// keys sharing one artifact, a tuple key, a tombstone for a key the fleet
+// file also ships, a torn envelope, an active payload that no longer
+// compiles (its counter is kept) and a canary that fails (it is dropped).
+func TestRestoreParallelMatchesOneWorker(t *testing.T) {
+	procs := runtime.GOMAXPROCS(0)
+	dir := t.TempDir()
+	payload, next := trainedPayload(t), futurePayload(t)
+	var p map[string]any
+	if err := json.Unmarshal(payload, &p); err != nil {
+		t.Fatal(err)
+	}
+	p["expr"] = ".* <INPUT> ((" // does not parse
+	broken, err := json.Marshal(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shipped, err := wrapper.Load(payload, machine.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fleet := wrapper.NewFleet()
+	fleet.Add("shipped", shipped)
+	fleetData, err := json.Marshal(fleet)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	reg, err := newWrapperRegistry(filepath.Join(dir, "wrappers"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	records := []record{
+		{Key: "twin-a", LastVersion: 1, Active: &versionedWrapper{Version: 1, Payload: payload}},
+		{Key: "twin-b", LastVersion: 2, Active: &versionedWrapper{Version: 2, Payload: payload}},
+		{Key: "tuple", LastVersion: 1, Active: &versionedWrapper{Version: 1, Payload: tuplePayload(t)}},
+		{Key: "shipped", LastVersion: 3, Deleted: true},
+		{Key: "torn", LastVersion: 1, Active: &versionedWrapper{Version: 1, Payload: payload}},
+		{Key: "broken", LastVersion: 7, Active: &versionedWrapper{Version: 7, Payload: broken}},
+		{Key: "bad-canary", LastVersion: 5, Active: &versionedWrapper{Version: 4, Payload: payload},
+			Canary: &versionedWrapper{Version: 5, Payload: broken}},
+		{Key: "rolling", LastVersion: 4, Active: &versionedWrapper{Version: 3, Payload: payload},
+			Canary: &versionedWrapper{Version: 4, Payload: next}, Prior: &versionedWrapper{Version: 1, Payload: payload}},
+	}
+	for i := 0; len(records) < 4*procs+8; i++ {
+		records = append(records, record{Key: fmt.Sprintf("site-%d", i), LastVersion: 1,
+			Active: &versionedWrapper{Version: 1, Payload: withExtraSigma(t, payload, fmt.Sprintf("EXT%d", i))}})
+	}
+	for _, rec := range records {
+		if err := reg.write(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	blob, err := os.ReadFile(reg.path("torn"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(reg.path("torn"), blob[:len(blob)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	type restoredState struct {
+		sites  []string
+		states map[string]VersionState
+		gauges map[string][2]int64
+		log    string
+	}
+	restore := func(workers int) restoredState {
+		t.Helper()
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
+		var log bytes.Buffer
+		o := obs.New()
+		s, err := New(Config{CacheDir: dir, CacheCap: 8, DiskCap: -1, FleetData: fleetData, Observer: o, RestoreLog: &log})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := restoredState{sites: s.Sites(), states: map[string]VersionState{}, gauges: map[string][2]int64{}, log: log.String()}
+		for _, rec := range records {
+			if vs, ok := s.VersionState(rec.Key); ok {
+				got.states[rec.Key] = vs
+			}
+			got.gauges[rec.Key] = [2]int64{
+				o.Gauge(obs.WithLabels("refresh_active_version", "site", rec.Key)).Value(),
+				o.Gauge(obs.WithLabels("refresh_canary_version", "site", rec.Key)).Value(),
+			}
+		}
+		if err := s.Extract("twin-b", pageTop); err != nil {
+			t.Errorf("restored on %d worker(s): twin-b: %v", workers, err)
+		}
+		return got
+	}
+	// The first restore compiles every artifact and writes it through, so
+	// both compared restores decode the same artifacts from disk.
+	restore(procs)
+	one, all := restore(1), restore(procs)
+
+	if !reflect.DeepEqual(one, all) {
+		t.Fatalf("restore on %d workers differs from one worker:\n got %+v\nwant %+v", procs, all, one)
+	}
+	n := len(records)
+	want := fmt.Sprintf("serve: restored %d wrapper(s) from %s (1 deleted, 3 skipped)\n", n-3, dir)
+	if all.log != want {
+		t.Errorf("restore log %q, want %q", all.log, want)
+	}
+	if len(all.sites) != n-3 || slices.Contains(all.sites, "shipped") || slices.Contains(all.sites, "broken") {
+		t.Errorf("restored sites %v, want every key but shipped, torn and broken", all.sites)
+	}
+	for key, want := range map[string]VersionState{
+		"twin-b":     {LastVersion: 2, Active: 2},
+		"shipped":    {LastVersion: 3, Deleted: true},
+		"broken":     {LastVersion: 7},
+		"bad-canary": {LastVersion: 5, Active: 4},
+		"rolling":    {LastVersion: 4, Active: 3, Canary: 4, Prior: 1},
+	} {
+		if got := all.states[key]; got != want {
+			t.Errorf("%s: restored %+v, want %+v", key, got, want)
+		}
+	}
+	if _, ok := all.states["torn"]; ok {
+		t.Error("torn envelope restored a record")
 	}
 }

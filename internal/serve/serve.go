@@ -168,10 +168,38 @@ func New(cfg Config) (*Server, error) {
 // counted, not fatal: a canary is dropped, and an active version leaves
 // only the counter behind, so the key serves what it served before the
 // restore and its next write still numbers past every version it had.
+//
+// Reading and decoding the envelopes and loading their payloads run on
+// wrapper.LoadAll's workers: of n envelopes, envelope i fills slot i with
+// its active version and slot n+i with its canary, and whichever worker
+// reaches the envelope first reads it for both. The results then apply in
+// directory order, as a serial restore would. A canary loads beside its
+// active version, so one whose active version fails is compiled and then
+// dropped with the record.
 func (s *Server) restoreRegistry() (restored, deleted, skipped int) {
-	records, unreadable := s.registry.load()
-	skipped = unreadable
-	for _, rec := range records {
+	names := s.registry.list()
+	n := len(names)
+	envelopes := make([]func() (record, error), n)
+	for i, name := range names {
+		envelopes[i] = sync.OnceValues(func() (record, error) { return s.registry.read(name) })
+	}
+	ws, _ := wrapper.LoadAll(context.Background(), 2*n, func(i int) []byte {
+		rec, err := envelopes[i%n]()
+		slot := rec.Active
+		if i >= n {
+			slot = rec.Canary
+		}
+		if err != nil || rec.Deleted || slot == nil {
+			return nil
+		}
+		return slot.Payload
+	}, s.opt, s.cache)
+	for i, envelope := range envelopes {
+		rec, err := envelope()
+		if err != nil {
+			skipped++
+			continue
+		}
 		kv := s.entry(rec.Key)
 		kv.record = rec
 		if rec.Deleted {
@@ -179,19 +207,18 @@ func (s *Server) restoreRegistry() (restored, deleted, skipped int) {
 			deleted++
 			continue
 		}
+		// A slot's wrapper is nil when its payload failed to load or was
+		// missing from the envelope.
 		if rec.Active != nil {
-			lw, err := wrapper.LoadAny(context.Background(), rec.Active.Payload, s.opt, s.cache)
-			if err != nil {
+			if ws[i] == nil {
 				kv.record = record{Key: rec.Key, LastVersion: rec.LastVersion}
 				skipped++
 				continue
 			}
-			kv.active = lw
+			kv.active = ws[i]
 		}
 		if rec.Canary != nil {
-			if lw, err := wrapper.LoadAny(context.Background(), rec.Canary.Payload, s.opt, s.cache); err == nil {
-				kv.canary = lw
-			} else {
+			if kv.canary = ws[n+i]; kv.canary == nil {
 				kv.Canary = nil
 				skipped++
 			}

@@ -68,38 +68,44 @@ func RunBatch(ctx context.Context, docs []BatchDoc, opt BatchOptions, run func(c
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(docs) {
-		workers = len(docs)
-	}
+	forEach(len(docs), workers, func(i int) {
+		dctx, cancel := ctx, context.CancelFunc(func() {})
+		if opt.DocTimeout > 0 {
+			dctx, cancel = context.WithTimeout(ctx, opt.DocTimeout)
+		}
+		start := time.Now()
+		r, err := run(dctx, i)
+		durations.Observe(time.Since(start).Microseconds())
+		cancel()
+		docsTotal.Inc()
+		if err != nil {
+			errsTotal.Inc()
+		}
+		results[i] = BatchResult{Index: i, Key: docs[i].Key, Region: r, Err: err}
+	})
+	return results
+}
+
+// forEach calls do(i) for every i < n on at most workers goroutines, each
+// taking the next index in turn, and returns once every call has returned.
+// It is the worker loop behind RunBatch and LoadAll.
+func forEach(n, workers int, do func(i int)) {
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 0; w < min(workers, n); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for {
 				i := int(next.Add(1)) - 1
-				if i >= len(docs) {
+				if i >= n {
 					return
 				}
-				dctx, cancel := ctx, context.CancelFunc(func() {})
-				if opt.DocTimeout > 0 {
-					dctx, cancel = context.WithTimeout(ctx, opt.DocTimeout)
-				}
-				start := time.Now()
-				r, err := run(dctx, i)
-				durations.Observe(time.Since(start).Microseconds())
-				cancel()
-				docsTotal.Inc()
-				if err != nil {
-					errsTotal.Inc()
-				}
-				results[i] = BatchResult{Index: i, Key: docs[i].Key, Region: r, Err: err}
+				do(i)
 			}
 		}()
 	}
 	wg.Wait()
-	return results
 }
 
 // ExtractBatch is RunBatch over the fleet: each document runs the wrapper

@@ -2,6 +2,7 @@ package wrapper
 
 import (
 	"context"
+	"runtime"
 
 	"resilex/internal/extract"
 	"resilex/internal/machine"
@@ -75,6 +76,23 @@ func LoadAny(ctx context.Context, data []byte, opt machine.Options, cache *extra
 		return nil, err
 	}
 	return w, nil
+}
+
+// LoadAll restores n persisted wrappers, each of either kind, with LoadAny
+// on runtime.GOMAXPROCS(0) workers, and returns one wrapper or error per
+// payload, in input order. payload(i) supplies the i-th payload on the
+// worker that loads it, so reading or decoding whatever holds the payloads
+// runs on the workers too; a nil payload is an empty slot, with neither a
+// wrapper nor an error. It is the loader behind every boot-time load: a
+// deploy-time fleet file and a server's registry restore.
+func LoadAll(ctx context.Context, n int, payload func(i int) []byte, opt machine.Options, cache *extract.TieredCache) ([]Any, []error) {
+	ws, errs := make([]Any, n), make([]error, n)
+	forEach(n, runtime.GOMAXPROCS(0), func(i int) {
+		if p := payload(i); p != nil {
+			ws[i], errs[i] = LoadAny(ctx, p, opt, cache)
+		}
+	})
+	return ws, errs
 }
 
 // single restores the envelope as a single-pivot wrapper.

@@ -3,6 +3,7 @@ package wrapper
 import (
 	"context"
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 
@@ -140,6 +141,22 @@ func TestLoadFleetCached(t *testing.T) {
 	}
 	if _, err := LoadFleetCached([]byte(`{"version":1,"kind":"pod"}`), machine.Options{}, cache); !errors.Is(err, ErrMalformedInput) {
 		t.Errorf("bad kind: err = %v, want ErrMalformedInput", err)
+	}
+}
+
+// TestLoadFleetCachedFirstErrorInKeyOrder: members load in parallel, yet a
+// fleet with several bad entries reports the same one on every load — the
+// first failing key in sorted order.
+func TestLoadFleetCachedFirstErrorInKeyOrder(t *testing.T) {
+	good := string(trainedPayload(t))
+	blob := []byte(`{"version":1,"kind":"fleet","wrappers":{"e":{"version":9},"a":` + good +
+		`,"c":{"version":1,"expr":"(((","sigma":["P"]},"b":` + good + `,"d":{"version":9}}}`)
+	for i := 0; i < 20; i++ {
+		cache := extract.NewTieredCache(extract.NewCache(8, nil), nil)
+		_, err := LoadFleetCached(blob, machine.Options{}, cache)
+		if !errors.Is(err, ErrMalformedInput) || !strings.Contains(err.Error(), `fleet entry "c"`) {
+			t.Fatalf("load %d: err = %v, want ErrMalformedInput naming entry \"c\"", i, err)
+		}
 	}
 }
 

@@ -148,7 +148,8 @@ func LoadFleet(data []byte, opt machine.Options) (*Fleet, error) {
 // LoadFleetCached is LoadFleet with every member restored through the
 // compiled-artifact cache (see LoadAny), so fleets that share expressions
 // across sites — or fleets reloaded on every deploy — compile each distinct
-// expression once.
+// expression once. Members load in parallel (LoadAll); when several fail,
+// the error names the first failing key in sorted order.
 func LoadFleetCached(data []byte, opt machine.Options, cache *extract.TieredCache) (*Fleet, error) {
 	var p fleetPersisted
 	if err := json.Unmarshal(data, &p); err != nil {
@@ -157,13 +158,18 @@ func LoadFleetCached(data []byte, opt machine.Options, cache *extract.TieredCach
 	if p.Version != 1 || p.Kind != "fleet" {
 		return nil, fmt.Errorf("%w: not a version-1 fleet (version %d, kind %q)", ErrMalformedInput, p.Version, p.Kind)
 	}
+	keys := make([]string, 0, len(p.Wrappers))
+	for key := range p.Wrappers {
+		keys = append(keys, key)
+	}
+	sort.Strings(keys)
+	ws, errs := LoadAll(context.Background(), len(keys), func(i int) []byte { return p.Wrappers[keys[i]] }, opt, cache)
 	f := NewFleet()
-	for key, raw := range p.Wrappers {
-		w, err := LoadAny(context.Background(), raw, opt, cache)
-		if err != nil {
-			return nil, fmt.Errorf("wrapper: fleet entry %q: %w", key, err)
+	for i, key := range keys {
+		if errs[i] != nil {
+			return nil, fmt.Errorf("wrapper: fleet entry %q: %w", key, errs[i])
 		}
-		f.Set(key, w)
+		f.Set(key, ws[i])
 	}
 	return f, nil
 }

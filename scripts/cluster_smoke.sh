@@ -12,7 +12,10 @@
 #      a second canary and roll it back by its version,
 #   5. kill one shard,
 #   6. extract again — the router must fail over and still answer,
-#   7. DELETE the wrapper through the router and confirm it is gone.
+#   7. restart the killed shard over its -cache-dir: it must restore the
+#      wrapper from its registry and answer a direct extract, and the
+#      router must see it up again,
+#   8. DELETE the wrapper through the router and confirm it is gone.
 #
 # Run from the repository root (make cluster-smoke). Exits non-zero on the
 # first broken step.
@@ -154,6 +157,26 @@ curl -s -H 'Content-Type: application/json' \
 grep -q '"ok":true' "$DIR/extract2.json" || {
     echo "cluster-smoke: extraction after shard kill failed: $(cat "$DIR/extract2.json")" >&2; exit 1; }
 
+echo "cluster-smoke: restarting shard 1 over its cache dir"
+"$DIR/serve" -mode shard -listen 127.0.0.1:$PORT_SHARD1 -cache-dir "$DIR/shard1" 2>"$DIR/shard1-restart.log" &
+PIDS="$PIDS $!"
+wait_up http://127.0.0.1:$PORT_SHARD1
+grep -q 'serve: restored 1 wrapper(s)' "$DIR/shard1-restart.log" || {
+    echo "cluster-smoke: restarted shard did not restore the wrapper: $(cat "$DIR/shard1-restart.log")" >&2; exit 1; }
+curl -s -H 'Content-Type: application/json' \
+    --data-binary @scripts/testdata/cluster_smoke_request.json \
+    http://127.0.0.1:$PORT_SHARD1/extract >"$DIR/extract-restarted.json"
+grep -q '"ok":true' "$DIR/extract-restarted.json" || {
+    echo "cluster-smoke: extraction on the restarted shard failed: $(cat "$DIR/extract-restarted.json")" >&2; exit 1; }
+# The DELETE below must reach both owners, so wait until the router's health
+# poller has seen the restarted shard.
+for _ in $(seq 1 50); do
+    curl -sf "$ROUTER/healthz" | grep -q '"up":2' && break
+    sleep 0.1
+done
+curl -sf "$ROUTER/healthz" | grep -q '"up":2' || {
+    echo "cluster-smoke: router never saw the restarted shard up: $(curl -s "$ROUTER/healthz")" >&2; exit 1; }
+
 echo "cluster-smoke: deleting wrapper through the router"
 del=$(curl -s -o "$DIR/del.json" -w '%{http_code}' -X DELETE "$ROUTER/wrappers/vs")
 [ "$del" = 200 ] || { echo "cluster-smoke: DELETE status $del: $(cat "$DIR/del.json")" >&2; exit 1; }
@@ -163,4 +186,4 @@ curl -s -H 'Content-Type: application/json' \
 grep -q '"ok":true' "$DIR/extract3.json" && {
     echo "cluster-smoke: extraction still succeeds after DELETE" >&2; exit 1; }
 
-echo "cluster-smoke: OK (replicated put, routed extract, cross-process trace, replicated canary/promote/rollback, failover extract, replicated delete)"
+echo "cluster-smoke: OK (replicated put, routed extract, cross-process trace, replicated canary/promote/rollback, failover extract, shard restart from its cache dir, replicated delete)"
