@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -50,7 +51,10 @@ func TestE18FailoverZeroFailedRequests(t *testing.T) {
 
 // TestE18ShardScaling: under the capacity model, 2 shards must beat 1 —
 // the cheap always-on guard for the scaling claim (the full 1/2/4 sweep
-// runs in `make bench`).
+// runs in `make bench`). The two shard counts run in three alternating
+// windows each and the medians are compared, so one stall from the
+// packages a full `go test ./...` runs beside this one moves a single
+// window, not the verdict.
 func TestE18ShardScaling(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing-sensitive scaling check")
@@ -77,8 +81,14 @@ func TestE18ShardScaling(t *testing.T) {
 		}
 		return float64(res.requests) / res.elapsed.Seconds()
 	}
-	r1, r2 := rate(1), rate(2)
-	if r2 < r1*1.3 {
-		t.Errorf("2 shards = %.0f req/s vs 1 shard = %.0f req/s — no scaling win", r2, r1)
+	var r1, r2 []float64
+	for range 3 {
+		r1 = append(r1, rate(1))
+		r2 = append(r2, rate(2))
+	}
+	slices.Sort(r1)
+	slices.Sort(r2)
+	if r2[1] < r1[1]*1.3 {
+		t.Errorf("median 2 shards = %.0f req/s vs 1 shard = %.0f req/s — no scaling win (windows %.0f vs %.0f)", r2[1], r1[1], r2, r1)
 	}
 }

@@ -5,8 +5,9 @@ package seqfuzz
 // entry reachable instead of having to discover kind bytes by mutation),
 // plus longer scripted interleavings of the scenarios the production stack
 // is actually nervous about — rollout churn across a restart, eviction
-// under canary traffic, failover after a shard kill, and extraction from
-// the historical tokenizer-crasher pages. The committed corpus under
+// under canary traffic, failover after a shard kill, extraction from the
+// historical tokenizer-crasher pages, and one key written past the
+// registry's record bound on both sides of a restart. The committed corpus under
 // testdata/fuzz/FuzzAPISequence mirrors these (see TestSeedCorpusCommitted).
 func Seeds() [][]byte {
 	var seeds [][]byte
@@ -91,6 +92,36 @@ func Seeds() [][]byte {
 			{Kind: OpCanaryPut, A: 0, B: 4, C: 0},
 			{Kind: OpPut, A: 0, B: 4, C: 0},
 			{Kind: OpExtract, A: 0, B: 0, C: 0},
+		},
+		// Past the registry's bound of eight records per envelope file: ten
+		// writes of every kind to one key (the ninth rewrites the file), a
+		// restart that restores the newest record, eight more writes (the
+		// first rewrites, the rest append up to the bound) and a second
+		// restart that restores from a full file.
+		{
+			{Kind: OpPut, A: 2, B: 0, C: 0},
+			{Kind: OpPut, A: 2, B: 1, C: 1},
+			{Kind: OpCanaryPut, A: 2, B: 2, C: 0},
+			{Kind: OpPromote, A: 2, B: 0, C: 1},
+			{Kind: OpRollback, A: 2, B: 0, C: 0},
+			{Kind: OpPut, A: 2, B: 2, C: 2},
+			{Kind: OpDelete, A: 2, B: 0, C: 0},
+			{Kind: OpPut, A: 2, B: 0, C: 1},
+			{Kind: OpPut, A: 2, B: 1, C: 0},
+			{Kind: OpCanaryPut, A: 2, B: 0, C: 2},
+			{Kind: OpExtractBatch, A: 2, B: 0, C: 1},
+			{Kind: OpRestart, A: 2, B: 0, C: 0},
+			{Kind: OpPromote, A: 2, B: 0, C: 0},
+			{Kind: OpPut, A: 2, B: 2, C: 1},
+			{Kind: OpCanaryPut, A: 2, B: 1, C: 2},
+			{Kind: OpRollback, A: 2, B: 0, C: 0},
+			{Kind: OpPut, A: 2, B: 0, C: 0},
+			{Kind: OpExtractStream, A: 2, B: 0, C: 2},
+			{Kind: OpCanaryPut, A: 2, B: 2, C: 1},
+			{Kind: OpPromote, A: 2, B: 0, C: 2},
+			{Kind: OpPut, A: 2, B: 1, C: 0},
+			{Kind: OpRestart, A: 2, B: 0, C: 1},
+			{Kind: OpExtractBatch, A: 2, B: 0, C: 0},
 		},
 	}
 	for _, ops := range scripted {

@@ -48,7 +48,8 @@ func (v *versionedWrapper) version() uint64 {
 }
 
 // record is the version state of one key, held in memory exactly as the
-// registry persists it (one JSON envelope per key, see registry.go).
+// registry persists it: the newest line of the key's registry file (see
+// registry.go).
 type record struct {
 	Key string `json:"key"`
 	// Wrapper is the legacy unversioned payload slot of envelopes written

@@ -10,11 +10,14 @@
 #   4. roll out through the router: stage a canary (replicated to both
 #      shards), see it in GET /wrappers/vs/versions, promote it, then stage
 #      a second canary and roll it back by its version,
-#   5. kill one shard,
+#   5. re-PUT the wrapper until the key has had ten writes, so each shard's
+#      registry file was rewritten at its eight-record bound and appended
+#      to since, then SIGKILL one shard,
 #   6. extract again — the router must fail over and still answer,
 #   7. restart the killed shard over its -cache-dir: it must restore the
-#      wrapper from its registry and answer a direct extract, and the
-#      router must see it up again,
+#      wrapper from its registry at the version state the live shard
+#      reports and answer a direct extract, and the router must see it up
+#      again,
 #   8. DELETE the wrapper through the router and confirm it is gone.
 #
 # Run from the repository root (make cluster-smoke). Exits non-zero on the
@@ -148,8 +151,13 @@ canary=$(staged_canary)
     echo "cluster-smoke: versions show no second canary: $(cat "$DIR/versions.json")" >&2; exit 1; }
 write_step POST "/wrappers/vs/rollback?version=$canary" 200 '"rollback":2'
 
-echo "cluster-smoke: killing shard 1, extracting again (failover)"
-kill "$SHARD1_PID"
+echo "cluster-smoke: re-registering past the registry's record bound"
+for _ in 1 2 3 4 5; do
+    write_step PUT /wrappers/vs 201 '"replicated":2' "$DIR/wrapper.json"
+done
+
+echo "cluster-smoke: killing shard 1 (SIGKILL), extracting again (failover)"
+kill -9 "$SHARD1_PID"
 wait "$SHARD1_PID" 2>/dev/null || true
 curl -s -H 'Content-Type: application/json' \
     --data-binary @scripts/testdata/cluster_smoke_request.json \
@@ -163,6 +171,17 @@ PIDS="$PIDS $!"
 wait_up http://127.0.0.1:$PORT_SHARD1
 grep -q 'serve: restored 1 wrapper(s)' "$DIR/shard1-restart.log" || {
     echo "cluster-smoke: restarted shard did not restore the wrapper: $(cat "$DIR/shard1-restart.log")" >&2; exit 1; }
+# version_state URL prints the active and last version a shard reports for
+# vs (keys are sorted, so "active" precedes "lastVersion").
+version_state() {
+    curl -sf "$1/wrappers/vs/versions" |
+        sed -n 's/.*"active":{"version":\([0-9]*\)}.*"lastVersion":\([0-9]*\).*/active=\1 last=\2/p'
+}
+restored=$(version_state http://127.0.0.1:$PORT_SHARD1)
+live=$(version_state http://127.0.0.1:$PORT_SHARD2)
+[ -n "$restored" ] && [ "$restored" = "$live" ] || {
+    echo "cluster-smoke: restarted shard reports \"$restored\", live shard \"$live\"" >&2; exit 1; }
+echo "cluster-smoke: restarted shard restored $restored, as the live shard reports"
 curl -s -H 'Content-Type: application/json' \
     --data-binary @scripts/testdata/cluster_smoke_request.json \
     http://127.0.0.1:$PORT_SHARD1/extract >"$DIR/extract-restarted.json"
@@ -186,4 +205,4 @@ curl -s -H 'Content-Type: application/json' \
 grep -q '"ok":true' "$DIR/extract3.json" && {
     echo "cluster-smoke: extraction still succeeds after DELETE" >&2; exit 1; }
 
-echo "cluster-smoke: OK (replicated put, routed extract, cross-process trace, replicated canary/promote/rollback, failover extract, shard restart from its cache dir, replicated delete)"
+echo "cluster-smoke: OK (replicated put, routed extract, cross-process trace, replicated canary/promote/rollback, failover extract, SIGKILLed shard restored from its cache dir at the live shard's versions, replicated delete)"
