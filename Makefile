@@ -173,11 +173,14 @@ alloc-gate:
 # tuple expressions over arbitrary words, guarding the multi-split
 # automaton in internal/spanner.
 # The pool tests check that failed, drained, abandoned and concurrent runs
-# leave the shared arena pool clean, that memory follows the reached nodes,
-# and the deadline-poll cadence.
+# leave each program's arena pool clean, that memory follows the reached
+# nodes, and the deadline-poll cadence. The memo tests check that a run
+# reaches no doomed state and that runs on a fresh, a warm and a cleared row
+# memo agree.
 spanner-gate:
 	$(GO) test -run 'TestProgramMatchesOracle|TestUnambiguousTupleInvariant|TestRecordEnumeration' -count=1 ./internal/spanner/
-	$(GO) test -run 'TestRerunAfterFailedPass|TestDrainedVectorsSurviveReuse|TestAbandonedCursorLeavesNoTrace|TestConcurrentProgramsShareThePool|TestDeadlinePollCadence|TestRunMemoryBoundedByNodes' -count=1 ./internal/spanner/
+	$(GO) test -run 'TestRerunAfterFailedPass|TestDrainedVectorsSurviveReuse|TestAbandonedCursorLeavesNoTrace|TestConcurrentRunsOfTwoPrograms|TestDeadlinePollCadence|TestRunMemoryBoundedByNodes' -count=1 ./internal/spanner/
+	$(GO) test -run 'TestRunReachesNoDoomedState|TestMemoColdWarmCleared' -count=1 ./internal/spanner/
 	$(GO) test -fuzz=FuzzSpannerOracleEquiv -fuzztime=5s ./internal/spanner/
 
 # Refresh smoke: boot one node with the drift watcher on, PUT v1, drop a

@@ -29,7 +29,8 @@ var fuzzExprs = []string{
 // (low bits the first, high bits the second); the rest spell the word over
 // {p, q, r} plus symtab.None and an interned symbol outside Σ. The second
 // program runs between two runs of the first, so each input also checks
-// that runs sharing the arena pool leave nothing behind for each other.
+// that a rerun on the arena and row memo its first run left behind, with
+// another program's run in between, still agrees with the oracle.
 func FuzzSpannerOracleEquiv(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 0})
 	f.Add([]byte{1, 1, 0, 1, 2})

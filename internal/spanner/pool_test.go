@@ -14,11 +14,11 @@ import (
 	"resilex/internal/symtab"
 )
 
-// Every Program draws its DAG arena from one package-level pool. These tests
-// pin the pool's hygiene: whatever a run leaves behind — a failed pass, a
-// drained cursor, an abandoned one — later runs of any program must still
-// agree with the naive oracle, and handed-out vectors must never alias an
-// arena.
+// Every Program draws its DAG arenas, each with its row memo, from its own
+// pool. These tests pin the pool's hygiene: whatever a run leaves behind — a
+// failed pass, a drained cursor, an abandoned one — later runs of any
+// program must still agree with the naive oracle, and handed-out vectors
+// must never alias an arena.
 
 // records spells n "q p q r" records.
 func records(n int) string {
@@ -178,9 +178,10 @@ func TestAbandonedCursorLeavesNoTrace(t *testing.T) {
 	}
 }
 
-// TestConcurrentProgramsShareThePool: eight goroutines run two programs
-// over the one pool at once; every enumeration must match the oracle.
-func TestConcurrentProgramsShareThePool(t *testing.T) {
+// TestConcurrentRunsOfTwoPrograms: eight goroutines run two programs at
+// once, each program handing out arenas and their memos from its own pool;
+// every enumeration must match the oracle.
+func TestConcurrentRunsOfTwoPrograms(t *testing.T) {
 	e := newSenv()
 	type oracleCase struct {
 		src  string

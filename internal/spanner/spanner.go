@@ -36,15 +36,26 @@
 // one layered table over a single local state space: (j, q) is one local
 // state, and each state's row carries its |Σ| advance successors plus one
 // split entry (the next pivot's symbol index and the next segment's start
-// state). The forward pass resolves each position's symbol index once and
-// makes one row load per node. Nodes are appended row by row to a flat
-// arena, deduplicated by a per-row slot table over the local states, and
-// each keeps its state, position, both successors and its jump pointer, so
-// memory is O(reached nodes + |states|) — bounded by the MaxStates budget —
-// and a row that comes out empty ends the pass. Arenas come from one
-// package-level pool shared by every Program; a cursor returns its arena
-// when Next reports exhaustion or fails, and an abandoned cursor simply
-// keeps its arena out of the pool. The deadline is polled at position 0 and
+// state). Compile also cuts every edge into a doomed state, one from which
+// no final state can be reached, so a run never adds one to a row.
+//
+// A row of the DAG is then determined by its shape, the sorted list of the
+// live local states it holds, and a row's successor depends only on its
+// shape and the next symbol. The forward pass walks this row automaton,
+// which each arena memoizes: a (shape, symbol) edge names the next shape
+// and, for each node of the row, its advance and split indexes into the
+// next row. A memo hit costs one table load per position; a miss builds
+// the edge from the layered table, the only place a run reads it. Nodes are
+// implicit (position, index in row) pairs: a run stores each row's first
+// node id and move offset, and one jump pointer per node, so its memory is
+// O(live nodes + n) — the node count bounded by the MaxStates budget — and
+// a row that comes out empty ends the pass.
+//
+// Arenas come from a pool on each Program, since a memo belongs to one
+// program; a cursor returns its arena when Next reports exhaustion or
+// fails, and an abandoned cursor simply keeps its arena out of the pool. A
+// run that starts on a memo holding more than memoCap entries clears it
+// first; no run clears it midway. The deadline is polled at position 0 and
 // then every pollStride positions.
 package spanner
 
@@ -65,10 +76,16 @@ import (
 // deadline polls.
 const pollStride = 1024
 
+// memoEntries bounds an arena's memo at the start of a run, counted in
+// 4-byte table entries (shape states, transitions and node moves): 1 MB.
+// The record wrappers' memos settle at a few hundred entries; a word whose
+// rows never repeat grows one shape per position.
+const memoEntries = 1 << 18
+
 // Program is a compiled k-pivot spanner: the k+1 minimal segment DFAs of an
 // extract.Tuple laid out as one layered table, plus the pivot symbols,
-// ready to run over documents. A Program is immutable and safe for
-// concurrent Run calls.
+// ready to run over documents. A Program is safe for concurrent Run calls:
+// each run works in its own pooled arena.
 type Program struct {
 	marks []symtab.Symbol
 	sigma symtab.Alphabet
@@ -77,17 +94,22 @@ type Program struct {
 	idx   *machine.SymbolIndex
 	width int // row length of table: |Σ| successors, then the split entry
 	// table holds local state s's row at s*width: the advance successor on
-	// symbol index a at +a, the split symbol index (machine.NoState when no
-	// split leaves s) at +|Σ|, and the split target at +|Σ|+1.
+	// symbol index a at +a (machine.NoState when it is doomed), the split
+	// symbol index (machine.NoState when no split into a live state leaves
+	// s) at +|Σ|, and the split target at +|Σ|+1.
 	table []uint32
 	final []bool // one per local state: it accepts in the last segment D_k
-	start uint32 // local start state of D_0
+	start uint32 // local start state of D_0, machine.NoState when doomed
+
+	memoCap int       // memoEntries; tests lower it to reach the clear
+	arenas  sync.Pool // *arena, each with a memo of this program's rows
 }
 
 // Compile builds the multi-split program from a tuple expression. The
 // segment DFAs are already minimal and complete over the tuple's alphabet
-// (extract.NewTuple promotes them), so compilation is a linear repack — the
-// budget/deadline work happened when the tuple was built.
+// (extract.NewTuple promotes them), so compilation is a linear repack plus
+// one doomed-state sweep per segment — the budget/deadline work happened
+// when the tuple was built.
 func Compile(t *extract.Tuple, opt machine.Options) (*Program, error) {
 	if t == nil {
 		return nil, fmt.Errorf("spanner: nil tuple")
@@ -114,33 +136,53 @@ func Compile(t *extract.Tuple, opt machine.Options) (*Program, error) {
 		}
 		off[j+1] = uint32(states)
 	}
+	// (j, q) is doomed when D_j cannot accept from q, or when it can but
+	// D_{j+1}'s start is doomed: a split is the only way out of a segment.
+	doomed := make([][]bool, k+1)
+	for j := k; j >= 0; j-- {
+		doomed[j] = segs[j].Doomed()
+		if j < k && doomed[j+1][segs[j+1].Start] {
+			for q := range doomed[j] {
+				doomed[j][q] = true
+			}
+		}
+	}
 	stride := sigma.Len()
 	p := &Program{
-		marks: t.Marks(),
-		sigma: sigma,
-		opt:   opt,
-		idx:   idx,
-		width: stride + 2,
-		table: make([]uint32, 0, int(off[k+1])*(stride+2)),
-		final: make([]bool, off[k+1]),
-		start: segs[0].Start,
+		marks:   t.Marks(),
+		sigma:   sigma,
+		opt:     opt,
+		idx:     idx,
+		width:   stride + 2,
+		table:   make([]uint32, 0, int(off[k+1])*(stride+2)),
+		final:   make([]bool, off[k+1]),
+		start:   segs[0].Start,
+		memoCap: memoEntries,
+	}
+	if doomed[0][p.start] {
+		p.start = machine.NoState
 	}
 	for j, d := range segs {
 		for q, acc := range d.Accept {
 			for _, to := range d.Table[q*stride : (q+1)*stride] {
-				p.table = append(p.table, off[j]+to)
+				if doomed[j][to] {
+					p.table = append(p.table, machine.NoState)
+				} else {
+					p.table = append(p.table, off[j]+to)
+				}
 			}
 			switch {
 			case j == k:
 				p.final[off[j]+uint32(q)] = acc
 				p.table = append(p.table, machine.NoState, 0)
-			case acc:
+			case acc && !doomed[j+1][segs[j+1].Start]:
 				p.table = append(p.table, uint32(idx.Index(p.marks[j])), off[j+1]+segs[j+1].Start)
 			default:
 				p.table = append(p.table, machine.NoState, 0)
 			}
 		}
 	}
+	p.arenas.New = func() any { return &arena{memo: p.newMemo()} }
 	if opt.Ctx != nil {
 		obs.FromContext(opt.Ctx).Counter("spanner_compile_total").Inc()
 	}
@@ -169,60 +211,177 @@ func budgetLimit(opt machine.Options) int {
 	}
 }
 
-// Jump-pointer sentinels: a node's jump is the id of the first split-useful
-// node on its advance chain, noJump when it is useful with no split ahead
-// (an accepting path in the last layer), or useless when it lies on no
-// source-to-sink path.
+// memo is the row automaton of one program: its states are row shapes,
+// interned by content, and its transitions are edges built on first use.
+// Shape 0 is row 0's: the start state alone, or nothing when it is doomed.
+type memo struct {
+	nsym   int
+	states []uint32 // the shapes' local states, back to back
+	shape  []int32  // shape s is states[shape[s]:shape[s+1]]
+	index  []int32  // open-addressed by content hash: 1 + shape id, 0 when free
+	trans  []hop    // the edge of (shape s, symbol index a) at s*nsym+a, to = -1 until built
+	moves  []move
+	slot   []int32  // scratch over local states: index in the row being built, -1 when absent
+	buf    []uint32 // scratch: the row being built
+}
+
+// hop is one row-automaton edge: the next shape, and where the moves of the
+// source shape's nodes start in memo.moves, one per node.
+type hop struct{ to, moves int32 }
+
+// move is one node's successors as indexes into the next row, -1 for none.
+type move struct{ adv, split int32 }
+
+func (p *Program) newMemo() memo {
+	m := memo{nsym: p.width - 2, shape: []int32{0}, index: make([]int32, 16), slot: make([]int32, len(p.final))}
+	for i := range m.slot {
+		m.slot[i] = -1
+	}
+	if p.start != machine.NoState {
+		m.buf = append(m.buf, p.start)
+	}
+	m.intern(m.buf)
+	return m
+}
+
+// entries is the memo's size, compared against Program.memoCap.
+func (m *memo) entries() int { return len(m.states) + 2*len(m.trans) + 2*len(m.moves) }
+
+func (m *memo) shapeOf(s int32) []uint32 { return m.states[m.shape[s]:m.shape[s+1]] }
+
+// hashRow mixes a shape's states into an index-table hash.
+func hashRow(row []uint32) int {
+	h := uint32(len(row))
+	for _, q := range row {
+		h = (h ^ q) * 0x9e3779b1
+		h ^= h >> 16
+	}
+	return int(h)
+}
+
+// intern returns the id of the shape holding exactly row, adding it when
+// the memo has none yet.
+func (m *memo) intern(row []uint32) int32 {
+	n := int32(len(m.shape) - 1)
+	if 2*int(n+1) > len(m.index) {
+		m.rehash(2 * len(m.index))
+	}
+	mask := len(m.index) - 1
+	for i := hashRow(row) & mask; ; i = (i + 1) & mask {
+		id := m.index[i] - 1
+		if id < 0 {
+			m.index[i] = n + 1
+			m.states = append(m.states, row...)
+			m.shape = append(m.shape, int32(len(m.states)))
+			for range m.nsym {
+				m.trans = append(m.trans, hop{-1, -1})
+			}
+			return n
+		}
+		if slices.Equal(m.shapeOf(id), row) {
+			return id
+		}
+	}
+}
+
+func (m *memo) rehash(size int) {
+	m.index = make([]int32, size)
+	mask := size - 1
+	for id := int32(0); id < int32(len(m.shape)-1); id++ {
+		i := hashRow(m.shapeOf(id)) & mask
+		for m.index[i] != 0 {
+			i = (i + 1) & mask
+		}
+		m.index[i] = id + 1
+	}
+}
+
+// build adds the edge that leaves shape s on symbol index sym, reading the
+// successors of the shape's states off the layered table.
+func (p *Program) build(m *memo, s int32, sym int) hop {
+	from := m.shapeOf(s)
+	splitAt := p.width - 2
+	next := m.buf[:0]
+	for _, q := range from {
+		r := p.table[int(q)*p.width:][:p.width]
+		if t := r[sym]; t != machine.NoState && m.slot[t] < 0 {
+			m.slot[t] = 0 // seen; its index comes once next is sorted
+			next = append(next, t)
+		}
+		if t := r[splitAt+1]; r[splitAt] == uint32(sym) && m.slot[t] < 0 {
+			m.slot[t] = 0
+			next = append(next, t)
+		}
+	}
+	slices.Sort(next)
+	for x, t := range next {
+		m.slot[t] = int32(x)
+	}
+	h := hop{moves: int32(len(m.moves))}
+	for _, q := range from {
+		r := p.table[int(q)*p.width:][:p.width]
+		mv := move{-1, -1}
+		if t := r[sym]; t != machine.NoState {
+			mv.adv = m.slot[t]
+		}
+		if r[splitAt] == uint32(sym) {
+			mv.split = m.slot[r[splitAt+1]]
+		}
+		m.moves = append(m.moves, mv)
+	}
+	for _, t := range next {
+		m.slot[t] = -1
+	}
+	m.buf = next
+	h.to = m.intern(next)
+	m.trans[int(s)*m.nsym+sym] = h
+	return h
+}
+
+// Jump-pointer sentinels, stored in a ref's pos: a node's jump is the first
+// split-useful node on its advance chain, noJump when it is useful with no
+// split ahead (an accepting path in the last layer), or useless when it
+// lies on no source-to-sink path.
 const (
 	noJump  int32 = -1
 	useless int32 = -2
 )
 
-// node is one reached (position, layer, state) triple of the DAG.
-type node struct {
-	state uint32 // local state in the layered table
-	pos   int32  // position: the row the node was appended to
-	adv   int32  // advance successor, -1 when none
-	split int32  // split successor, -1 when none
-	jump  int32  // see noJump and useless
-}
+// ref names a node: its position, which is its row, and its index in that
+// row's shape.
+type ref struct{ pos, idx int32 }
 
-// arena is one run's DAG storage, recycled through arenas.
+// row is one reached row of the DAG: its first node's id, and where its
+// nodes' moves on the next symbol start in memo.moves (-1 for the last row).
+type row struct{ first, moves int32 }
+
+// arena is one run's storage plus the memo it keeps across runs, recycled
+// through its program's pool.
 type arena struct {
-	nodes []node
-	slot  []int32 // local state → its node in the row being built, if ≥ that row's first id
-	stack []int32 // one split node per placed pivot
-	vec   []int   // the vector Next lends, read off stack
+	memo
+	rows  []row
+	last  int32 // the last row's shape
+	nodes int   // live nodes of the run: the sum of its row widths
+	jump  []ref // per node id
+	stack []ref // one split node per placed pivot
+	vec   []int // the vector Next lends, read off stack
 }
 
-// arenas is the one pool every Program draws from.
-var arenas = sync.Pool{New: func() any { return new(arena) }}
+// at returns u's node id.
+func (a *arena) at(u ref) int32 { return a.rows[u.pos].first + u.idx }
 
-// getArena takes an arena from the pool, emptied, with a slot table of
-// states entries that hold no node.
-func getArena(states int) *arena {
-	a := arenas.Get().(*arena)
-	if cap(a.slot) < states {
-		a.slot = make([]int32, states)
-	}
-	a.slot = a.slot[:states]
-	for i := range a.slot {
-		a.slot[i] = -1
-	}
-	a.nodes = a.nodes[:0]
-	a.stack = a.stack[:0]
-	return a
-}
+// move returns the successors of u, which must not lie in the last row.
+func (a *arena) move(u ref) move { return a.moves[a.rows[u.pos].moves+u.idx] }
 
 // Matches is the result of one Run: the pruned DAG plus an enumeration
 // cursor. Tuples come out in lexicographic vector order with O(k) work per
 // call. A Matches is single-use and not safe for concurrent access; rerun
 // the program for a fresh cursor.
 type Matches struct {
-	k     int
+	p     *Program
 	opt   machine.Options
 	a     *arena // nil once Next has reported exhaustion or an error
-	nodes int    // reached nodes, for introspection
+	nodes int    // live nodes, for introspection
 
 	started bool
 	err     error
@@ -231,9 +390,9 @@ type Matches struct {
 // Run executes the one forward pass plus the backward prune over word and
 // returns an enumeration cursor. The node budget is opt.MaxStates with the
 // usual machine.Options semantics (a node here is one reached (position,
-// layer, state) triple); exceeding it returns an error wrapping
-// machine.ErrBudget, and an expired Options context returns one wrapping
-// machine.ErrDeadline.
+// layer, state) triple from which a final state is reachable); exceeding it
+// returns an error wrapping machine.ErrBudget, and an expired Options
+// context returns one wrapping machine.ErrDeadline.
 func (p *Program) Run(word []symtab.Symbol) (*Matches, error) {
 	return p.run(word, p.opt)
 }
@@ -255,30 +414,38 @@ func (p *Program) run(word []symtab.Symbol, opt machine.Options) (*Matches, erro
 		_, phase = obs.StartPhase(opt.Ctx, "spanner.run")
 		defer phase.End()
 	}
-	a := getArena(len(p.final))
+	a := p.arenas.Get().(*arena)
+	if a.entries() > p.memoCap {
+		a.memo = p.newMemo()
+	}
 	polls, err := p.forward(a, word, opt)
 	phase.Count("machine_deadline_polls_total", polls)
 	if err != nil {
-		arenas.Put(a)
+		p.arenas.Put(a)
 		phase.Fail(err)
 		return nil, err
 	}
 	p.backward(a, len(word))
-	m := &Matches{k: len(p.marks), opt: opt, a: a, nodes: len(a.nodes)}
+	a.stack = a.stack[:0]
+	m := &Matches{p: p, opt: opt, a: a, nodes: a.nodes}
 	phase.Attr("nodes", int64(m.nodes))
 	phase.Attr("positions", int64(len(word)))
 	obs.FromContext(opt.Ctx).Counter("spanner_run_nodes_total").Add(int64(m.nodes))
 	return m, nil
 }
 
-// forward appends the DAG row by row: row i+1 holds the successors of row
-// i's nodes on word[i]. It stops early once a row comes out empty.
+// forward walks the memo's row automaton over word, recording each row's
+// first node id and where its moves start. It stops early once a row comes
+// out empty.
 func (p *Program) forward(a *arena, word []symtab.Symbol, opt machine.Options) (polls int64, err error) {
 	limit := min(budgetLimit(opt), math.MaxInt32-1) // node ids are int32
-	splitAt := p.width - 2                          // row offset of the split entry
-	nodes := append(a.nodes, node{state: p.start, adv: -1, split: -1})
-	defer func() { a.nodes = nodes }()
-	for i, lo := 0, 0; i < len(word) && lo < len(nodes); i++ {
+	s, first := int32(0), int32(0)                  // the row's shape and first node id
+	width := a.shape[1]                             // shape 0's
+	rows := a.rows[:0]
+	defer func() {
+		a.rows, a.last, a.nodes = append(rows, row{first: first, moves: -1}), s, int(first+width)
+	}()
+	for i := 0; i < len(word) && width > 0; i++ {
 		if i%pollStride == 0 {
 			polls++
 			if err := opt.Err(); err != nil {
@@ -289,77 +456,66 @@ func (p *Program) forward(a *arena, word []symtab.Symbol, opt machine.Options) (
 		if sym < 0 {
 			break // out of Σ: every gap dies here, so row i+1 is empty
 		}
-		hi := len(nodes)
-		// Row i+1 holds at most two successors per node and one node per
-		// state; growing once keeps the row's appends from moving nodes.
-		nodes = slices.Grow(nodes, min(2*(hi-lo), len(a.slot)))
-		first, pos := int32(hi), int32(i+1)
-		for u := lo; u < hi; u++ {
-			nd := &nodes[u]
-			row := p.table[int(nd.state)*p.width:][:p.width]
-			nodes, nd.adv = a.reach(nodes, row[sym], first, pos)
-			if row[splitAt] == uint32(sym) {
-				nodes, nd.split = a.reach(nodes, row[splitAt+1], first, pos)
-			}
-			if len(nodes) > limit {
-				return polls, fmt.Errorf("spanner: DAG exceeds %d nodes: %w", limit, machine.ErrBudget)
-			}
+		h := a.trans[int(s)*a.nsym+sym]
+		if h.to < 0 {
+			h = p.build(&a.memo, s, sym)
 		}
-		lo = hi
+		rows = append(rows, row{first: first, moves: h.moves})
+		s = h.to
+		w := a.shape[s+1] - a.shape[s]
+		if int(first)+int(width)+int(w) > limit {
+			return polls, fmt.Errorf("spanner: DAG exceeds %d nodes: %w", limit, machine.ErrBudget)
+		}
+		first, width = first+width, w
 	}
 	return polls, nil
 }
 
-// reach returns the node of state t in the row being built, whose ids start
-// at first, appending it at position pos when the row holds none yet. The
-// caller has grown nodes, so the append never moves it.
-func (a *arena) reach(nodes []node, t uint32, first, pos int32) ([]node, int32) {
-	if v := a.slot[t]; v >= first {
-		return nodes, v
-	}
-	v := int32(len(nodes))
-	a.slot[t] = v
-	nodes = nodes[:v+1]
-	nw := &nodes[v]
-	nw.state, nw.pos, nw.adv, nw.split = t, pos, -1, -1
-	return nodes, v
-}
-
 // backward sets every node's jump pointer, folding in usefulness
-// (co-accessibility from an accepting node at position n). Both edge kinds
-// lead to a later row, hence to a higher node id, so one sweep from the
-// last node down sees every successor settled.
+// (co-accessibility from a final node at position n). Both edge kinds lead
+// to the next row, so one sweep from the last row up sees every successor
+// settled.
 func (p *Program) backward(a *arena, n int) {
-	nodes := a.nodes
-	for u := len(nodes) - 1; u >= 0; u-- {
-		nd := &nodes[u]
-		switch {
-		case nd.split >= 0 && nodes[nd.split].jump != useless:
-			nd.jump = int32(u)
-		case nd.adv >= 0 && nodes[nd.adv].jump != useless:
-			nd.jump = nodes[nd.adv].jump
-		case int(nd.pos) == n && p.final[nd.state]:
-			nd.jump = noJump
-		default:
-			nd.jump = useless
+	jump := slices.Grow(a.jump[:0], a.nodes)[:a.nodes]
+	last := len(a.rows) - 1
+	for x, q := range a.shapeOf(a.last) {
+		j := ref{pos: useless}
+		if last == n && p.final[q] {
+			j.pos = noJump
+		}
+		jump[int(a.rows[last].first)+x] = j
+	}
+	for i := last - 1; i >= 0; i-- {
+		r, next := a.rows[i], a.rows[i+1].first
+		moves := a.moves[r.moves:][:next-r.first]
+		for x, mv := range moves {
+			j := ref{pos: useless}
+			switch {
+			case mv.split >= 0 && jump[next+mv.split].pos != useless:
+				j = ref{int32(i), int32(x)}
+			case mv.adv >= 0:
+				j = jump[next+mv.adv]
+			}
+			jump[int(r.first)+x] = j
 		}
 	}
+	a.jump = jump
 }
 
-// Nodes reports how many (position, layer, state) triples the forward pass
-// materialized — the quantity the MaxStates budget bounds.
+// Nodes reports how many live (position, layer, state) triples the forward
+// pass reached — the quantity the MaxStates budget bounds.
 func (m *Matches) Nodes() int { return m.nodes }
 
 // descend extends the stack from layer len(stack) to layer k by repeatedly
 // jumping to the next split-useful node and taking its split edge — the
 // lexicographically least completion of the current prefix. u is the useful
 // node enumeration stands on at layer len(stack).
-func (m *Matches) descend(u int32) {
-	nodes := m.a.nodes
-	for j := len(m.a.stack); j < m.k; j++ {
-		u = nodes[u].jump // a split node: an accepting path needs ≥1 more split
-		m.a.stack = append(m.a.stack, u)
-		u = nodes[u].split
+func (m *Matches) descend(u ref) {
+	a := m.a
+	for j := len(a.stack); j < len(m.p.marks); j++ {
+		u = a.jump[a.at(u)] // a split node: an accepting path needs ≥1 more split
+		a.stack = append(a.stack, u)
+		u = ref{u.pos + 1, a.move(u).split}
 	}
 }
 
@@ -368,7 +524,7 @@ func (m *Matches) descend(u int32) {
 func (m *Matches) vector() []int {
 	v := m.a.vec[:0]
 	for _, u := range m.a.stack {
-		v = append(v, int(m.a.nodes[u].pos))
+		v = append(v, int(u.pos))
 	}
 	m.a.vec = v
 	return v
@@ -376,7 +532,7 @@ func (m *Matches) vector() []int {
 
 // release ends the cursor and returns its arena to the pool.
 func (m *Matches) release(err error) {
-	arenas.Put(m.a)
+	m.p.arenas.Put(m.a)
 	m.a, m.err = nil, err
 }
 
@@ -397,29 +553,29 @@ func (m *Matches) Next() (vector []int, ok bool, err error) {
 		m.release(fmt.Errorf("spanner: enumeration: %w", err))
 		return nil, false, m.err
 	}
-	nodes := m.a.nodes
+	a := m.a
 	if !m.started {
 		m.started = true
-		if nodes[0].jump == useless { // node 0 is (0, 0, start)
+		if m.nodes == 0 || a.jump[0].pos == useless { // node 0 is (0, 0, start)
 			m.release(nil)
 			return nil, false, nil
 		}
-		m.descend(0)
+		m.descend(ref{})
 		return m.vector(), true, nil
 	}
 	// Successor: pop split choices deepest-first until one has a later
 	// alternative (a split-useful node further along its advance chain),
 	// then complete minimally again.
-	for stack := m.a.stack; len(stack) > 0; {
+	for stack := a.stack; len(stack) > 0; {
 		u := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		v := nodes[u].adv
-		if v < 0 {
+		adv := a.move(u).adv
+		if adv < 0 {
 			continue
 		}
-		if w := nodes[v].jump; w >= 0 {
-			m.a.stack = append(stack, w)
-			m.descend(nodes[w].split)
+		if w := a.jump[a.at(ref{u.pos + 1, adv})]; w.pos >= 0 {
+			a.stack = append(stack, w)
+			m.descend(ref{w.pos + 1, a.move(w).split})
 			return m.vector(), true, nil
 		}
 	}
