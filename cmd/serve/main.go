@@ -176,7 +176,7 @@ func run() int {
 			return 1
 		}
 		defer f.Close()
-		o.Traces.SetExport(f)
+		o.Trace.SetExport(f)
 		fmt.Fprintf(os.Stderr, "serve: exporting traced spans to %s\n", *traceExport)
 	}
 	if *wideEventSample > 0 {

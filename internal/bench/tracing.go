@@ -15,11 +15,12 @@ import (
 // parallel extraction) run twice over the identical document stream —
 //
 //	tracing off  the serving context carries an observer (metrics on, as in
-//	             E16) but no trace: spans record with cheap counter IDs and
-//	             no trace-store assembly
+//	             E16) but no trace: spans record into the tracer's ring with
+//	             cheap counter IDs and belong to no trace
 //	tracing on   every batch is one traced request: a fresh trace ID, a root
-//	             span, child batch spans, trace-store assembly, and a
-//	             trace-ID exemplar on the latency histogram
+//	             span and child batch spans under random IDs, recorded into
+//	             the same ring, and a trace-ID exemplar on the latency
+//	             histogram
 //
 // The overhead column is the tracing-on p50 relative to tracing off; the
 // acceptance bar for the instrumentation backbone is ≤5% on p50.

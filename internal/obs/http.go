@@ -47,15 +47,13 @@ func HandlerWith(o *Observer, merge TraceMerger) *http.ServeMux {
 	})
 	mux.HandleFunc("/debug/traces", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
-		list := o.Traces.List()
+		list := o.Trace.List()
 		if list == nil {
 			list = []TraceSummary{}
 		}
 		json.NewEncoder(w).Encode(struct {
-			Traces    []TraceSummary `json:"traces"`
-			Evictions int64          `json:"evictions"`
-			Truncated int64          `json:"truncatedSpans"`
-		}{list, o.Traces.Evictions(), o.Traces.Truncated()})
+			Traces []TraceSummary `json:"traces"`
+		}{list})
 	})
 	mux.HandleFunc("/debug/traces/", func(w http.ResponseWriter, r *http.Request) {
 		id := strings.TrimPrefix(r.URL.Path, "/debug/traces/")
@@ -63,7 +61,7 @@ func HandlerWith(o *Observer, merge TraceMerger) *http.ServeMux {
 			http.Error(w, `{"error":"bad trace id"}`, http.StatusBadRequest)
 			return
 		}
-		spans := o.Traces.Trace(id)
+		spans := o.Trace.Trace(id)
 		if merge != nil {
 			spans = merge(id, spans)
 		}

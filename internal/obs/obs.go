@@ -11,21 +11,22 @@ import (
 // Observer bundles the three observation surfaces: a metrics registry, a
 // span tracer, and a structured event logger. Any field may be nil — the
 // accessor methods degrade to no-ops — and a nil *Observer is itself fully
-// inert, so instrumented code never branches on "is observation on".
+// inert, so instrumented code never branches on "is observation on". The
+// tracer's ring is the observer's one store of completed spans: the
+// /metrics.json and -trace dumps, GET /debug/traces and -trace-export all
+// read it.
 type Observer struct {
 	Metrics *Registry
 	Trace   *Tracer
 	Log     Logger
-	Traces  *TraceStore
 }
 
 // New returns an observer with a fresh registry, a default-capacity tracer
-// wired to a trace store (so traced spans are retrievable by trace ID and
-// ring overwrites count into obs_spans_dropped_total), and no event logger.
+// whose ring overwrites count into obs_spans_dropped_total, and no event
+// logger.
 func New() *Observer {
-	o := &Observer{Metrics: NewRegistry(), Trace: NewTracer(0), Traces: NewTraceStore(0, 0)}
+	o := &Observer{Metrics: NewRegistry(), Trace: NewTracer(0)}
 	o.Trace.SetDropCounter(o.Metrics.Counter("obs_spans_dropped_total"))
-	o.Trace.SetSink(o.Traces.Add)
 	return o
 }
 

@@ -3,16 +3,21 @@ package obs
 import (
 	"context"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 )
 
 // TestRegistryTracerConcurrency hammers one registry and one tracer from many
 // goroutines; run under -race this checks the lock discipline of both the
-// fast (existing metric) and slow (create) paths plus ring eviction.
+// fast (existing metric) and slow (create) paths plus ring eviction, and of
+// the trace views and the export, which read the ring while spans end.
 func TestRegistryTracerConcurrency(t *testing.T) {
 	o := New()
 	o.Trace = NewTracer(64) // small ring to force concurrent eviction
+	// The export is written only under the tracer's export lock.
+	var export strings.Builder
+	o.Trace.SetExport(&export)
 	const workers = 16
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -20,6 +25,11 @@ func TestRegistryTracerConcurrency(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			ctx := NewContext(context.Background(), o)
+			traceID := ""
+			if w%2 == 0 { // half the workers run traced
+				traceID = fmt.Sprintf("%016x", w+1)
+				ctx = ContextWithTrace(ctx, TraceContext{TraceID: traceID})
+			}
 			for i := 0; i < 500; i++ {
 				o.Counter("shared_total").Inc()
 				o.Counter(fmt.Sprintf("worker_%d_total", w%4)).Add(2)
@@ -34,6 +44,8 @@ func TestRegistryTracerConcurrency(t *testing.T) {
 				if i%50 == 0 {
 					_ = o.Metrics.Snapshot()
 					_ = o.Trace.Snapshot()
+					_ = o.Trace.Trace(traceID)
+					_ = o.Trace.List()
 				}
 			}
 		}(w)
@@ -52,5 +64,8 @@ func TestRegistryTracerConcurrency(t *testing.T) {
 	}
 	if got := len(o.Trace.Snapshot()); got != 64 {
 		t.Fatalf("ring size = %d, want 64", got)
+	}
+	if got := strings.Count(export.String(), "\n"); got != workers/2*500*2 {
+		t.Fatalf("exported spans = %d, want every traced span (%d)", got, workers/2*500*2)
 	}
 }

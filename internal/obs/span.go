@@ -4,6 +4,7 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -51,17 +52,32 @@ type SpanRecord struct {
 // tracing is bounded no matter how long the process runs, at the price of
 // evicting the oldest spans. Evictions are counted (Dropped, and the
 // obs_spans_dropped_total counter when one is wired via SetDropCounter) so
-// silent span loss is observable.
+// silent span loss is observable. The ring is the one store of completed
+// spans: Snapshot and WriteTree read all of it, Trace and List read the
+// spans of traced requests by trace ID, and SetExport streams each traced
+// span out as it ends.
 type Tracer struct {
 	nextID  atomic.Int64
 	dropped atomic.Int64
 	dropCtr atomic.Pointer[Counter]
-	sink    atomic.Pointer[func(SpanRecord)]
 
 	mu    sync.Mutex
 	ring  []SpanRecord
 	next  int   // ring write cursor
 	total int64 // spans ever recorded
+
+	// exportMu serializes export writes apart from mu, so a slow export
+	// file never holds up recording into the ring.
+	exportMu sync.Mutex
+	export   *json.Encoder // JSONL sink for every traced span; nil = off
+}
+
+// TraceSummary is one row of the GET /debug/traces listing.
+type TraceSummary struct {
+	TraceID string    `json:"traceId"`
+	Spans   int       `json:"spans"`
+	Root    string    `json:"root,omitempty"`
+	Start   time.Time `json:"start"`
 }
 
 // NewTracer returns a tracer holding up to capacity completed spans
@@ -83,15 +99,21 @@ func (t *Tracer) SetDropCounter(c *Counter) {
 	t.dropCtr.Store(c)
 }
 
-// SetSink installs a completion hook invoked with every recorded span, after
-// it lands in the ring (obs.New wires the trace store's Add). The sink runs
-// on the goroutine that ended the span and must not call back into the
-// tracer.
-func (t *Tracer) SetSink(fn func(SpanRecord)) {
-	if t == nil || fn == nil {
+// SetExport installs a JSONL sink: every traced span is appended to w as one
+// JSON object per line as it ends (the -trace-export flag of cmd/serve);
+// untraced spans are not exported. Writes are serialized and their errors
+// swallowed — export is telemetry, not the request path. A nil w stops the
+// export.
+func (t *Tracer) SetExport(w io.Writer) {
+	if t == nil {
 		return
 	}
-	t.sink.Store(&fn)
+	t.exportMu.Lock()
+	defer t.exportMu.Unlock()
+	t.export = nil
+	if w != nil {
+		t.export = json.NewEncoder(w)
+	}
 }
 
 // Dropped reports how many completed spans the ring has overwritten.
@@ -267,7 +289,8 @@ func (t *Tracer) StartSpan(ctx context.Context, name string) (context.Context, *
 	}
 }
 
-// record appends one completed span, evicting the oldest at capacity.
+// record appends one completed span, evicting the oldest at capacity, and
+// exports it when it is traced.
 func (t *Tracer) record(r SpanRecord) {
 	t.mu.Lock()
 	t.total++
@@ -284,8 +307,12 @@ func (t *Tracer) record(r SpanRecord) {
 		t.dropped.Add(1)
 		t.dropCtr.Load().Inc()
 	}
-	if fn := t.sink.Load(); fn != nil {
-		(*fn)(r)
+	if r.TraceID != "" {
+		t.exportMu.Lock()
+		if t.export != nil {
+			_ = t.export.Encode(r) //nolint:errcheck // best-effort telemetry sink
+		}
+		t.exportMu.Unlock()
 	}
 }
 
@@ -299,6 +326,59 @@ func (t *Tracer) Snapshot() []SpanRecord {
 	out := make([]SpanRecord, 0, len(t.ring))
 	out = append(out, t.ring[t.next:]...)
 	out = append(out, t.ring[:t.next]...)
+	return out
+}
+
+// Trace returns the buffered spans of one trace, oldest start first (nil
+// when the ring holds none). A trace stays retrievable while its spans are
+// in the ring; one with more spans than the ring holds comes back with its
+// newest.
+func (t *Tracer) Trace(id string) []SpanRecord {
+	if t == nil || id == "" {
+		return nil
+	}
+	var out []SpanRecord
+	t.mu.Lock()
+	for i := range t.ring {
+		if t.ring[i].TraceID == id {
+			out = append(out, t.ring[i])
+		}
+	}
+	t.mu.Unlock()
+	sort.Slice(out, func(i, j int) bool { return out[i].Start.Before(out[j].Start) })
+	return out
+}
+
+// List summarizes every trace with spans in the ring, latest start first.
+func (t *Tracer) List() []TraceSummary {
+	if t == nil {
+		return nil
+	}
+	var out []TraceSummary
+	at := map[string]int{} // trace ID → index in out
+	t.mu.Lock()
+	for i := range t.ring {
+		s := &t.ring[i]
+		if s.TraceID == "" {
+			continue
+		}
+		j, ok := at[s.TraceID]
+		if !ok {
+			j = len(out)
+			at[s.TraceID] = j
+			out = append(out, TraceSummary{TraceID: s.TraceID, Start: s.Start})
+		}
+		sum := &out[j]
+		sum.Spans++
+		if s.Start.Before(sum.Start) {
+			sum.Start = s.Start
+		}
+		if s.Parent == 0 {
+			sum.Root = s.Name
+		}
+	}
+	t.mu.Unlock()
+	sort.Slice(out, func(i, j int) bool { return out[i].Start.After(out[j].Start) })
 	return out
 }
 
@@ -316,13 +396,7 @@ func (t *Tracer) Total() int64 {
 // children ordered by start time. Spans whose parent was evicted from the
 // ring render as roots.
 func (t *Tracer) WriteTree(w io.Writer) error {
-	return WriteSpanTree(w, t.Snapshot())
-}
-
-// WriteSpanTree renders any span set as an indented parent/child tree,
-// children ordered by start time; spans with an absent parent render as
-// roots. It is shared by the tracer dump and the trace-store endpoints.
-func WriteSpanTree(w io.Writer, spans []SpanRecord) error {
+	spans := t.Snapshot()
 	children := map[int64][]SpanRecord{}
 	present := map[int64]bool{}
 	for _, s := range spans {

@@ -187,8 +187,9 @@ func (c *Controller) Run(ctx context.Context) {
 // Tick runs one watch pass over every site: judge any canary whose
 // observation window is mature, and otherwise sample for drift and
 // canary-deploy a re-induced wrapper when degradation crosses the
-// threshold. Deterministic — no clocks, no randomness — so tests and the
-// E19 benchmark drive the pipeline tick by tick.
+// threshold; a drifted tuple site is counted and skipped. Deterministic —
+// no clocks, no randomness — so tests and the E19 benchmark drive the
+// pipeline tick by tick.
 func (c *Controller) Tick(ctx context.Context) {
 	c.obs.Counter("refresh_tick_total").Inc()
 	// Each pass is its own trace, so a rollout decision is reconstructable
@@ -234,6 +235,12 @@ func (c *Controller) checkSite(ctx context.Context, site string) {
 		return
 	}
 	c.count("refresh_drift_detected_total", "site", site)
+	if wrapper.IsTuplePayload(c.deploy.ActivePayload(site)) {
+		// Induction builds single-pivot wrappers, and the serving path
+		// canaries only those: a tuple site's drift is reported, not acted on.
+		c.count("refresh_skip_total", "reason", "tuple")
+		return
+	}
 	c.induceAndDeploy(ctx, site, samples)
 }
 

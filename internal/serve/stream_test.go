@@ -180,7 +180,7 @@ func TestServeExtractStreamDocBytes(t *testing.T) {
 		t.Errorf("wide event doc_bytes = %v, want %d", event["doc_bytes"], want)
 	}
 	var got int64 = -1
-	for _, sp := range s.obs.Traces.Trace(rec.Header().Get(obs.TraceHeader)) {
+	for _, sp := range s.obs.Trace.Trace(rec.Header().Get(obs.TraceHeader)) {
 		for _, a := range sp.Attrs {
 			if sp.Name == "serve.stream" && a.Key == "doc_bytes" {
 				got = a.Value

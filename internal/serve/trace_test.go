@@ -153,7 +153,7 @@ func TestClusterTraceAssembly(t *testing.T) {
 		t.Errorf("shard.apply spans = %d, want 4 (put+canary × 2 owners)", got)
 	}
 	for i, sh := range shards {
-		if len(sh.obs.Traces.Trace(traceID)) == 0 {
+		if len(sh.obs.Trace.Trace(traceID)) == 0 {
 			t.Errorf("shard %d holds no spans of the trace — assembly did not span both processes", i)
 		}
 	}
@@ -364,7 +364,7 @@ func TestWriteRoutesTraced(t *testing.T) {
 			t.Fatalf("%s %s: status %d, want %d: %s", c.method, c.path, rec.Code, c.status, rec.Body)
 		}
 		id := rec.Header().Get(obs.TraceHeader)
-		spans := o.Traces.Trace(id)
+		spans := o.Trace.Trace(id)
 		var sp *obs.SpanRecord
 		for i := range spans {
 			if spans[i].Name == c.span {
@@ -388,8 +388,43 @@ func TestWriteRoutesTraced(t *testing.T) {
 	if rec.Code != http.StatusConflict {
 		t.Fatalf("stale replicated promote: status %d: %s", rec.Code, rec.Body)
 	}
-	spans := o.Traces.Trace(rec.Header().Get(obs.TraceHeader))
+	spans := o.Trace.Trace(rec.Header().Get(obs.TraceHeader))
 	if len(spans) != 1 || spans[0].Name != "shard.apply" || !strings.Contains(spans[0].Error, "version conflict") {
 		t.Fatalf("stale replicated promote: spans %+v, want shard.apply carrying the conflict", spans)
+	}
+}
+
+// TestRequestTraceOutlivesLaterRequests: a request's trace stays
+// retrievable from GET /debug/traces/{id} while its spans are in the
+// tracer's ring, so 300 later requests (2 spans each, well inside the ring)
+// do not evict it.
+func TestRequestTraceOutlivesLaterRequests(t *testing.T) {
+	s, _ := testServer(t)
+	body, err := json.Marshal(extractRequest{Docs: []wrapper.BatchDoc{{Key: "vs", HTML: pageTop}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := do(t, s, "POST", "/extract", body)
+	id := first.Header().Get(obs.TraceHeader)
+	if first.Code != http.StatusOK || id == "" {
+		t.Fatalf("first extract: status %d, trace %q", first.Code, id)
+	}
+	for i := 0; i < 300; i++ {
+		if rec := do(t, s, "POST", "/extract", body); rec.Code != http.StatusOK {
+			t.Fatalf("extract %d: status %d", i, rec.Code)
+		}
+	}
+	rec := do(t, s, "GET", "/debug/traces/"+id, nil)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("GET /debug/traces/%s after 300 requests: %d: %s", id, rec.Code, rec.Body)
+	}
+	var trace struct {
+		Spans []obs.SpanRecord `json:"spans"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &trace); err != nil {
+		t.Fatal(err)
+	}
+	if names := spanNames(trace.Spans); len(names) == 0 || names[0] != "serve.extract" {
+		t.Fatalf("first request's trace holds %v, want serve.extract first", names)
 	}
 }
